@@ -13,8 +13,6 @@ generated workloads and records the numbers in ``BENCH_sched.json``
 * ``balanced_weights`` at 2048 -- the batched bitset-matrix
   implementation (wall-clock only; the oracle is quadratic and
   measured at 512 where it stays affordable).
-* Pool fan-out: shared-memory wire format versus pickling whole
-  ``(block, dag)`` pairs per task, at the encode level.
 
 Every timed pair is also cross-checked for exact equality, so a
 benchmark run doubles as a coarse differential test.
@@ -34,7 +32,6 @@ import pytest
 from repro.analysis import build_dag
 from repro.core import BalancedScheduler, ListScheduler
 from repro.core.weights import balanced_weights, balanced_weights_reference
-from repro.experiments.engine import ArenaReader, encode_blocks
 from repro.simulate.rng import spawn
 from repro.workloads import random_block
 
@@ -149,48 +146,4 @@ def test_bench_balanced_weights(benchmark):
         "batched_seconds": small_batched,
         "oracle_seconds": small_oracle,
         "speedup_vs_oracle": round(small_oracle / small_batched, 2),
-    }
-
-
-def test_bench_wire_format_vs_pickle():
-    """Per-task cost: materializing from the arena vs re-pickling.
-
-    In the pool, ``encode_blocks`` runs once per fan-out and each
-    worker attaches once; the *per-task* cost the wire format replaces
-    is a ``pickle.dumps`` in the parent plus a ``pickle.loads`` in the
-    worker for every ``(block, dag)`` pair.  The one-time encode is
-    recorded separately so the amortization is visible.
-    """
-    import pickle
-
-    pairs = [_weighted_dag(256) for _ in range(8)]
-    blocks = [b for b, _ in pairs]
-    dags = [d for _, d in pairs]
-
-    encode_time = _median_of(
-        lambda: encode_blocks(blocks, dags).dispose(), repeats=3
-    )
-    arena = encode_blocks(blocks, dags)
-    try:
-        reader = ArenaReader(arena.name)
-
-        def materialize_all():
-            for index in range(len(reader)):
-                reader.materialize(index)
-
-        materialize_time = _median_of(materialize_all, repeats=3)
-        reader.close()
-    finally:
-        arena.dispose()
-
-    def pickle_all():
-        for pair in pairs:
-            pickle.loads(pickle.dumps(pair, pickle.HIGHEST_PROTOCOL))
-
-    pickle_time = _median_of(pickle_all, repeats=3)
-    _RECORD["wire_format/256x8"] = {
-        "encode_once_seconds": encode_time,
-        "materialize_seconds": materialize_time,
-        "pickle_roundtrip_seconds": pickle_time,
-        "per_task_speedup": round(pickle_time / materialize_time, 2),
     }

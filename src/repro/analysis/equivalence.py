@@ -198,18 +198,6 @@ class _SymbolicState:
             self.values[reg] = (inst.opcode.value,) + operands
 
 
-def _spill_round_trip(value: Value) -> Value:
-    """Collapse loads from spill slots back to the stored value.
-
-    Spill stores always precede their reloads with a matching address
-    and version, so a reload's value is exactly the spilled value; the
-    collapse happens naturally because spill regions never alias user
-    regions -- the reload's ``load`` expression is only produced for
-    user regions.  (Kept for documentation; see _SymbolicState.)
-    """
-    return value
-
-
 #: The allocator's documented slot-naming contract (see
 #: ``repro.regalloc.spill``): spilled live-ins round-trip through home
 #: slots indexed by live-in position, spilled live-outs end their life

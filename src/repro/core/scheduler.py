@@ -567,32 +567,6 @@ class ListScheduler:
             )
         return idx
 
-    def _select(
-        self,
-        state: _SchedulerState,
-        ready: List[int],
-        node_priorities: List[Weight],
-    ) -> int:
-        """Pick from a plain ready list (reference path, kept for
-        equivalence testing against :meth:`_select_index`)."""
-        best = ready[0]
-        best_key = self._key(state, best, node_priorities)
-        for candidate in ready[1:]:
-            key = self._key(state, candidate, node_priorities)
-            if key > best_key:
-                best, best_key = candidate, key
-        return best
-
-    def _key(
-        self, state: _SchedulerState, node: int, node_priorities: List[Weight]
-    ) -> Tuple:
-        parts: List[Union[int, float, Fraction]] = [
-            Fraction(node_priorities[node])
-        ]
-        for tie_break in self.tie_breaks:
-            parts.append(tie_break(state, node))
-        return tuple(parts)
-
     # ------------------------------------------------------------------
     @staticmethod
     def _emit(

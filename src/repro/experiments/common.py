@@ -298,11 +298,6 @@ class ProgramEvaluator:
         )
 
 
-def geometric_layout(values: Sequence[float], width: int = 6) -> str:
-    """Small helper: format a row of numbers for the console tables."""
-    return " ".join(f"{v:{width}.1f}" for v in values)
-
-
 # ----------------------------------------------------------------------
 # Parallel cell evaluation
 # ----------------------------------------------------------------------
@@ -617,11 +612,6 @@ def _evaluate_group_timed(specs: Sequence[CellSpec]) -> List[_TimedCell]:
         )
         out.append((cell, wall, os.getpid(), delta, fragments))
     return out
-
-
-def _evaluate_group(specs: Sequence[CellSpec]) -> List[CellResult]:
-    """Worker entry point: evaluate one compile-sharing group of cells."""
-    return [cell for cell, _, _, _, _ in _evaluate_group_timed(specs)]
 
 
 #: Lazily created, reused across evaluate_cells calls (so `run all`

@@ -295,15 +295,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
                         "are checkpointed -- re-run the same command to "
                         "resume", name, elapsed,
                     )
-                    # Tear down shared state eagerly: atexit hooks may
+                    # Tear down the pool eagerly: atexit hooks may
                     # never run if the signal arrives again, and a
-                    # half-dead pool would leak workers and shm
-                    # segments past the 130 exit.
+                    # half-dead pool would leak workers past the 130
+                    # exit.
                     from .common import shutdown_pool
-                    from .engine import dispose_all_arenas
 
                     shutdown_pool(wait=False)
-                    dispose_all_arenas()
                     return 130
                 except BaseException:
                     manifest.end_run(
@@ -710,35 +708,25 @@ def render_schedule(
     verbose: bool = False,
 ) -> str:
     """The ``schedule`` listing as a string; shared by the CLI and the
-    service so their outputs are byte-identical (``jobs`` changes only
-    wall-clock time, never the listing)."""
+    service so their outputs are byte-identical.
+
+    Every block is scheduled inline, one after another.  ``jobs`` no
+    longer changes how blocks are scheduled: it is echoed in the
+    ``(jobs=N)`` footer only, which the CLI and the service both print
+    as ``jobs=1``."""
     from ..analysis.dependence import build_dag
     from ..core.balanced import BalancedScheduler
     from ..core.optimal import OptimalScheduler
     from ..core.traditional import TraditionalScheduler
-    from .engine import schedule_blocks
 
-    blocks = program.all_blocks()
     if policy_name == "optimal":
-        # The exact backend searches rather than list-schedules, so it
-        # runs through the policy interface block by block (`jobs`
-        # still only affects wall-clock: the search is deterministic).
         policy = OptimalScheduler(latency)
-        results = [
-            policy.schedule_dag(build_dag(block), block) for block in blocks
-        ]
+    elif policy_name == "balanced":
+        policy = BalancedScheduler()
     else:
-        policy = (
-            BalancedScheduler()
-            if policy_name == "balanced"
-            else TraditionalScheduler(latency)
-        )
-        dags = []
-        for block in blocks:
-            dag = build_dag(block)
-            policy.assign_weights(dag)
-            dags.append(dag)
-        results = schedule_blocks(blocks, dags, policy._scheduler, jobs=jobs)
+        policy = TraditionalScheduler(latency)
+    blocks = program.all_blocks()
+    results = [policy.schedule_dag(build_dag(block), block) for block in blocks]
     buf = io.StringIO()
     for block, result in zip(blocks, results):
         print(
@@ -771,7 +759,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             program,
             policy_name=args.policy,
             latency=args.latency,
-            jobs=args.jobs,
             verbose=args.verbose,
         )
     except ValueError as exc:  # e.g. --policy optimal --latency 2.5
@@ -872,7 +859,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from ..core.traditional import TraditionalScheduler
     from ..machine.config import SYSTEMS_BY_NAME
     from ..simulate.rng import spawn
-    from ..simulate.trace import trace_with_memory
+    from ..simulate.trace import check_traceable, trace_with_memory
 
     memory = SYSTEMS_BY_NAME.get(args.memory)
     if memory is None:
@@ -884,16 +871,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 2
     try:
         processor = _processor_for(args)
+        check_traceable(processor)
     except ValueError as exc:
         print(f"balanced-sched: {exc}", file=sys.stderr)
-        return 2
-    if processor.issue_width != 1 or processor.load_delay_tracking:
-        print(
-            f"balanced-sched: trace models in-order single-issue only; "
-            f"{processor.name} reorders or multi-issues (try "
-            f"`balanced-sched delay-track` for adaptive-issue results)",
-            file=sys.stderr,
-        )
         return 2
     policy = (
         BalancedScheduler()
@@ -1187,7 +1167,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     schedule = sub.add_parser(
         "schedule",
-        help="schedule a minif file's blocks (optionally over the pool)",
+        help="schedule a minif file's blocks",
     )
     schedule.add_argument("file")
     schedule.add_argument(
@@ -1201,12 +1181,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=2,
         help="load latency: the traditional weight, or the optimal "
         "backend's fixed memory model (must be an integer there)",
-    )
-    schedule.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fan blocks over the shared-memory scheduling engine",
     )
     schedule.add_argument(
         "--verbose", action="store_true", help="print the scheduled order"
@@ -1367,11 +1341,11 @@ def _install_sigterm_handler() -> None:
 
     `kill <pid>` then unwinds through the same except/finally chain as
     Ctrl-C: the manifest records ``interrupted``, checkpoints land,
-    obs exports finish (atomically), and the pool and shared-memory
-    arenas are torn down -- instead of the default handler killing the
-    process mid-write.  ``serve`` replaces this with its own asyncio
-    handler.  Signals can only be installed from the main thread;
-    embedders calling :func:`main` elsewhere keep their own handling.
+    obs exports finish (atomically), and the pool is torn down --
+    instead of the default handler killing the process mid-write.
+    ``serve`` replaces this with its own asyncio handler.  Signals can
+    only be installed from the main thread; embedders calling
+    :func:`main` elsewhere keep their own handling.
     """
     if threading.current_thread() is not threading.main_thread():
         return

@@ -71,7 +71,7 @@ class SimulationBatcher:
 
     ``runner`` is an async callable taking a list of :class:`CellSpec`
     and returning the matching :class:`CellResult` list (the server
-    wraps :func:`~repro.experiments.engine.evaluate_cells` in the CPU
+    wraps :func:`~repro.experiments.common.evaluate_cells` in the CPU
     executor).  One flush task drains the queue; a failure of the
     runner fails every request in that flush -- later flushes start
     clean, which is what lets the daemon keep serving after a pool

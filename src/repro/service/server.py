@@ -11,8 +11,9 @@ One process, three layers:
 * the :class:`~repro.service.batcher.SimulationBatcher`, which
   coalesces concurrent ``/simulate`` requests into single
   :func:`~repro.experiments.common.evaluate_cells` calls that fan out
-  over the experiment process pool (``--jobs``) using the
-  shared-memory DAG wire format.
+  over the experiment process pool (``--jobs``); each cell travels to
+  its worker as a :class:`~repro.experiments.common.CellSpec` that
+  names its program, so workers compile from their own cache.
 
 Pool death is *surfaced*, not absorbed: the engine runs with
 ``inline_fallback=False``, so a pool that breaks past its retry budget
@@ -60,7 +61,6 @@ from ..experiments.common import (
     evaluate_cells,
     shutdown_pool,
 )
-from ..experiments.engine import dispose_all_arenas
 from ..obs import recorder as _obs
 from ..obs import requesttrace as _reqtrace
 from ..obs.export import prometheus_text
@@ -198,7 +198,6 @@ class SchedulingService:
             self._executor.shutdown(wait=True)
             self._executor = None
         shutdown_pool(wait=False)
-        dispose_all_arenas()
         if self.manifest is not None:
             self.manifest.end_run(
                 wall_s=time.monotonic() - self._started_at, status=status

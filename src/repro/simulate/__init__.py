@@ -7,7 +7,7 @@ from .program import (
     sample_block,
     simulate_program,
 )
-from .batch import BatchSimResult, batch_native, simulate_block_batch
+from .batch import BatchSimResult, simulate_block_batch
 from .rng import DEFAULT_SEED, spawn
 from .simulator import (
     BlockSimResult,
@@ -55,7 +55,6 @@ __all__ = [
     "trace_block",
     "trace_with_memory",
     "BatchSimResult",
-    "batch_native",
     "simulate_block_batch",
     "DEFAULT_BOOTSTRAP",
     "ImprovementResult",

@@ -156,18 +156,6 @@ class _WindowBuffer:
             self.ends = self.ends[keep]
 
 
-def batch_native(processor: ProcessorModel) -> bool:
-    """Does :func:`simulate_block_batch` vectorize this model natively?
-
-    Always ``True`` since the superscalar kernel landed: every
-    processor model -- including ``issue_width > 1`` -- runs on a
-    vector path, and no scalar fallback remains.  Kept because the
-    verification fuzzer and older callers use it to label which path a
-    scalar/batch comparison exercised.
-    """
-    return True
-
-
 #: One step of the executed (non-NOP) sequence: ``(is_load, use
 #: register rows, def register rows, static latency)`` with registers
 #: densely indexed per block.

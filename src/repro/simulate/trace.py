@@ -203,6 +203,33 @@ class BlockTrace:
         return "\n".join([header] + lines)
 
 
+def check_traceable(processor: ProcessorModel) -> None:
+    """Raise ``ValueError`` unless :func:`trace_block` times
+    ``processor`` exactly as ``simulate_block`` does.
+
+    The replay models the paper's in-order, single-issue, non-blocking
+    processors.  Anything else would come out silently mis-timed.
+    """
+    if processor.issue_width != 1:
+        raise ValueError(
+            f"traces support single-issue processors only; "
+            f"{processor.name} issues {processor.issue_width} per cycle"
+        )
+    if processor.load_delay_tracking:
+        # The issue-order evidence for a reordering front end lives in
+        # simulator.delaytrack_issue_trace.
+        raise ValueError(
+            "traces model in-order issue only; delay-tracking processors "
+            "reorder (use delaytrack_issue_trace for their issue order)"
+        )
+    if processor.blocking_loads:
+        raise ValueError(
+            f"traces model non-blocking loads only; {processor.name} "
+            f"stalls at every load until its data returns (simulate_block "
+            f"times it)"
+        )
+
+
 def trace_block(
     instructions: Sequence[Instruction],
     latencies: Sequence[int],
@@ -210,19 +237,11 @@ def trace_block(
 ) -> BlockTrace:
     """Replay one execution, recording per-instruction timing.
 
-    Single-issue only (the paper's model); latencies are supplied per
-    load in program order, as for ``simulate_block``.
+    Only for processors :func:`check_traceable` accepts (the paper's
+    models); latencies are supplied per load in program order, as for
+    ``simulate_block``.
     """
-    if processor.issue_width != 1:
-        raise ValueError("traces support single-issue processors only")
-    if processor.load_delay_tracking:
-        # The in-order replay below would silently mis-time a reordering
-        # front end; the issue-order evidence for those lives in
-        # simulator.delaytrack_issue_trace.
-        raise ValueError(
-            "traces model in-order issue only; delay-tracking processors "
-            "reorder (use delaytrack_issue_trace for their issue order)"
-        )
+    check_traceable(processor)
 
     reg_ready: Dict[Register, int] = {}
     reg_writer: Dict[Register, int] = {}

@@ -148,3 +148,8 @@ class TestTraceCliGuards:
     def test_trace_rejects_multi_issue_specs(self, capsys):
         assert cli_main(["trace", "x.mf", "--processor", "max8x2"]) == 2
         assert "single-issue" in capsys.readouterr().err
+
+    def test_trace_rejects_blocking_processors(self, capsys):
+        assert cli_main(["trace", "x.mf", "--processor", "blocking"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-blocking" in err

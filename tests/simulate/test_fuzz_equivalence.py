@@ -27,11 +27,7 @@ from repro.machine.processor import (
     delay_tracking,
     superscalar,
 )
-from repro.simulate import (
-    batch_native,
-    simulate_block,
-    simulate_block_batch,
-)
+from repro.simulate import simulate_block, simulate_block_batch
 from repro.simulate.rng import spawn
 from repro.verify.fuzz import (
     FUZZ_MEMORIES,
@@ -107,8 +103,6 @@ def test_empty_block_simulates_to_zero():
     compiled = compile_program(program, BalancedScheduler())
     for block in compiled.final_blocks:
         for processor in FUZZ_PROCESSORS:
-            if not batch_native(processor):
-                continue
             _assert_scalar_batch_agree(
                 block, processor, FUZZ_MEMORIES[0],
                 key=("empty", block.name, processor.name),

@@ -5,10 +5,19 @@ import pytest
 
 from repro.core import BalancedScheduler, TraditionalScheduler
 from repro.ir import MemRef, Opcode, RegClass, VirtualReg, alu, load, nop
-from repro.machine import LEN_8, MAX_8, NetworkMemory, UNLIMITED, superscalar
+from repro.machine import (
+    BLOCKING,
+    LEN_8,
+    MAX_8,
+    NetworkMemory,
+    PROCESSORS_BY_NAME,
+    UNLIMITED,
+    superscalar,
+)
 from repro.simulate import simulate_block
 from repro.simulate.trace import StallReason, trace_block, trace_with_memory
 from repro.workloads import figure1_block, load_program, random_block
+from repro.workloads.perfect import load_suite
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 
@@ -122,6 +131,29 @@ class TestGuards:
     def test_superscalar_rejected(self):
         with pytest.raises(ValueError, match="single-issue"):
             trace_block(load_use(0), [2], superscalar(2))
+
+    def test_blocking_rejected(self):
+        with pytest.raises(ValueError, match="non-blocking"):
+            trace_block(load_use(0), [2], BLOCKING)
+
+    @pytest.mark.parametrize("name", sorted(PROCESSORS_BY_NAME))
+    def test_every_named_processor_raises_or_matches_simulator(self, name):
+        """A trace is either refused or exact: never a silently wrong
+        cycle count for a processor the CLI can name."""
+        processor = PROCESSORS_BY_NAME[name]
+        blocks = [b for p in load_suite().values() for b in p.all_blocks()]
+        for block in blocks:
+            n_loads = sum(1 for inst in block if inst.is_load)
+            for latency in (1, 2, 7, 30):
+                latencies = [latency] * n_loads
+                try:
+                    trace = trace_block(block.instructions, latencies, processor)
+                except ValueError:
+                    continue
+                sim = simulate_block(block.instructions, latencies, processor)
+                assert (trace.cycles, trace.interlock_cycles) == (
+                    sim.cycles, sim.interlock_cycles
+                ), (name, block.name, latency)
 
     def test_trace_with_memory(self, rng, figure1):
         block, _ = figure1
