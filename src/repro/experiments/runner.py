@@ -486,14 +486,19 @@ def _profile_report(metrics: MetricsRegistry, top: int = 10) -> str:
             lines.append(f"  ... and {len(rows) - top} more load sites")
         lines.append("")
 
-    skipped = sum(
-        value for key, value in metrics.counters.items()
-        if split_series_key(key)[0] == "sim.attribution_skipped"
-    )
+    skipped: Dict[str, float] = {}
+    for key, value in metrics.counters.items():
+        base, labels = split_series_key(key)
+        if base == "sim.attribution_skipped":
+            reason = labels.get("reason", "?")
+            skipped[reason] = skipped.get(reason, 0) + value
     if skipped:
+        per_reason = ", ".join(
+            f"{int(skipped[reason]):,} {reason}" for reason in sorted(skipped)
+        )
         lines.append(
-            f"note: {int(skipped):,} run(s) on multi-issue or blocking "
-            "processors are counted but not attributed per load"
+            f"note: {int(sum(skipped.values())):,} run(s) are counted but "
+            f"not attributed per load ({per_reason})"
         )
     if not lines:
         lines.append("(no scheduler/simulator metrics recorded)")

@@ -140,6 +140,21 @@ class MetricsRegistry:
         for value in values:
             hist[value] = hist.get(value, 0) + 1
 
+    def observe_counts(
+        self,
+        name: str,
+        values: Iterable[Number],
+        counts: Iterable[int],
+        **labels,
+    ) -> None:
+        """Observe ``values[i]`` ``counts[i]`` times each: the same
+        histogram as that many :meth:`observe` calls, for data that is
+        counted already (e.g. by ``numpy.unique``)."""
+        hist = self.histograms.setdefault(series_key(name, labels), {})
+        for value, count in zip(values, counts):
+            if count:
+                hist[value] = hist.get(value, 0) + count
+
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------

@@ -22,6 +22,10 @@ fallback:
   of slots consumed in the current issue group become ``(runs,)``
   vectors, composed with the same top-k and window machinery.
 
+On request (``attribute=True``) the single-issue kernel also records
+each step's stall and what bound it -- the stall attribution behind
+``--obs`` -- so no run has to be replayed through the scalar tracer.
+
 Equivalence with the scalar simulator is enforced by the property
 tests ``tests/simulate/test_batch_equivalence.py`` and
 ``tests/simulate/test_superscalar_batch.py`` and by the differential
@@ -46,13 +50,32 @@ from .simulator import (
 )
 
 
+#: ``BatchSimResult.causes`` codes besides an operand's position in
+#: ``all_uses()``: a MAX-n load slot, or a LEN-n freeze window.
+CAUSE_SLOT = -1
+CAUSE_FREEZE = -2
+
+
 @dataclass(frozen=True)
 class BatchSimResult:
-    """Per-run cycle accounting for ``runs`` executions of one block."""
+    """Per-run cycle accounting for ``runs`` executions of one block.
+
+    ``stalls`` and ``causes`` are filled only when attribution is
+    requested (``simulate_block_batch(..., attribute=True)``): row
+    ``k`` is executed step ``k``, column ``r`` run ``r``.  ``stalls``
+    holds each step's stall cycles; ``causes`` what bound the stall
+    (meaningful where the stall is positive) -- the position in the
+    step's ``all_uses()`` of the first operand whose ready time is the
+    maximum, or :data:`CAUSE_SLOT` / :data:`CAUSE_FREEZE`.  The
+    precedence is :func:`~repro.simulate.trace.trace_block`'s: an
+    operand stall is overridden by a slot wait, and both by a freeze.
+    """
 
     cycles: np.ndarray       # shape (runs,), int64
     instructions: int        # identical across runs (NOPs are static)
     interlocks: np.ndarray   # shape (runs,), int64
+    stalls: Optional[np.ndarray] = None   # shape (steps, runs), int64
+    causes: Optional[np.ndarray] = None   # shape (steps, runs), intp
 
 
 class _WindowBuffer:
@@ -188,16 +211,60 @@ def _index_steps(executed: Sequence[Instruction]) -> Tuple[List[_Step], int]:
     return steps, len(reg_index)
 
 
+def use_writers(
+    instructions: Sequence[Instruction],
+) -> List[Tuple[Optional[int], ...]]:
+    """Per executed (non-NOP) instruction, the index in
+    ``instructions`` of the last earlier writer of each of its
+    ``all_uses()`` registers (``None`` for a live-in).
+
+    Writers are resolved before the instruction's own defs overwrite
+    them, as :func:`~repro.simulate.trace.trace_block` does, so
+    ``r1 = r1 + 1`` names the earlier writer of ``r1``.  Together with
+    ``BatchSimResult.causes`` this names the instruction a stall
+    waited on.
+    """
+    writer: dict = {}
+    out: List[Tuple[Optional[int], ...]] = []
+    for index, inst in enumerate(instructions):
+        if inst.opcode is Opcode.NOP:
+            continue
+        out.append(tuple(writer.get(reg) for reg in inst.all_uses()))
+        for reg in inst.defs:
+            writer[reg] = index
+    return out
+
+
+def attribution_skip_reason(processor: ProcessorModel) -> Optional[str]:
+    """Why stall attribution does not cover ``processor`` (``None`` for
+    the in-order, single-issue, non-blocking models it does -- the
+    ones :func:`~repro.simulate.trace.trace_block` times)."""
+    if processor.load_delay_tracking is not None:
+        # A delay-tracking front end reorders issue, so in-order
+        # attribution does not describe it even at width 1.
+        return "delay-tracking"
+    if processor.issue_width != 1:
+        return "multi-issue"
+    if processor.blocking_loads:
+        return "blocking-loads"
+    return None
+
+
 def simulate_block_batch(
     instructions: Sequence[Instruction],
     latencies: np.ndarray,
     processor: ProcessorModel = UNLIMITED,
+    attribute: bool = False,
 ) -> BatchSimResult:
     """Simulate ``runs`` executions of a straight-line sequence at once.
 
     ``latencies`` has shape ``(runs, n_loads)``: row ``r`` holds the
     sampled latency of each load, in program order, for run ``r`` --
     exactly the per-run argument of the scalar ``simulate_block``.
+
+    ``attribute=True`` also records each step's stall and its cause
+    (``BatchSimResult.stalls`` / ``causes``); it raises ``ValueError``
+    for a model :func:`attribution_skip_reason` excludes.
     """
     latencies = np.asarray(latencies, dtype=np.int64)
     if latencies.ndim != 2:
@@ -235,6 +302,11 @@ def simulate_block_batch(
         kernel = "superscalar"
     else:
         kernel = "single-issue"
+    if attribute and attribution_skip_reason(processor) is not None:
+        raise ValueError(
+            f"stall attribution models in-order, single-issue, "
+            f"non-blocking processors only, not {processor.name}"
+        )
     rec = _obs.get()
     if rec is not None:
         rec.metrics.inc("sim.batch_kernel", runs, kernel=kernel)
@@ -246,7 +318,9 @@ def simulate_block_batch(
         )
     if kernel == "superscalar":
         return _superscalar_kernel(steps, n_regs, latencies, processor, runs)
-    return _single_issue_kernel(steps, n_regs, latencies, processor, runs)
+    return _single_issue_kernel(
+        steps, n_regs, latencies, processor, runs, attribute
+    )
 
 
 def _single_issue_kernel(
@@ -255,8 +329,19 @@ def _single_issue_kernel(
     latencies: np.ndarray,
     processor: ProcessorModel,
     runs: int,
+    attribute: bool,
 ) -> BatchSimResult:
-    """The ``issue_width == 1`` recurrence (all four memory families)."""
+    """The ``issue_width == 1`` recurrence (all four memory families).
+
+    With ``attribute`` it also fills the per-step ``stalls`` and
+    ``causes`` rows of the result; the binding writer of an operand
+    stall is an argmax over the step's operand ready-time rows, so no
+    scalar replay is needed.
+    """
+    stalls = causes = None
+    if attribute:
+        stalls = np.empty((len(steps), runs), dtype=np.int64)
+        causes = np.zeros((len(steps), runs), dtype=np.intp)
     reg_ready = np.zeros((n_regs, runs), dtype=np.int64)
     next_free = np.zeros(runs, dtype=np.int64)
     interlock = np.zeros(runs, dtype=np.int64)
@@ -276,21 +361,35 @@ def _single_issue_kernel(
 
     maximum = np.maximum
     col = 0
-    for is_load, uses, defs, static_latency in steps:
+    for k, (is_load, uses, defs, static_latency) in enumerate(steps):
         if uses:
             t = maximum(next_free, reg_ready[uses[0]])
             for u in uses[1:]:
                 maximum(t, reg_ready[u], out=t)
         else:
             t = next_free.copy()
+        if causes is not None:
+            # argmax returns the first maximal operand: trace_block's
+            # strict ``>`` scan in all_uses() order.
+            cause = causes[k]
+            if len(uses) > 1:
+                reg_ready[list(uses)].argmax(axis=0, out=cause)
 
         if is_load:
             lat = latencies[:, col]
             col += 1
             if top is not None:
+                if causes is not None:
+                    cause[top[0] > t] = CAUSE_SLOT
                 maximum(t, top[0], out=t)
         if windows is not None:
+            if causes is not None:
+                unfrozen = t
             t = windows.apply(t)
+            if causes is not None:
+                cause[t > unfrozen] = CAUSE_FREEZE
+        if stalls is not None:
+            np.subtract(t, next_free, out=stalls[k])
 
         interlock += t
         interlock -= next_free
@@ -318,7 +417,11 @@ def _single_issue_kernel(
             reg_ready[d] = completion
 
     return BatchSimResult(
-        cycles=next_free, instructions=len(steps), interlocks=interlock
+        cycles=next_free,
+        instructions=len(steps),
+        interlocks=interlock,
+        stalls=stalls,
+        causes=causes,
     )
 
 

@@ -11,7 +11,7 @@ program-level series; the bootstrap machinery lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -19,8 +19,13 @@ from ..ir.block import BasicBlock
 from ..machine.memory import MemorySystem
 from ..machine.processor import ProcessorModel
 from ..obs import recorder as _obs
-from .batch import simulate_block_batch
-from .trace import StallReason, trace_block
+from .batch import (
+    CAUSE_FREEZE,
+    CAUSE_SLOT,
+    attribution_skip_reason,
+    simulate_block_batch,
+    use_writers,
+)
 
 #: The paper's run count: "Our method executes the full instruction-by-
 #: instruction simulation 30 times" (Section 4.3).
@@ -93,7 +98,13 @@ def sample_block(
     rng: np.random.Generator,
     runs: int = DEFAULT_RUNS,
 ) -> BlockSamples:
-    """Simulate ``block`` ``runs`` times with fresh latency draws."""
+    """Simulate ``block`` ``runs`` times with fresh latency draws.
+
+    Under an active recorder the same batch simulation also returns
+    each run's per-step stall attribution (on the models it covers),
+    which :func:`_record_simulation_metrics` turns into metrics; with
+    observation off the kernel is asked for cycles and interlocks only.
+    """
     n_loads = sum(1 for i in block.instructions if i.is_load)
     rec = _obs.get()
     if rec is None:
@@ -114,7 +125,10 @@ def sample_block(
             rng, n_loads * runs
         ).reshape(runs, n_loads)
         result = simulate_block_batch(
-            block.instructions, all_latencies, processor
+            block.instructions,
+            all_latencies,
+            processor,
+            attribute=attribution_skip_reason(processor) is None,
         )
         _record_simulation_metrics(
             rec, block, processor, all_latencies, result
@@ -129,14 +143,17 @@ def _record_simulation_metrics(
 ) -> None:
     """Metrics + per-load stall attribution for one sampled block.
 
-    The official cycle/interlock numbers always come from the batch
-    simulator above; attribution *replays* each run through the scalar
-    :func:`trace_block` (which knows which register each stall waited
-    on and who wrote it) and cross-checks totals against the batch
-    result, so an attribution that disagrees with the reported numbers
-    is an error, never a silent skew.  ``trace_block`` models the
-    paper's single-issue non-blocking processors only; for others the
-    skip is counted, not hidden.
+    The official cycle/interlock numbers come from the batch simulator,
+    and so does the attribution: on the in-order, single-issue,
+    non-blocking models the kernel records every step's stall and what
+    bound it (``BatchSimResult.stalls`` / ``causes``).  Each operand
+    cause is mapped to the writer of the waited-on register, resolved
+    statically (:func:`~repro.simulate.batch.use_writers`), exactly as
+    the scalar :func:`~repro.simulate.trace.trace_block` names it.
+    Per run, the attributed stalls must sum to the batch interlocks,
+    so an attribution that disagrees with the reported numbers is an
+    error, never a silent skew.  On other models the skip is counted,
+    not hidden.
     """
     metrics = rec.metrics
     ctx = rec.context()
@@ -159,71 +176,96 @@ def _record_simulation_metrics(
         "sim.issue_width", processor.issue_width,
         processor=processor.name,
     )
-    metrics.observe_many(
-        "sim.latency_draw",
-        (int(v) for v in all_latencies.ravel()),
-        **labels,
+    draws, draw_counts = np.unique(
+        all_latencies.astype(np.int64, copy=False), return_counts=True
+    )
+    metrics.observe_counts(
+        "sim.latency_draw", draws.tolist(), draw_counts.tolist(), **labels
     )
 
-    if (
-        processor.issue_width != 1
-        or processor.blocking_loads
-        or processor.load_delay_tracking is not None
-    ):
-        # The official numbers above still come from the (vectorized)
-        # batch simulator; only the per-load breakdown is skipped, and
-        # the reason is recorded rather than silently folded in.  A
-        # delay-tracking front end reorders issue, so the in-order
-        # replay attribution does not describe it even at width 1.
-        if processor.load_delay_tracking is not None:
-            reason = "delay-tracking"
-        elif processor.issue_width != 1:
-            reason = "multi-issue"
-        else:
-            reason = "blocking-loads"
+    reason = attribution_skip_reason(processor)
+    if reason is not None:
+        # The official numbers above still come from the batch
+        # simulator; only the per-load breakdown is skipped, and the
+        # reason is recorded rather than silently folded in.
         metrics.inc(
             "sim.attribution_skipped", runs,
             processor=processor.name, reason=reason, **labels,
         )
         return
+    _record_stall_attribution(metrics, block, result, labels)
 
+
+def _record_stall_attribution(metrics, block, result, labels) -> None:
+    """Count the kernel's per-step stall causes into the
+    ``sim.load_stall_cycles{load=...}`` and
+    ``sim.other_stall_cycles{source=...}`` histograms."""
+    # series[i] is one histogram's (name, extra label); table[k, c + 2]
+    # the series of step k's stalls with cause code c (CAUSE_FREEZE is
+    # -2, CAUSE_SLOT -1, an operand position c >= 0).  -1 marks no
+    # series, which a correct kernel never reports.
     instructions = block.instructions
-    for run in range(runs):
-        trace = trace_block(instructions, all_latencies[run], processor)
-        if (
-            trace.cycles != int(result.cycles[run])
-            or trace.interlock_cycles != int(result.interlocks[run])
-        ):
-            raise RuntimeError(
-                f"stall-attribution replay diverged from the batch "
-                f"simulator on block {block.name!r} run {run}: "
-                f"trace {trace.cycles}/{trace.interlock_cycles} vs "
-                f"batch {int(result.cycles[run])}/"
-                f"{int(result.interlocks[run])}"
-            )
-        for entry in trace.entries:
-            if not entry.stall:
-                continue
-            if (
-                entry.reason is StallReason.OPERAND
-                and entry.waited_on_writer is not None
-                and instructions[entry.waited_on_writer].is_load
-            ):
-                metrics.observe(
-                    "sim.load_stall_cycles", entry.stall,
-                    load=entry.waited_on_writer, **labels,
-                )
+    series = [
+        ("sim.other_stall_cycles", ("source", "freeze")),
+        ("sim.other_stall_cycles", ("source", "load-slots")),
+        ("sim.other_stall_cycles", ("source", "livein")),
+        ("sim.other_stall_cycles", ("source", "operand")),
+    ]
+    livein, operand = 2, 3
+    load_series: Dict[int, int] = {}
+    writers = use_writers(instructions)
+    width = max((len(w) for w in writers), default=0)
+    table = np.full((len(writers), 2 + width), -1, dtype=np.intp)
+    table[:, CAUSE_FREEZE + 2] = 0
+    table[:, CAUSE_SLOT + 2] = 1
+    for k, step_writers in enumerate(writers):
+        for position, writer in enumerate(step_writers):
+            if writer is None:
+                sid = livein
+            elif instructions[writer].is_load:
+                sid = load_series.get(writer)
+                if sid is None:
+                    sid = load_series[writer] = len(series)
+                    series.append(("sim.load_stall_cycles", ("load", writer)))
             else:
-                source = (
-                    "livein"
-                    if entry.reason is StallReason.OPERAND
-                    and entry.waited_on_writer is None
-                    else entry.reason.value
-                )
-                metrics.observe(
-                    "sim.other_stall_cycles", entry.stall,
-                    source=source, **labels,
-                )
+                sid = operand
+            table[k, position + 2] = sid
+
+    stalls = result.stalls
+    stalled = stalls > 0
+    steps, runs = np.nonzero(stalled)
+    values = stalls[stalled]
+    sids = table[steps, result.causes[stalled] + 2]
+    # The guard: per run, the stalls that reached a series must sum to
+    # the interlocks the batch simulator reports.
+    attributed = np.bincount(
+        runs[sids >= 0], values[sids >= 0], minlength=stalls.shape[1]
+    )
+    diverged = np.flatnonzero(attributed != result.interlocks)
+    if diverged.size:
+        run = int(diverged[0])
+        raise RuntimeError(
+            f"stall attribution diverged from the batch simulator on "
+            f"block {block.name!r} run {run}: attributed "
+            f"{int(attributed[run])} vs interlocks "
+            f"{int(result.interlocks[run])}"
+        )
+    if not values.size:
+        return
+    span = int(values.max()) + 1
+    keys, counts = np.unique(sids * span + values, return_counts=True)
+    key_sids = keys // span
+    key_values = keys - key_sids * span
+    bounds = np.flatnonzero(np.diff(key_sids)) + 1
+    for lo, hi in zip([0, *bounds], [*bounds, keys.size]):
+        name, (label, value) = series[int(key_sids[lo])]
+        metrics.observe_counts(
+            name,
+            key_values[lo:hi].tolist(),
+            counts[lo:hi].tolist(),
+            **{label: value},
+            **labels,
+        )
 
 
 def simulate_program(

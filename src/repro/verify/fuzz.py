@@ -6,7 +6,11 @@ scheduling in both alias models, checks every pipeline artefact with
 the legality oracle, and then simulates every final block under every
 supported processor-model family twice -- once with the scalar
 simulator, once with the run-vectorized batch simulator -- asserting
-exact per-run cycle-count equality.
+exact per-run cycle-count equality.  On the in-order, single-issue,
+non-blocking models the batch kernel's per-step stall attribution is
+also checked, run by run and under every memory family, against the
+scalar :func:`~repro.simulate.trace.trace_block` (the ``attribution``
+mismatch kind).
 
 The exact branch-and-bound backend rides the same loop
 (:func:`_check_optimal_cross`): its pipeline artefacts go through the
@@ -54,6 +58,7 @@ from ..frontend.ast import (
 )
 from ..frontend.lowering import compile_minif
 from ..frontend.printer import format_program_ast
+from ..ir.instructions import Opcode
 from ..machine.config import L80_2_5, L80_N30_5, N_2_5, N_30_5
 from ..machine.memory import FixedMemory, MemorySystem
 from ..machine.processor import (
@@ -66,9 +71,16 @@ from ..machine.processor import (
     model_family,
     superscalar,
 )
-from ..simulate.batch import simulate_block_batch
+from ..simulate.batch import (
+    CAUSE_FREEZE,
+    CAUSE_SLOT,
+    attribution_skip_reason,
+    simulate_block_batch,
+    use_writers,
+)
 from ..simulate.rng import DEFAULT_SEED, spawn
 from ..simulate.simulator import simulate_block
+from ..simulate.trace import StallReason, trace_block
 from .oracle import check_compiled
 
 #: One processor per constraint family the simulators special-case,
@@ -269,7 +281,7 @@ def random_ast(
 class Mismatch:
     """One divergence between two things that must agree."""
 
-    kind: str        # "legality" | "cycles"
+    kind: str        # "legality" | "cycles" | "cost-order" | "attribution"
     detail: str
     expected: str = ""
     actual: str = ""
@@ -453,6 +465,89 @@ def check_source(
                             f"interlocks={int(batch.interlocks[run])}"
                         ),
                     ))
+        mismatches.extend(_check_attribution(
+            block, seed, runs, processors, memories
+        ))
+    return mismatches
+
+
+def attribution_entries(
+    instructions: Sequence,
+    latencies: np.ndarray,
+    processor: ProcessorModel,
+) -> Tuple[List[list], List[list]]:
+    """Per run, the stalled instructions' ``(index, stall, reason,
+    writer)`` as the batch kernel attributes them and as
+    :func:`~repro.simulate.trace.trace_block` does; the two must be
+    equal."""
+    batch = simulate_block_batch(
+        instructions, latencies, processor, attribute=True
+    )
+    index = [
+        i for i, inst in enumerate(instructions)
+        if inst.opcode is not Opcode.NOP
+    ]
+    writers = use_writers(instructions)
+    reasons = {
+        CAUSE_SLOT: StallReason.LOAD_SLOTS.value,
+        CAUSE_FREEZE: StallReason.FREEZE.value,
+    }
+    kernel, scalar = [], []
+    for run, row in enumerate(latencies):
+        entries = []
+        for k in np.flatnonzero(batch.stalls[:, run]):
+            cause = int(batch.causes[k, run])
+            entries.append((
+                index[k],
+                int(batch.stalls[k, run]),
+                reasons.get(cause, StallReason.OPERAND.value),
+                writers[k][cause] if cause >= 0 else None,
+            ))
+        kernel.append(entries)
+        scalar.append([
+            (e.index, e.stall, e.reason.value, e.waited_on_writer)
+            for e in trace_block(instructions, row, processor).entries
+            if e.stall
+        ])
+    return kernel, scalar
+
+
+def _check_attribution(
+    block,
+    seed: int,
+    runs: int,
+    processors: Sequence[ProcessorModel],
+    memories: Sequence[MemorySystem],
+) -> List[Mismatch]:
+    """The batch kernel's stall attribution against ``trace_block``,
+    run by run, for every in-order, single-issue, non-blocking
+    processor under every memory family."""
+    mismatches: List[Mismatch] = []
+    n_loads = len(block.loads)
+    for processor in processors:
+        if attribution_skip_reason(processor) is not None:
+            continue
+        for memory in memories:
+            rng = spawn(
+                "fuzz-attribution", seed, block.name, processor.name,
+                memory.name,
+            )
+            latencies = memory.sample_many(rng, n_loads * runs).reshape(
+                runs, n_loads
+            )
+            kernel, scalar = attribution_entries(
+                block.instructions, latencies, processor
+            )
+            for run, (actual, expected) in enumerate(zip(kernel, scalar)):
+                if actual != expected:
+                    mismatches.append(Mismatch(
+                        "attribution",
+                        f"kernel/trace_block stall attribution: block "
+                        f"{block.name}, {processor.name}, {memory.name}, "
+                        f"run {run}",
+                        expected=str(expected),
+                        actual=str(actual),
+                    ))
     return mismatches
 
 
@@ -542,7 +637,8 @@ class FuzzReport:
             lines.extend(f"    {m}" for m in self.mismatches[:8])
         else:
             lines.append(
-                "  0 mismatches (legality oracle + scalar/batch agreement)"
+                "  0 mismatches (legality oracle + scalar/batch agreement "
+                "+ stall attribution)"
             )
         return "\n".join(lines)
 

@@ -9,9 +9,14 @@ import logging
 
 import pytest
 
-from repro.experiments.runner import _configure_logging, _usable_cores, main
+from repro.experiments.runner import (
+    _configure_logging,
+    _profile_report,
+    _usable_cores,
+    main,
+)
 from repro.obs.export import validate_chrome_trace
-from repro.obs.metrics import split_series_key
+from repro.obs.metrics import MetricsRegistry, split_series_key
 from repro.workloads.perfect import clear_cache
 
 MINIF = """
@@ -132,6 +137,27 @@ class TestProfile:
         assert "hottest loads" in out
         # System labels with commas survive the series-key round trip.
         assert "N(30,5)" in out
+
+    def test_skip_note_counts_runs_per_reason(self):
+        metrics = MetricsRegistry()
+        for reason, runs in (
+            ("delay-tracking", 60), ("blocking-loads", 30),
+            ("multi-issue", 3), ("delay-tracking", 30),
+        ):
+            metrics.inc(
+                "sim.attribution_skipped", runs, reason=reason,
+                processor="P", block=f"b{runs}",
+            )
+        note = _profile_report(metrics).splitlines()[-1]
+        assert note == (
+            "note: 123 run(s) are counted but not attributed per load "
+            "(30 blocking-loads, 90 delay-tracking, 3 multi-issue)"
+        )
+
+    def test_no_skip_note_when_every_run_is_attributed(self):
+        metrics = MetricsRegistry()
+        metrics.observe("sim.load_stall_cycles", 4, load=0, block="b")
+        assert "note:" not in _profile_report(metrics)
 
 
 class TestExplain:

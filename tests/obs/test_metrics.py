@@ -77,6 +77,55 @@ class TestRegistry:
         assert m.series("missing") == []
 
 
+class TestObserveCounts:
+    """``observe_counts`` is ``observe`` for data that is counted
+    already: the registries must be indistinguishable."""
+
+    @staticmethod
+    def _pair():
+        one_by_one, counted = MetricsRegistry(), MetricsRegistry()
+        for value in (3, 1, 3, 7, 3, 1):
+            one_by_one.observe("sim.load_stall_cycles", value, load=2)
+        one_by_one.observe("sim.latency_draw", 5, block="b0")
+        counted.observe_counts(
+            "sim.load_stall_cycles", [1, 3, 7], [2, 3, 1], load=2
+        )
+        counted.observe_counts("sim.latency_draw", [5, 9], [1, 0], block="b0")
+        return one_by_one, counted
+
+    def test_same_histograms_as_repeated_observe(self):
+        one_by_one, counted = self._pair()
+        assert counted.histograms == one_by_one.histograms
+        # A zero count adds no bin, just as no observe call would.
+        assert 9 not in counted.histograms["sim.latency_draw{block=b0}"]
+
+    def test_empty_input_still_creates_the_series(self):
+        # Mirrors observe_many over an empty iterable (a load-free
+        # block's latency draws).
+        counted, many = MetricsRegistry(), MetricsRegistry()
+        counted.observe_counts("sim.latency_draw", [], [], block="b0")
+        many.observe_many("sim.latency_draw", [], block="b0")
+        assert counted.snapshot() == many.snapshot()
+
+    def test_same_snapshot_delta_and_merge(self):
+        one_by_one, counted = self._pair()
+        assert counted.snapshot() == one_by_one.snapshot()
+        empty = MetricsRegistry().snapshot()
+        delta_a = MetricsRegistry.delta(empty, one_by_one.snapshot())
+        delta_b = MetricsRegistry.delta(empty, counted.snapshot())
+        assert delta_a == delta_b
+        merged_a, merged_b = MetricsRegistry(), MetricsRegistry()
+        merged_a.merge(delta_a)
+        merged_a.merge(delta_a)
+        merged_b.merge(delta_b)
+        merged_b.observe_counts(
+            "sim.load_stall_cycles", [1, 3, 7], [2, 3, 1], load=2
+        )
+        merged_b.observe_counts("sim.latency_draw", [5], [1], block="b0")
+        assert merged_a.snapshot() == merged_b.snapshot()
+        assert summarize_delta(delta_a) == summarize_delta(delta_b)
+
+
 class TestSnapshotDeltaMerge:
     def test_delta_contains_only_what_changed(self):
         m = MetricsRegistry()

@@ -8,16 +8,22 @@ registry alone:
 * ``sim.cycles`` == ``sim.instructions_issued`` + ``sim.interlock_cycles``
   (single-issue, non-blocking -- the paper's UNLIMITED model),
 
-because the attribution replay is cross-checked against the batch
-simulator run by run.  Nothing is sampled or bucketed, so the equality
-is exact, not approximate.
+because the batch kernel's per-step stall attribution is cross-checked
+against its own interlock counts run by run.  Nothing is sampled or
+bucketed, so the equality is exact, not approximate.
 """
 
 import pytest
 
 from repro.experiments.common import ProgramEvaluator
 from repro.machine.config import paper_system_rows
-from repro.machine.processor import BLOCKING, MAX_8, UNLIMITED, delay_tracking
+from repro.machine.processor import (
+    BLOCKING,
+    LEN_8,
+    MAX_8,
+    UNLIMITED,
+    delay_tracking,
+)
 from repro.obs import recorder as obs
 from repro.obs.metrics import MetricsRegistry, split_series_key
 from repro.workloads.perfect import clear_cache, load_program
@@ -145,13 +151,35 @@ class TestAttributionSkip:
         assert _sum_counter(rec.metrics, "sim.cycles") > 0
 
     def test_max8_is_single_issue_and_still_reconciles(self):
-        """Finite load slots (MAX-8) stay attributable: the replay
-        understands LOAD_SLOTS stalls, and totals still reconcile."""
+        """Finite load slots (MAX-8) stay attributable: the kernel
+        records LOAD_SLOTS causes, and totals still reconcile."""
         row = paper_system_rows()[0]
         evaluator = ProgramEvaluator(load_program("ADM"), runs=3)
         with obs.recording() as rec:
             evaluator.cell(row, MAX_8)
         assert _sum_counter(rec.metrics, "sim.attribution_skipped") == 0
+        interlocks = _sum_counter(rec.metrics, "sim.interlock_cycles")
+        stalls = _sum_histogram_totals(
+            rec.metrics, "sim.load_stall_cycles", "sim.other_stall_cycles"
+        )
+        assert stalls == interlocks > 0
+
+    def test_len8_freezes_are_attributed_and_reconcile(self):
+        """Freeze windows (LEN-8) stay attributable too: on a
+        long-latency system some stalls land under source=freeze, and
+        the histograms still cover every interlock cycle."""
+        row = next(
+            r for r in paper_system_rows() if r.memory.mean_latency > 8
+        )
+        evaluator = ProgramEvaluator(load_program("ADM"), runs=3)
+        with obs.recording() as rec:
+            evaluator.cell(row, LEN_8)
+        assert _sum_counter(rec.metrics, "sim.attribution_skipped") == 0
+        sources = {
+            labels["source"]
+            for _key, labels in rec.metrics.series("sim.other_stall_cycles")
+        }
+        assert "freeze" in sources
         interlocks = _sum_counter(rec.metrics, "sim.interlock_cycles")
         stalls = _sum_histogram_totals(
             rec.metrics, "sim.load_stall_cycles", "sim.other_stall_cycles"
