@@ -5,9 +5,9 @@ generated workloads and records the numbers in ``BENCH_sched.json``
 (repo root):
 
 * ``schedule_dag`` throughput at 512 and 2048 instructions -- the
-  fast (packed-key, scaled-integer clock) engine against the
-  retained reference engine, paired median-of-``REPEATS`` on the
-  same DAG.  Acceptance: >=5x over the pre-vectorization
+  packed-key, scaled-integer-clock engine against the ``Fraction``
+  test oracle (``tests/core/oracles.py``), paired
+  median-of-``REPEATS`` on the same DAG.  Acceptance: >=5x over the pre-vectorization
   BENCH_scale.json baseline at 2048 (11,457 instr/s) and no
   regression at 512 (29,038 instr/s).
 * ``balanced_weights`` at 2048 -- the batched bitset-matrix
@@ -15,7 +15,9 @@ generated workloads and records the numbers in ``BENCH_sched.json``
   measured at 512 where it stays affordable).
 
 Every timed pair is also cross-checked for exact equality, so a
-benchmark run doubles as a coarse differential test.
+benchmark run doubles as a coarse differential test.  Run from the
+repository root (``python -m pytest benchmarks/test_bench_sched.py``)
+so the ``tests`` package holding the oracles is importable.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ import pytest
 
 from repro.analysis import build_dag
 from repro.core import BalancedScheduler, ListScheduler
-from repro.core.weights import balanced_weights, balanced_weights_reference
+from repro.core.weights import balanced_weights
 from repro.simulate.rng import spawn
 from repro.workloads import random_block
+from tests.core.oracles import balanced_weights_reference, schedule_reference
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sched.json"
 
@@ -79,7 +82,7 @@ def _weighted_dag(size):
 
 @pytest.mark.parametrize("size", [512, 2048])
 def test_bench_schedule_fast_vs_reference(benchmark, size):
-    """Paired median: the packed-key engine vs the Fraction reference.
+    """Paired median: the packed-key engine vs the Fraction oracle.
 
     Weights are assigned once up front, so this isolates the
     scheduling pass exactly as the BENCH_scale.json baseline did.
@@ -91,10 +94,8 @@ def test_bench_schedule_fast_vs_reference(benchmark, size):
     assert len(result.order) == size
 
     fast_time = _median_of(lambda: scheduler.schedule(dag, block))
-    ref_time = _median_of(
-        lambda: scheduler._schedule_reference(dag, block, None)
-    )
-    reference = scheduler._schedule_reference(dag, block, None)
+    ref_time = _median_of(lambda: schedule_reference(dag, block))
+    reference = schedule_reference(dag, block)
     assert (result.order, result.noop_span, result.slots) == (
         reference.order,
         reference.noop_span,

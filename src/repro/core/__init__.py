@@ -25,22 +25,11 @@ from .pipeline import (
     compile_program,
 )
 from .policy import SchedulingPolicy
-from .scheduler import (
-    DEFAULT_TIE_BREAKS,
-    Direction,
-    ListScheduler,
-    ScheduleResult,
-    consumed_minus_defined,
-    exposed_count,
-    original_order,
-    register_pressure,
-    schedule_dag,
-)
+from .scheduler import Direction, ListScheduler, ScheduleResult, schedule_dag
 from .traditional import TraditionalScheduler, as_fraction
 from .weights import (
     average_block_weight,
     balanced_weights,
-    balanced_weights_reference,
     contribution_matrix,
 )
 
@@ -60,19 +49,13 @@ __all__ = [
     "optimize_order",
     "schedule_cost",
     "SchedulingPolicy",
-    "DEFAULT_TIE_BREAKS",
     "ListScheduler",
     "ScheduleResult",
-    "consumed_minus_defined",
     "Direction",
-    "original_order",
-    "register_pressure",
-    "exposed_count",
     "schedule_dag",
     "TraditionalScheduler",
     "as_fraction",
     "average_block_weight",
     "balanced_weights",
-    "balanced_weights_reference",
     "contribution_matrix",
 ]

@@ -11,12 +11,8 @@ specifically configured for any of the processor models").
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
-
 from ..analysis.dag import CodeDAG
 from .policy import SchedulingPolicy, observe_load_weights
-from .scheduler import DEFAULT_TIE_BREAKS, Direction, TieBreak
 from .weights import average_block_weight, balanced_weights
 
 
@@ -24,13 +20,6 @@ class BalancedScheduler(SchedulingPolicy):
     """Load weights = 1 + distributed load-level parallelism."""
 
     name = "balanced"
-
-    def __init__(
-        self,
-        tie_breaks: Sequence[TieBreak] = DEFAULT_TIE_BREAKS,
-        direction: Direction = Direction.BOTTOM_UP,
-    ):
-        super().__init__(tie_breaks, direction)
 
     def assign_weights(self, dag: CodeDAG) -> None:
         weights = balanced_weights(dag)
@@ -48,13 +37,6 @@ class AverageWeightScheduler(SchedulingPolicy):
     """
 
     name = "average-weight"
-
-    def __init__(
-        self,
-        tie_breaks: Sequence[TieBreak] = DEFAULT_TIE_BREAKS,
-        direction: Direction = Direction.BOTTOM_UP,
-    ):
-        super().__init__(tie_breaks, direction)
 
     def assign_weights(self, dag: CodeDAG) -> None:
         average = average_block_weight(dag)

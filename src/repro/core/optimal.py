@@ -59,13 +59,7 @@ from ..analysis.dag import CodeDAG
 from ..ir.block import BasicBlock
 from ..obs.recorder import span as _span
 from .policy import SchedulingPolicy, observe_load_weights
-from .scheduler import (
-    DEFAULT_TIE_BREAKS,
-    Direction,
-    ListScheduler,
-    ScheduleResult,
-    TieBreak,
-)
+from .scheduler import Direction, ListScheduler, ScheduleResult
 from .weights import balanced_weights
 
 #: Default branch-and-bound expansion budget per block.  Expansions are
@@ -502,10 +496,9 @@ class OptimalScheduler(SchedulingPolicy):
         node_budget: int = DEFAULT_NODE_BUDGET,
         time_budget_s: Optional[float] = None,
         max_live: Optional[int] = None,
-        tie_breaks: Sequence[TieBreak] = DEFAULT_TIE_BREAKS,
         direction: Direction = Direction.BOTTOM_UP,
     ):
-        super().__init__(tie_breaks, direction)
+        super().__init__(direction)
         self.load_latency = _require_int_latency(load_latency)
         self.node_budget = node_budget
         self.time_budget_s = time_budget_s

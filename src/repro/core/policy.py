@@ -11,7 +11,7 @@ each load instruction into a traditional list scheduler").  A
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..analysis.alias import AliasModel
 from ..analysis.dag import CodeDAG
@@ -19,13 +19,7 @@ from ..analysis.dependence import build_dag
 from ..ir.block import BasicBlock
 from ..obs import recorder as _obs
 from ..obs.recorder import span as _span
-from .scheduler import (
-    DEFAULT_TIE_BREAKS,
-    Direction,
-    ListScheduler,
-    ScheduleResult,
-    TieBreak,
-)
+from .scheduler import Direction, ListScheduler, ScheduleResult
 
 
 def observe_load_weights(policy_name: str, weights) -> None:
@@ -53,12 +47,8 @@ class SchedulingPolicy(abc.ABC):
     #: Short human-readable policy name (appears in reports).
     name: str = "abstract"
 
-    def __init__(
-        self,
-        tie_breaks: Sequence[TieBreak] = DEFAULT_TIE_BREAKS,
-        direction: Direction = Direction.BOTTOM_UP,
-    ):
-        self._scheduler = ListScheduler(tie_breaks, direction)
+    def __init__(self, direction: Direction = Direction.BOTTOM_UP):
+        self._scheduler = ListScheduler(direction)
 
     @property
     def direction(self) -> Direction:

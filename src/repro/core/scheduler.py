@@ -1,4 +1,4 @@
-"""The list scheduler shared by both weighting policies.
+"""The list scheduler shared by every weighting policy.
 
 Faithful to Section 4.1 of the paper:
 
@@ -25,36 +25,68 @@ Faithful to Section 4.1 of the paper:
   scheduled consumer.)
 * **Priority**: "the priority of an instruction is equal to its weight
   plus the maximum priority among its successors."
-* **Tie-breaks**, in order: (1) "the largest difference between
-  consumed and defined registers", taken literally (see
-  :func:`consumed_minus_defined` for why the literal form matters);
-  (2) most DAG nodes exposed for scheduling; (3) original program
-  order ("the instruction that was generated the earliest"),
-  direction-mirrored so both directions prefer to preserve source
-  order among equals.
+* **Tie-breaks**, in this fixed order (:data:`TIE_BREAKS`):
 
-Because balanced weights are fractions, scheduling time is exact
-:class:`fractions.Fraction`; on starvation, time advances directly to
-the earliest pending ready time (the gap is the virtual no-op span).
-Virtual no-ops never reach the emitted block -- the simulated
-processors use hardware interlocks (Section 4.1).
+  1. ``consumed_minus_defined`` -- "the largest difference between
+     consumed and defined registers", taken literally.  In a forward
+     scheduler this retires values quickly (consuming instructions go
+     first).  In the paper's bottom-up scheduler the same preference
+     defers value-*producing* instructions among ties, pushing loads
+     up and away from their consumers -- which is what gives the
+     fixed-weight traditional baseline the register-pressure profile
+     Section 5 describes (and GCC exhibited).
+  2. ``exposed_count`` -- "the number of successors in the code DAG
+     that would be exposed for scheduling if that instruction were to
+     be selected"; in the bottom-up direction the exposed nodes are
+     predecessors.
+  3. ``original_order`` -- "the instruction that was generated the
+     earliest", mirrored per direction so that equals keep their
+     source order in the *forward* schedule either way.
+
+  Candidates still tied after all three go in discovery order (the
+  order they became ready).
+
+The engine runs one scheduling pass over plain integers:
+
+* **Scaled-integer clock.**  Node weights and per-edge latency labels
+  are exact fractions (balanced weights produce twelfths); multiplying
+  every latency by ``L`` -- the LCM of their denominators, computed
+  per block -- makes every ready time, time advance and virtual-no-op
+  span an exact integer.  Dividing by ``L`` on the way out gives the
+  exact :class:`fractions.Fraction` slots, priorities and no-op span
+  of :class:`ScheduleResult`.  On starvation the clock jumps straight
+  to the earliest pending ready time; the gap is the virtual no-op
+  span.  Virtual no-ops never reach the emitted block -- the simulated
+  processors use hardware interlocks (Section 4.1).
+* **Packed selection keys.**  Selection is lexicographic over
+  priority, the three tie-breaks and discovery order.  Priority and
+  the two static tie-breaks are rank-compressed per block;
+  ``exposed_count`` is maintained incrementally (a neighbour's
+  unscheduled count crossing 1 adjusts the exposure of every node it
+  would expose); discovery order is mirrored into a larger-is-earlier
+  field.  Each field gets a bit range inside one non-negative
+  ``int64``, so the comparison is a single integer comparison and the
+  winner is an ``argmax`` over the ready keys.
+
+The exact-``Fraction`` oracle this engine is tested against lives in
+``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..analysis.critical_path import priorities as compute_priorities
-from ..analysis.dag import CodeDAG
+import numpy as np
+
+from ..analysis.dag import CodeDAG, DepKind
 from ..ir.block import BasicBlock
 from ..obs import recorder as _obs
 from ..obs.decisions import Candidate, Decision
-from . import schedfast
 
 Weight = Union[int, Fraction]
 
@@ -66,89 +98,14 @@ class Direction(enum.Enum):
     TOP_DOWN = "top-down"
 
 
-#: A tie-break key function: maps (scheduler state, node) -> sortable
-#: value; larger wins.  A tie-break whose value never changes while a
-#: block is being scheduled (it reads only the DAG and the direction,
-#: not the mutable state) may set ``state_invariant = True`` on the
-#: function; the scheduler then computes it once per node instead of
-#: once per (slot, candidate).  Unmarked tie-breaks are re-evaluated
-#: every time, which is always correct.
-TieBreak = Callable[["_SchedulerState", int], Union[int, float, Fraction]]
+#: The Section 4.1 tie-break chain, in order.  A selection decided by
+#: one of them is reported as ``tie-break:<name>``.
+TIE_BREAKS = ("consumed_minus_defined", "exposed_count", "original_order")
 
-
-def consumed_minus_defined(state: "_SchedulerState", node: int) -> int:
-    """Tie-break 1, the paper's wording taken literally: "the largest
-    difference between consumed and defined registers".
-
-    In a forward scheduler this retires values quickly (consuming
-    instructions go first).  In the paper's bottom-up scheduler the
-    same preference defers value-*producing* instructions among ties,
-    pushing loads up and away from their consumers -- which is what
-    gives the fixed-weight traditional baseline the register-pressure
-    profile Section 5 describes (and GCC exhibited).
-    """
-    inst = state.dag.instructions[node]
-    return len(inst.all_uses()) - len(inst.defs)
-
-
-consumed_minus_defined.state_invariant = True
-
-
-def register_pressure(state: "_SchedulerState", node: int) -> int:
-    """Direction-mirrored pressure tie-break (ablation variant).
-
-    Prefers whichever candidate shrinks the live set in the direction
-    actually being scheduled; in the bottom-up direction this
-    serialises independent chains and produces markedly lower register
-    pressure than the paper's scheduler -- the ablation benchmark
-    quantifies the difference.
-    """
-    inst = state.dag.instructions[node]
-    delta = len(inst.all_uses()) - len(inst.defs)
-    return delta if state.direction is Direction.TOP_DOWN else -delta
-
-
-register_pressure.state_invariant = True
-
-
-def exposed_count(state: "_SchedulerState", node: int) -> int:
-    """Tie-break 2: how many DAG nodes scheduling ``node`` exposes.
-
-    "the number of successors in the code DAG that would be exposed
-    for scheduling if that instruction were to be selected" -- in the
-    bottom-up direction the exposed nodes are predecessors.
-    """
-    if state.direction is Direction.TOP_DOWN:
-        return sum(
-            1
-            for s in state.dag.successors(node)
-            if state.unscheduled_neighbors[s] == 1
-        )
-    return sum(
-        1
-        for p in state.dag.predecessors(node)
-        if state.unscheduled_neighbors[p] == 1
-    )
-
-
-def original_order(state: "_SchedulerState", node: int) -> int:
-    """Tie-break 3: "the instruction that was generated the earliest".
-
-    Mirrored per direction so that equals keep their source order in
-    the *forward* schedule either way.
-    """
-    ident = state.dag.instructions[node].ident
-    return -ident if state.direction is Direction.TOP_DOWN else ident
-
-
-original_order.state_invariant = True
-
-
-DEFAULT_TIE_BREAKS: Tuple[TieBreak, ...] = (
-    consumed_minus_defined,
-    exposed_count,
-    original_order,
-)
+#: Hard cap on the packed-key width.  int64 is signed; staying at 62
+#: bits keeps every key non-negative with headroom for the in-place
+#: exposure increments.
+_MAX_KEY_BITS = 62
 
 
 @dataclass
@@ -170,147 +127,416 @@ class ScheduleResult:
     slots: Dict[int, Fraction] = field(default_factory=dict)
 
 
-class _SchedulerState:
-    """Mutable bookkeeping for one scheduling run (visible to tie-breaks)."""
+# ----------------------------------------------------------------------
+# Plan: everything one run needs, precomputed per block
+# ----------------------------------------------------------------------
+def _denominator(value, what: str) -> int:
+    if isinstance(value, Fraction):
+        return value.denominator
+    if isinstance(value, int):
+        return 1
+    raise TypeError(
+        f"{what} is {value!r} ({type(value).__name__}); the scheduler "
+        f"needs int or Fraction latencies"
+    )
 
-    def __init__(self, dag: CodeDAG, direction: Direction):
-        self.dag = dag
-        self.direction = direction
-        if direction is Direction.BOTTOM_UP:
-            self.unscheduled_neighbors = [len(s) for s in dag._succ]
+
+def _to_units(value, scale: int) -> int:
+    """``value * scale`` as an exact int (``value`` an int/Fraction)."""
+    if isinstance(value, Fraction):
+        return value.numerator * (scale // value.denominator)
+    return value * scale
+
+
+def _rank_compress(values: Sequence) -> Tuple[List[int], int]:
+    """Dense sort ranks of ``values`` (larger value -> larger rank) and
+    the maximum rank."""
+    distinct = sorted(set(values))
+    rank_of = {v: i for i, v in enumerate(distinct)}
+    return [rank_of[v] for v in values], len(distinct) - 1
+
+
+@dataclass
+class SchedulePlan:
+    """Everything one scheduling run needs, precomputed."""
+
+    n: int
+    scale: int                      # L: the per-block clock multiplier
+    prio_units: List[int]           # critical-path priority * L
+    consumed: List[int]             # tie-break 1 per node
+    order_vals: List[int]           # tie-break 3 per node
+    base_keys: List[int]            # static key part per node
+    exposed0: List[int]             # initial exposed_count per node
+    unscheduled0: List[int]         # initial unscheduled-neighbor counts
+    sched_targets: List[List[int]]  # counts to decrement on schedule
+    expose_targets: List[List[int]]  # exposure targets per neighbor
+    lat_edges: List[List[Tuple[int, int]]]  # ready-time edges (units)
+    exposed_shift: int              # bit offset of the dynamic field
+    seq_shift: int
+    seq_top: int                    # seq field value = seq_top - seq
+
+
+def build_plan(dag: CodeDAG, bottom_up: bool) -> SchedulePlan:
+    """Precompute the clock scale, adjacency and static key parts.
+
+    Raises :class:`TypeError` for a node weight or edge latency label
+    that is neither an ``int`` nor a ``Fraction`` (floats would break
+    exactness), and :class:`ValueError` when the packed selection key
+    of a block this large would not fit in 62 bits.
+    """
+    n = len(dag)
+
+    # ---- the scaled-integer clock -----------------------------------
+    scale = 1
+    for v, w in enumerate(dag.weights):
+        d = _denominator(w, f"the weight of node {v}")
+        scale = scale * d // gcd(scale, d)
+    overrides = dag._edge_latency
+    for (src, dst), value in overrides.items():
+        d = _denominator(value, f"the latency label of edge {src}->{dst}")
+        scale = scale * d // gcd(scale, d)
+    weight_units = [_to_units(w, scale) for w in dag.weights]
+
+    # ---- adjacency --------------------------------------------------
+    # Only ``sched_targets`` needs sorted neighbour order (it fixes the
+    # discovery ``seq`` of newly exposed nodes); latency edges and
+    # exposure targets are consumed by max/sum reductions, so the raw
+    # dict order is fine and cheaper.
+    succ_dicts = dag._succ
+    pred_dicts = dag._pred
+    true_kind = DepKind.TRUE
+
+    def edge_units(src: int, dst: int, kind, src_units: int) -> int:
+        override = overrides.get((src, dst))
+        if override is not None:
+            return _to_units(override, scale)
+        return src_units if kind is true_kind else scale
+
+    if bottom_up:
+        sched_targets = [sorted(pred_dicts[v]) for v in range(n)]
+        expose_targets = [list(succ_dicts[v]) for v in range(n)]
+        unscheduled0 = [len(succ_dicts[v]) for v in range(n)]
+        if overrides:
+            lat_edges = [
+                [
+                    (s, edge_units(v, s, kind, weight_units[v]))
+                    for s, kind in succ_dicts[v].items()
+                ]
+                for v in range(n)
+            ]
         else:
-            self.unscheduled_neighbors = [len(p) for p in dag._pred]
-        self.slot: Dict[int, Fraction] = {}
-        self.ready_time: Dict[int, Fraction] = {}
-
-    def compute_ready_time(self, node: int) -> Fraction:
-        """Earliest slot ``node`` may occupy given scheduled neighbours.
-
-        Top-down: ``forward(node) >= forward(p) + latency(p -> node)``.
-        Bottom-up: the constraint mirrors to
-        ``reverse(node) >= reverse(s) + latency(node -> s)``.
-        """
-        ready = Fraction(0)
-        if self.direction is Direction.BOTTOM_UP:
-            for succ, _kind in self.dag.successor_items(node):
-                latency = self.dag.edge_latency(node, succ)
-                candidate = self.slot[succ] + Fraction(latency)
-                if candidate > ready:
-                    ready = candidate
+            lat_edges = [
+                [
+                    (s, weight_units[v] if kind is true_kind else scale)
+                    for s, kind in succ_dicts[v].items()
+                ]
+                for v in range(n)
+            ]
+    else:
+        sched_targets = [sorted(succ_dicts[v]) for v in range(n)]
+        expose_targets = [list(pred_dicts[v]) for v in range(n)]
+        unscheduled0 = [len(pred_dicts[v]) for v in range(n)]
+        if overrides:
+            lat_edges = [
+                [
+                    (p, edge_units(p, v, kind, weight_units[p]))
+                    for p, kind in pred_dicts[v].items()
+                ]
+                for v in range(n)
+            ]
         else:
-            for pred, _kind in self.dag.predecessor_items(node):
-                latency = self.dag.edge_latency(pred, node)
-                candidate = self.slot[pred] + Fraction(latency)
-                if candidate > ready:
-                    ready = candidate
-        return ready
+            lat_edges = [
+                [
+                    (p, weight_units[p] if kind is true_kind else scale)
+                    for p, kind in pred_dicts[v].items()
+                ]
+                for v in range(n)
+            ]
+    exposed0 = [0] * n
+    for p in range(n):
+        if unscheduled0[p] == 1:
+            for t in expose_targets[p]:
+                exposed0[t] += 1
+
+    # ---- rank-compressed priority (critical path in clock units) ----
+    prio_units = [0] * n
+    for v in reversed(range(n)):
+        best = 0
+        for s in succ_dicts[v]:
+            u = prio_units[s]
+            if u > best:
+                best = u
+        prio_units[v] = weight_units[v] + best
+    prio_rank, prio_max = _rank_compress(prio_units)
+
+    # ---- the two static tie-breaks ----------------------------------
+    instructions = dag.instructions
+    consumed = [len(inst.all_uses()) - len(inst.defs) for inst in instructions]
+    if bottom_up:
+        order_vals = [inst.ident for inst in instructions]
+    else:
+        order_vals = [-inst.ident for inst in instructions]
+    consumed_rank, consumed_max = _rank_compress(consumed)
+    order_rank, order_max = _rank_compress(order_vals)
+
+    # ---- key packing: prio | consumed | exposed | order | seq -------
+    max_exposed = max((len(t) for t in sched_targets), default=0)
+    seq_top = n - 1
+    widths = [
+        prio_max.bit_length(),
+        consumed_max.bit_length(),
+        max_exposed.bit_length(),
+        order_max.bit_length(),
+        seq_top.bit_length(),
+    ]
+    if sum(widths) > _MAX_KEY_BITS:
+        raise ValueError(
+            f"a block of {n} instructions needs a {sum(widths)}-bit "
+            f"selection key; the scheduler packs keys into "
+            f"{_MAX_KEY_BITS} bits"
+        )
+    seq_shift = 0
+    order_shift = seq_shift + widths[4]
+    exposed_shift = order_shift + widths[3]
+    consumed_shift = exposed_shift + widths[2]
+    prio_shift = consumed_shift + widths[1]
+    base_keys = [
+        (prio_rank[v] << prio_shift)
+        | (consumed_rank[v] << consumed_shift)
+        | (order_rank[v] << order_shift)
+        for v in range(n)
+    ]
+
+    return SchedulePlan(
+        n=n,
+        scale=scale,
+        prio_units=prio_units,
+        consumed=consumed,
+        order_vals=order_vals,
+        base_keys=base_keys,
+        exposed0=exposed0,
+        unscheduled0=unscheduled0,
+        sched_targets=sched_targets,
+        expose_targets=expose_targets,
+        lat_edges=lat_edges,
+        exposed_shift=exposed_shift,
+        seq_shift=seq_shift,
+        seq_top=seq_top,
+    )
 
 
+#: ``observe(ready_pairs, chosen, reason, time_units)``, called once
+#: per slot when observability is on.
+Observer = Callable[[List[Tuple[int, int]], int, str, int], None]
+
+
+def run_plan(
+    plan: SchedulePlan, observe: Optional[Observer]
+) -> Tuple[List[int], List[int], int]:
+    """Execute one scheduling run over a :class:`SchedulePlan`.
+
+    Returns ``(placement, slot_units, noop_units)``: node indices in
+    placement order, each node's slot in clock units, and the virtual
+    no-op span in clock units.  ``observe``, when given, is called per
+    slot with the ready list in discovery order, the chosen node, the
+    selection reason and the integer time -- the observed path derives
+    decision-log records from it.
+    """
+    n = plan.n
+    scale = plan.scale
+    unscheduled = list(plan.unscheduled0)
+    exposed = list(plan.exposed0)
+    base_keys = plan.base_keys
+    exposed_shift = plan.exposed_shift
+    seq_shift = plan.seq_shift
+    seq_top = plan.seq_top
+    exposed_one = 1 << exposed_shift
+
+    keys = np.zeros(n, dtype=np.int64)
+    rnodes: List[int] = [0] * n            # ready prefix [0:rsize]
+    pos = [-1] * n                         # node -> index into rnodes
+    seq_of = [0] * n
+    rsize = 0
+
+    def add_ready(v: int, seq: int) -> None:
+        nonlocal rsize
+        keys[rsize] = (
+            base_keys[v]
+            | (exposed[v] << exposed_shift)
+            | ((seq_top - seq) << seq_shift)
+        )
+        rnodes[rsize] = v
+        pos[v] = rsize
+        rsize += 1
+
+    pending: List[Tuple[int, int, int]] = []
+    seq = 0
+    for v in range(n):
+        if unscheduled[v] == 0:
+            seq_of[v] = seq
+            add_ready(v, seq)
+            seq += 1
+
+    slot_units = [0] * n
+    placement: List[int] = []
+    time = 0
+    noop_units = 0
+    sched_targets = plan.sched_targets
+    expose_targets = plan.expose_targets
+    lat_edges = plan.lat_edges
+
+    while len(placement) < n:
+        while pending and pending[0][0] <= time:
+            _, s, v = heappop(pending)
+            add_ready(v, s)
+        if rsize == 0:
+            next_time = pending[0][0]
+            noop_units += next_time - time
+            time = next_time
+            continue
+
+        if observe is not None:
+            ready_pairs = sorted((seq_of[v], v) for v in rnodes[:rsize])
+            chosen, reason = _explain(plan, exposed, ready_pairs)
+            observe(ready_pairs, chosen, reason, time)
+        elif rsize == 1:
+            chosen = rnodes[0]
+        else:
+            chosen = rnodes[keys[:rsize].argmax()]
+
+        # Swap-remove the winner from the ready prefix.
+        i = pos[chosen]
+        last = rsize - 1
+        moved = rnodes[last]
+        rnodes[i] = moved
+        keys[i] = keys[last]
+        pos[moved] = i
+        pos[chosen] = -1
+        rsize = last
+
+        slot_units[chosen] = time
+        placement.append(chosen)
+        time += scale
+
+        for neighbor in sched_targets[chosen]:
+            count = unscheduled[neighbor] - 1
+            unscheduled[neighbor] = count
+            if count == 1:
+                for t in expose_targets[neighbor]:
+                    exposed[t] += 1
+                    p = pos[t]
+                    if p >= 0:
+                        keys[p] += exposed_one
+            elif count == 0:
+                for t in expose_targets[neighbor]:
+                    exposed[t] -= 1
+                    p = pos[t]
+                    if p >= 0:
+                        keys[p] -= exposed_one
+                ready_at = 0
+                for u, lat in lat_edges[neighbor]:
+                    candidate = slot_units[u] + lat
+                    if candidate > ready_at:
+                        ready_at = candidate
+                seq_of[neighbor] = seq
+                if ready_at <= time:
+                    add_ready(neighbor, seq)
+                else:
+                    heappush(pending, (ready_at, seq, neighbor))
+                seq += 1
+
+    return placement, slot_units, noop_units
+
+
+def _explain(
+    plan: SchedulePlan,
+    exposed: List[int],
+    ready_pairs: List[Tuple[int, int]],
+) -> Tuple[int, str]:
+    """The packed-key selection with its working shown.
+
+    Narrows the co-leader set level by level -- priority, then each
+    tie-break of :data:`TIE_BREAKS` -- and names the level that singled
+    out the winner: ``only-candidate``, ``priority``,
+    ``tie-break:<name>``, or ``discovery-order`` (all keys tied; the
+    earliest-exposed wins).  Only runs under observability.
+    """
+    if len(ready_pairs) == 1:
+        return ready_pairs[0][1], "only-candidate"
+    prio = plan.prio_units
+    best = max(prio[node] for _s, node in ready_pairs)
+    tied = [pair for pair in ready_pairs if prio[pair[1]] == best]
+    if len(tied) == 1:
+        return tied[0][1], "priority"
+    for name, column in zip(
+        TIE_BREAKS, (plan.consumed, exposed, plan.order_vals)
+    ):
+        values = [column[node] for _s, node in tied]
+        best_v = max(values)
+        tied = [pair for pair, v in zip(tied, values) if v == best_v]
+        if len(tied) == 1:
+            return tied[0][1], f"tie-break:{name}"
+    return tied[0][1], "discovery-order"
+
+
+def _observer(
+    rec, dag: CodeDAG, block: Optional[BasicBlock], plan: SchedulePlan
+) -> Observer:
+    """Per-slot selection metrics (and, if on, the decision log)."""
+    block_label = (block.name if block is not None else None) or str(
+        rec.context().get("block", "?")
+    )
+    scale = plan.scale
+    metrics = rec.metrics
+    log = rec.decisions
+    instructions = dag.instructions
+    priority_text = [str(Fraction(u, scale)) for u in plan.prio_units]
+    step_box = [0]
+
+    def observe(ready_pairs, chosen, reason, time_units):
+        metrics.observe("sched.ready_size", len(ready_pairs), block=block_label)
+        metrics.inc("sched.select_reason", 1, block=block_label, reason=reason)
+        if log is not None:
+            log.record(
+                Decision(
+                    block=block_label,
+                    step=step_box[0],
+                    time=str(Fraction(time_units, scale)),
+                    chosen=chosen,
+                    reason=reason,
+                    candidates=tuple(
+                        Candidate(
+                            node=node,
+                            priority=priority_text[node],
+                            text=str(instructions[node]),
+                        )
+                        for _s, node in ready_pairs
+                    ),
+                )
+            )
+        step_box[0] += 1
+
+    return observe
+
+
+# ----------------------------------------------------------------------
 class ListScheduler:
     """The list scheduler; construct once, reuse across blocks."""
 
-    def __init__(
-        self,
-        tie_breaks: Sequence[TieBreak] = DEFAULT_TIE_BREAKS,
-        direction: Direction = Direction.BOTTOM_UP,
-    ):
-        self.tie_breaks: Tuple[TieBreak, ...] = tuple(tie_breaks)
+    def __init__(self, direction: Direction = Direction.BOTTOM_UP):
         self.direction = direction
 
-    # ------------------------------------------------------------------
     def schedule(
         self, dag: CodeDAG, block: Optional[BasicBlock] = None
     ) -> ScheduleResult:
-        """Schedule ``dag``; if ``block`` given, also emit the reordered block.
-
-        Dispatches to the array-native engine (:mod:`repro.core.
-        schedfast`: packed int64 selection keys over a scaled-integer
-        clock) whenever the tie-break chain is expressible there --
-        every tie-break ``state_invariant`` or the known
-        ``exposed_count`` -- and falls back to the reference
-        ``Fraction`` path otherwise.  Both engines produce byte-
-        identical results; the property tests and the differential
-        fuzz sweep hold them together.
-        """
-        plan = None
-        static_vals: List[Optional[List]] = []
-        if len(dag) > 0:
-            state = _SchedulerState(dag, self.direction)
-            static_vals = [
-                [tb(state, v) for v in range(len(dag))]
-                if getattr(tb, "state_invariant", False)
-                else None
-                for tb in self.tie_breaks
-            ]
-            plan = schedfast.build_plan(
-                dag,
-                self.tie_breaks,
-                static_vals,
-                self.direction is Direction.BOTTOM_UP,
-                exposed_count,
-            )
-        rec = _obs.get()
-        if plan is None:
-            if rec is not None:
-                rec.metrics.inc("sched.fast_path", 1, engine="reference")
-            return self._schedule_reference(dag, block, rec)
-        if rec is not None:
-            rec.metrics.inc("sched.fast_path", 1, engine="fast")
-        return self._schedule_fast(dag, block, plan, rec)
-
-    def _schedule_fast(
-        self,
-        dag: CodeDAG,
-        block: Optional[BasicBlock],
-        plan: "schedfast.FastPlan",
-        rec,
-    ) -> ScheduleResult:
-        """Run the array-native engine and reconstruct the exact
-        ``Fraction`` result surface (slots, no-op span, priorities)."""
-        scale = plan.scale
-        observe = None
-        if rec is not None:
-            block_label = (
-                block.name if block is not None else None
-            ) or str(rec.context().get("block", "?"))
-            metrics = rec.metrics
-            log = rec.decisions
-            instructions = dag.instructions
-            priority_text = [str(Fraction(u, scale)) for u in plan.prio_units]
-            step_box = [0]
-
-            def observe(ready_pairs, chosen, reason, time_units):
-                metrics.observe(
-                    "sched.ready_size", len(ready_pairs), block=block_label
-                )
-                metrics.inc(
-                    "sched.select_reason", 1, block=block_label, reason=reason
-                )
-                if log is not None:
-                    log.record(
-                        Decision(
-                            block=block_label,
-                            step=step_box[0],
-                            time=str(Fraction(time_units, scale)),
-                            chosen=chosen,
-                            reason=reason,
-                            candidates=tuple(
-                                Candidate(
-                                    node=node,
-                                    priority=priority_text[node],
-                                    text=str(instructions[node]),
-                                )
-                                for _s, node in ready_pairs
-                            ),
-                        )
-                    )
-                step_box[0] += 1
-
-        placement, slot_units, noop_units = schedfast.run_plan(
-            plan, observe, self.tie_breaks
-        )
+        """Schedule ``dag``; if ``block`` given, also emit the reordered block."""
         bottom_up = self.direction is Direction.BOTTOM_UP
-        order = list(reversed(placement)) if bottom_up else placement
+        plan = build_plan(dag, bottom_up)
+        rec = _obs.get()
+        observe = None if rec is None else _observer(rec, dag, block, plan)
+        placement, slot_units, noop_units = run_plan(plan, observe)
+        scale = plan.scale
+        order = placement[::-1] if bottom_up else placement
         return ScheduleResult(
             order=order,
             block=self._emit(dag, order, block),
@@ -319,255 +545,6 @@ class ListScheduler:
             slots={v: Fraction(slot_units[v], scale) for v in placement},
         )
 
-    def _schedule_reference(
-        self, dag: CodeDAG, block: Optional[BasicBlock], rec
-    ) -> ScheduleResult:
-        """The reference engine (exact ``Fraction`` clock; the oracle
-        the fast path is tested against).
-
-        Hot-path layout: exposed-but-not-yet-ready nodes wait in a heap
-        keyed by ready time; ready nodes live in a list kept in global
-        discovery order (the order the old linear scan of ``available``
-        produced), so selection still walks candidates earliest-first
-        and all tie-break semantics -- including insertion-order wins on
-        exact key ties -- are preserved byte-for-byte.  Priorities are
-        compared through dense integer ranks instead of ``Fraction``
-        arithmetic, and ``state_invariant`` tie-break values are cached
-        per node, so a slot costs one integer scan of the ready list
-        plus tie-break evaluation only among the priority co-leaders.
-        """
-        n = len(dag)
-        node_priorities = compute_priorities(dag)
-        state = _SchedulerState(dag, self.direction)
-
-        # Priorities never change mid-run: map each distinct Fraction
-        # to its dense sort rank once, then select on int comparisons.
-        distinct = sorted(set(node_priorities))
-        rank_of = {p: i for i, p in enumerate(distinct)}
-        prio_rank = [rank_of[p] for p in node_priorities]
-
-        tie_breaks = self.tie_breaks
-        static_vals: List[Optional[List]] = [
-            [tb(state, v) for v in range(n)]
-            if getattr(tb, "state_invariant", False)
-            else None
-            for tb in tie_breaks
-        ]
-
-        zero = Fraction(0)
-        # ``pending`` holds exposed nodes whose ready time is still in
-        # the future: (ready_time, seq, node).  ``ready`` holds nodes
-        # eligible now, as (seq, node) sorted by seq -- the global
-        # discovery order, identical to the old ``available`` scan.
-        pending: List[Tuple[Fraction, int, int]] = []
-        ready: List[Tuple[int, int]] = []
-        seq = 0
-        for v in dag.nodes():
-            if state.unscheduled_neighbors[v] == 0:
-                state.ready_time[v] = zero
-                ready.append((seq, v))
-                seq += 1
-
-        time = zero
-        noop_span = zero
-        placement: List[int] = []
-        bottom_up = self.direction is Direction.BOTTOM_UP
-
-        # Observability: the recorder is read once per schedule() call
-        # by the dispatcher; the ``rec is None`` branch below is the
-        # only per-slot cost when disabled.
-        block_label = None
-        if rec is not None:
-            block_label = (block.name if block is not None else None) or str(
-                rec.context().get("block", "?")
-            )
-
-        while len(placement) < n:
-            while pending and pending[0][0] <= time:
-                _, s, v = heappop(pending)
-                insort(ready, (s, v))
-            if not ready:
-                # Starvation: virtual no-ops fill the gap to the next
-                # pending ready time.
-                next_time = pending[0][0]
-                noop_span += next_time - time
-                time = next_time
-                continue
-
-            if rec is None:
-                idx = self._select_index(
-                    state, ready, prio_rank, static_vals, tie_breaks
-                )
-            else:
-                idx = self._select_observed(
-                    rec, state, ready, prio_rank, static_vals, tie_breaks,
-                    node_priorities, block_label, time, len(placement),
-                )
-            chosen = ready.pop(idx)[1]
-            state.slot[chosen] = time
-            placement.append(chosen)
-            time += 1
-
-            neighbors = (
-                dag.predecessors(chosen)
-                if bottom_up
-                else dag.successors(chosen)
-            )
-            unscheduled = state.unscheduled_neighbors
-            for neighbor in neighbors:
-                unscheduled[neighbor] -= 1
-                if unscheduled[neighbor] == 0:
-                    rt = state.compute_ready_time(neighbor)
-                    state.ready_time[neighbor] = rt
-                    if rt <= time:
-                        insort(ready, (seq, neighbor))
-                    else:
-                        heappush(pending, (rt, seq, neighbor))
-                    seq += 1
-
-        order = (
-            list(reversed(placement))
-            if bottom_up
-            else placement
-        )
-        scheduled_block = self._emit(dag, order, block)
-        return ScheduleResult(
-            order=order,
-            block=scheduled_block,
-            noop_span=noop_span,
-            priorities=node_priorities,
-            slots=dict(state.slot),
-        )
-
-    # ------------------------------------------------------------------
-    def _select_index(
-        self,
-        state: _SchedulerState,
-        ready: List[Tuple[int, int]],
-        prio_rank: List[int],
-        static_vals: List[Optional[List]],
-        tie_breaks: Tuple[TieBreak, ...],
-    ) -> int:
-        """Index into ``ready`` of the winner: max priority, then the
-        tie-breaks, earliest discovery on exact ties."""
-        best_i = 0
-        best_r = prio_rank[ready[0][1]]
-        tied: Optional[List[Tuple[int, int]]] = None
-        for i in range(1, len(ready)):
-            node = ready[i][1]
-            r = prio_rank[node]
-            if r > best_r:
-                best_i, best_r = i, r
-                tied = None
-            elif r == best_r:
-                if tied is None:
-                    tied = [(best_i, ready[best_i][1])]
-                tied.append((i, node))
-        # With no co-leaders there is nothing to break; with an empty
-        # tie-break chain the earliest co-leader wins -- and that is
-        # ``best_i`` in both cases (``tied[0]`` is always
-        # ``(best_i, ...)``: co-leaders are collected in scan order).
-        if tied is None or not tie_breaks:
-            return best_i
-
-        def key(node: int) -> Tuple:
-            return tuple(
-                vals[node] if vals is not None else tb(state, node)
-                for tb, vals in zip(tie_breaks, static_vals)
-            )
-
-        best_i, best_node = tied[0]
-        best_key = key(best_node)
-        for i, node in tied[1:]:
-            k = key(node)
-            if k > best_key:
-                best_i, best_key = i, k
-        return best_i
-
-    def _explain_selection(
-        self,
-        state: _SchedulerState,
-        ready: List[Tuple[int, int]],
-        prio_rank: List[int],
-        static_vals: List[Optional[List]],
-        tie_breaks: Tuple[TieBreak, ...],
-    ) -> Tuple[int, str]:
-        """:meth:`_select_index` with its working shown.
-
-        Returns the winning index *and why it won*: ``only-candidate``,
-        ``priority`` (unique max), ``tie-break:<fn>`` (first tie-break
-        level that singles out one co-leader), or ``discovery-order``
-        (all keys tied exactly; earliest-exposed wins).  Narrowing the
-        co-leader set level by level is the lexicographic key
-        comparison of :meth:`_select_index` unrolled, so both always
-        agree -- the equivalence test holds them together.
-        """
-        if len(ready) == 1:
-            return 0, "only-candidate"
-        best_r = max(prio_rank[node] for _s, node in ready)
-        tied = [
-            (i, node)
-            for i, (_s, node) in enumerate(ready)
-            if prio_rank[node] == best_r
-        ]
-        if len(tied) == 1:
-            return tied[0][0], "priority"
-        for tb, vals in zip(tie_breaks, static_vals):
-            values = [
-                vals[node] if vals is not None else tb(state, node)
-                for _i, node in tied
-            ]
-            best = max(values)
-            tied = [pair for pair, v in zip(tied, values) if v == best]
-            if len(tied) == 1:
-                return tied[0][0], f"tie-break:{tb.__name__}"
-        return tied[0][0], "discovery-order"
-
-    def _select_observed(
-        self,
-        rec,
-        state: _SchedulerState,
-        ready: List[Tuple[int, int]],
-        prio_rank: List[int],
-        static_vals: List[Optional[List]],
-        tie_breaks: Tuple[TieBreak, ...],
-        node_priorities: List[Weight],
-        block_label: str,
-        time: Fraction,
-        step: int,
-    ) -> int:
-        """Selection with metrics (and, if on, the decision log)."""
-        idx, reason = self._explain_selection(
-            state, ready, prio_rank, static_vals, tie_breaks
-        )
-        metrics = rec.metrics
-        metrics.observe("sched.ready_size", len(ready), block=block_label)
-        metrics.inc(
-            "sched.select_reason", 1, block=block_label, reason=reason
-        )
-        log = rec.decisions
-        if log is not None:
-            instructions = state.dag.instructions
-            log.record(
-                Decision(
-                    block=block_label,
-                    step=step,
-                    time=str(time),
-                    chosen=ready[idx][1],
-                    reason=reason,
-                    candidates=tuple(
-                        Candidate(
-                            node=node,
-                            priority=str(node_priorities[node]),
-                            text=str(instructions[node]),
-                        )
-                        for _s, node in ready
-                    ),
-                )
-            )
-        return idx
-
-    # ------------------------------------------------------------------
     @staticmethod
     def _emit(
         dag: CodeDAG, order: List[int], block: Optional[BasicBlock]
@@ -583,8 +560,7 @@ class ListScheduler:
 def schedule_dag(
     dag: CodeDAG,
     block: Optional[BasicBlock] = None,
-    tie_breaks: Sequence[TieBreak] = DEFAULT_TIE_BREAKS,
     direction: Direction = Direction.BOTTOM_UP,
 ) -> ScheduleResult:
     """One-shot convenience wrapper around :class:`ListScheduler`."""
-    return ListScheduler(tie_breaks, direction).schedule(dag, block)
+    return ListScheduler(direction).schedule(dag, block)

@@ -11,11 +11,11 @@ distribution on network machines (Section 5).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from ..analysis.dag import CodeDAG
 from .policy import SchedulingPolicy, observe_load_weights
-from .scheduler import DEFAULT_TIE_BREAKS, Direction, TieBreak
+from .scheduler import Direction
 
 Latency = Union[int, float, Fraction]
 
@@ -39,10 +39,9 @@ class TraditionalScheduler(SchedulingPolicy):
     def __init__(
         self,
         optimistic_latency: Latency = 2,
-        tie_breaks: Sequence[TieBreak] = DEFAULT_TIE_BREAKS,
         direction: Direction = Direction.BOTTOM_UP,
     ):
-        super().__init__(tie_breaks, direction)
+        super().__init__(direction)
         self.optimistic_latency = as_fraction(optimistic_latency)
         self.name = f"traditional(W={optimistic_latency})"
 

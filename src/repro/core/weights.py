@@ -22,27 +22,24 @@ instruction hides latency for all of them simultaneously.
 Weights are exact :class:`fractions.Fraction` values -- the worked
 example in the paper's Table 1 produces twelfths.
 
-Two implementations are provided and cross-checked by the test suite:
-
-* :func:`balanced_weights` -- batched over all contributors at once:
-  uint64 bitset *matrices* for the closures and independent sets,
-  structurally identical ``(G_ind, IssueSlots)`` pairs deduplicated
-  and computed once (unrolled blocks repeat them heavily), and a
-  single topological ``Chances`` DP sweep vectorised across every
-  distinct subgraph.  Contributions accumulate as integer
-  ``(slots, chances) -> count`` tables and are converted to exact
-  rationals once per load at the end -- byte-identical to per-``i``
-  accumulation because Fraction arithmetic is exact, commutative and
-  associative.
-* :func:`balanced_weights_reference` -- a deliberately naive
-  re-derivation (per-``i`` BFS closures, BFS components, path DP over
-  an explicit node list) used as a correctness oracle.
+:func:`balanced_weights` is batched over all contributors at once:
+uint64 bitset *matrices* for the closures and independent sets,
+structurally identical ``(G_ind, IssueSlots)`` pairs deduplicated and
+computed once (unrolled blocks repeat them heavily), and a single
+topological ``Chances`` DP sweep vectorised across every distinct
+subgraph.  Contributions accumulate as integer ``(slots, chances) ->
+count`` tables and are converted to exact rationals once per load at
+the end -- byte-identical to per-``i`` accumulation because Fraction
+arithmetic is exact, commutative and associative.  The test suite
+cross-checks it against a deliberately naive re-derivation (per-``i``
+BFS closures, BFS components, path DP over an explicit node list) in
+``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -203,78 +200,6 @@ def contribution_matrix(dag: CodeDAG) -> Dict[int, Dict[int, Fraction]]:
             for l in loads:
                 matrix[l][i] += Fraction(slots, chances)
     return matrix
-
-
-# ----------------------------------------------------------------------
-# Reference (oracle) implementation
-# ----------------------------------------------------------------------
-def _closure_bfs(dag: CodeDAG, start: int, forward: bool) -> Set[int]:
-    """Transitive closure by explicit BFS (oracle building block)."""
-    seen: Set[int] = set()
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        neighbors = dag.successors(node) if forward else dag.predecessors(node)
-        for nxt in neighbors:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
-def _components_bfs(dag: CodeDAG, nodes: Set[int]) -> List[Set[int]]:
-    """Weakly connected components by explicit BFS (oracle)."""
-    remaining = set(nodes)
-    out: List[Set[int]] = []
-    while remaining:
-        seed = remaining.pop()
-        component = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for u in dag.successors(v) + dag.predecessors(v):
-                if u in remaining:
-                    remaining.discard(u)
-                    component.add(u)
-                    frontier.append(u)
-        out.append(component)
-    return out
-
-
-def _chances_dp(dag: CodeDAG, component: Set[int]) -> int:
-    """Max loads on any path (oracle DP over sorted node order)."""
-    best: Dict[int, int] = {}
-    answer = 0
-    for v in sorted(component):
-        through = max(
-            (best[p] for p in dag.predecessors(v) if p in component), default=0
-        )
-        best[v] = through + (1 if dag.is_load(v) else 0)
-        answer = max(answer, best[v])
-    return answer
-
-
-def balanced_weights_reference(dag: CodeDAG) -> Dict[int, Fraction]:
-    """Naive re-derivation of :func:`balanced_weights` (test oracle)."""
-    weights: Dict[int, Fraction] = {
-        l: Fraction(1) for l in dag.nodes() if dag.is_load(l)
-    }
-    if not weights:
-        return weights
-    all_nodes = set(dag.nodes())
-    for i in dag.nodes():
-        excluded = _closure_bfs(dag, i, forward=True)
-        excluded |= _closure_bfs(dag, i, forward=False)
-        excluded.add(i)
-        independent = all_nodes - excluded
-        for component in _components_bfs(dag, independent):
-            loads = [v for v in component if dag.is_load(v)]
-            if not loads:
-                continue
-            chances = _chances_dp(dag, component)
-            for l in loads:
-                weights[l] += Fraction(dag.issue_slots(i), chances)
-    return weights
 
 
 def average_block_weight(dag: CodeDAG) -> Optional[Fraction]:

@@ -12,11 +12,12 @@ Keys are SHA-256 digests of a *canonical token* built from every field
 that influences the result -- program name, memory-system family and
 parameters, optimistic latency, processor attributes, seed, runs,
 bootstrap resamples, register file, alias model -- plus
-:data:`CODE_VERSION`, a salt bumped whenever compilation or simulation
-semantics change so stale entries can never masquerade as current
-results.  Tokens use only primitive values (never ``hash()``, which is
-randomised per process), so a key is stable across processes, machines
-and Python versions.
+:func:`code_version`, a SHA-256 of the ``repro`` package's own ``.py``
+sources, so any change to compilation, scheduling, simulation or
+statistics code orphans every older entry and stale results can never
+masquerade as current ones.  Tokens use only primitive values (never
+``hash()``, which is randomised per process), so a key is stable
+across processes, machines and Python versions.
 
 Values are pickled exactly as computed; pickling preserves float bits,
 so a cached, a resumed and a fresh run print byte-identical tables.
@@ -29,6 +30,7 @@ and overwritten.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -40,9 +42,8 @@ from typing import Any, Optional
 
 logger = logging.getLogger("repro.experiments.cache")
 
-#: Bump when a change to compilation, scheduling, simulation or
-#: statistics semantics invalidates previously cached results.
-CODE_VERSION = "1"
+#: The ``repro`` package directory whose sources salt every key.
+PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 #: Environment override for the cache root used by the CLI.
 CACHE_DIR_ENV = "BALANCED_SCHED_CACHE_DIR"
@@ -98,13 +99,38 @@ def spec_token(spec: Any) -> list:
     ]
 
 
+def source_digest(root: Path) -> str:
+    """SHA-256 over every ``.py`` file under ``root``: each file's path
+    relative to ``root`` and its bytes, in sorted path order."""
+    digest = sha256()
+    files = sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    )
+    for relpath, path in files:
+        data = path.read_bytes()
+        digest.update(f"{relpath}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.cache
+def code_version() -> str:
+    """The source digest of the running ``repro`` package.
+
+    Computed on the first key of the process (a few milliseconds) and
+    reused after that, so commands that never touch the cache, such as
+    ``--help``, do not pay for it.
+    """
+    return source_digest(PACKAGE_ROOT)
+
+
 def object_key(*parts: Any) -> str:
     """A stable SHA-256 key for arbitrary JSON-serialisable parts.
 
-    :data:`CODE_VERSION` is always folded in, so bumping it orphans
-    every existing entry at once.
+    :func:`code_version` is always folded in, so editing any source
+    file of the package orphans every existing entry at once.
     """
-    token = json.dumps([CODE_VERSION, list(parts)], sort_keys=True)
+    token = json.dumps([code_version(), list(parts)], sort_keys=True)
     return sha256(token.encode("utf-8")).hexdigest()
 
 

@@ -17,11 +17,11 @@ is pinned to the hit latency.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..analysis.dag import CodeDAG
 from ..core.policy import SchedulingPolicy
-from ..core.scheduler import DEFAULT_TIE_BREAKS, Direction, TieBreak
+from ..core.scheduler import Direction
 from ..core.weights import balanced_weights
 from ..ir.instructions import Instruction
 
@@ -84,10 +84,9 @@ class KnownLatencyScheduler(SchedulingPolicy):
     def __init__(
         self,
         oracle: LatencyOracle,
-        tie_breaks: Sequence[TieBreak] = DEFAULT_TIE_BREAKS,
         direction: Direction = Direction.BOTTOM_UP,
     ):
-        super().__init__(tie_breaks, direction)
+        super().__init__(direction)
         self.oracle = oracle
 
     def assign_weights(self, dag: CodeDAG) -> None:

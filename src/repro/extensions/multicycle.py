@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from ..analysis.dag import CodeDAG
 from ..core.policy import SchedulingPolicy
-from ..core.scheduler import DEFAULT_TIE_BREAKS, Direction, TieBreak
+from ..core.scheduler import Direction
 from ..core.weights import balanced_weights
 from ..ir.instructions import FP_OPCODES, Instruction
 
@@ -38,10 +38,9 @@ class MultiCycleBalancedScheduler(SchedulingPolicy):
     def __init__(
         self,
         is_weighted: Callable[[CodeDAG, int], bool] = uncertain_load_or_multicycle,
-        tie_breaks: Sequence[TieBreak] = DEFAULT_TIE_BREAKS,
         direction: Direction = Direction.BOTTOM_UP,
     ):
-        super().__init__(tie_breaks, direction)
+        super().__init__(direction)
         self.is_weighted = is_weighted
 
     def assign_weights(self, dag: CodeDAG) -> None:

@@ -1,12 +1,12 @@
-"""Differential tests pinning the array-native engine to the reference.
+"""Differential tests pinning the packed-key scheduling engine to the
+``Fraction`` oracle in :mod:`tests.core.oracles`.
 
-The dispatcher in :meth:`ListScheduler.schedule` routes every
-expressible tie-break chain through :mod:`repro.core.schedfast`
-(packed int64 selection keys over a scaled-integer clock).  These
-tests hold the two engines together byte-for-byte -- schedules, no-op
-spans, slot maps, priorities, decision logs and selection metrics --
-across directions, tie-break sets and random DAGs, and cover the
-collapsed empty-tie-breaks branch of ``_select_index`` directly.
+:meth:`ListScheduler.schedule` runs one engine: packed int64 selection
+keys over a scaled-integer clock.  These tests hold it to the naive
+oracle byte-for-byte -- schedules, no-op spans, slot maps, priorities,
+emitted blocks, decision logs and selection metrics -- on every
+scheduling call the paper suite makes, in both directions, and on
+random DAGs.
 """
 
 from fractions import Fraction
@@ -17,26 +17,31 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.analysis import build_dag
-from repro.core import BalancedScheduler, Direction, ListScheduler
-from repro.core.scheduler import (
-    DEFAULT_TIE_BREAKS,
-    _SchedulerState,
-    consumed_minus_defined,
-    exposed_count,
-    original_order,
-    register_pressure,
+from repro.analysis.dag import CodeDAG, DepKind
+from repro.core import (
+    BalancedScheduler,
+    Direction,
+    ListScheduler,
+    TraditionalScheduler,
+    compile_program,
+    scheduler as scheduler_module,
 )
+from repro.experiments.table4 import OPTIMISTIC_LATENCIES
+from repro.ir import MemRef, Opcode, VirtualReg, alu, load
 from repro.obs.decisions import DecisionLog
+from repro.obs.metrics import split_series_key
 from repro.simulate.rng import spawn
 from repro.workloads import random_block
+from repro.workloads.perfect import load_program, program_names
 
-TIE_BREAK_SETS = {
-    "default": DEFAULT_TIE_BREAKS,
-    "empty": (),
-    "pressure": (register_pressure,),
-    "no-exposed": (consumed_minus_defined, original_order),
-    "exposed-only": (exposed_count,),
-}
+from .oracles import (
+    SchedulerState,
+    schedule_reference,
+    select_index,
+    tie_break_columns,
+)
+
+SELECTION_SERIES = ("sched.select_reason", "sched.ready_size")
 
 
 def weighted_dag(seed: int, size: int = 40):
@@ -59,47 +64,86 @@ def result_surface(result):
     )
 
 
-class TestFastPathEngages:
-    @pytest.mark.parametrize("name", sorted(TIE_BREAK_SETS))
-    @pytest.mark.parametrize(
-        "direction", [Direction.BOTTOM_UP, Direction.TOP_DOWN]
-    )
-    def test_all_tie_break_sets_take_fast_path(self, name, direction):
-        """Every parity case below must actually exercise schedfast."""
-        block, dag = weighted_dag(7)
-        scheduler = ListScheduler(TIE_BREAK_SETS[name], direction)
-        with obs.recording() as rec:
-            scheduler.schedule(dag, block)
-        counters = rec.metrics.snapshot()["counters"]
-        engines = {
+def selection_series(rec):
+    """The recorder's per-slot selection metrics, every label series."""
+    snapshot = rec.metrics.snapshot()
+    return {
+        section: {
             key: value
-            for key, value in counters.items()
-            if key.startswith("sched.fast_path")
+            for key, value in snapshot[section].items()
+            if split_series_key(key)[0] in SELECTION_SERIES
         }
-        assert engines == {"sched.fast_path{engine=fast}": 1}
+        for section in ("counters", "gauges", "histograms")
+    }
+
+
+def assert_matches_oracle(schedule, dag, block, direction):
+    """``schedule(dag, block)`` (the engine) and the oracle agree with
+    observability off and on (decision log, selection metrics)."""
+    engine = schedule(dag, block)
+    assert result_surface(engine) == result_surface(
+        schedule_reference(dag, block, direction)
+    )
+    with obs.recording(decisions=True) as rec_engine:
+        observed = schedule(dag, block)
+    with obs.recording(decisions=True) as rec_oracle:
+        schedule_reference(dag, block, direction)
+    assert result_surface(observed) == result_surface(engine)
+    assert rec_engine.decisions.render() == rec_oracle.decisions.render()
+    assert selection_series(rec_engine) == selection_series(rec_oracle)
+    return engine
+
+
+class TestSuiteParity:
+    """Every scheduling call of the paper suite -- both passes of the
+    pipeline, the balanced policy and the traditional one at every
+    optimistic latency the tables use -- checked against the oracle."""
+
+    @pytest.mark.parametrize("program", program_names())
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_every_suite_schedule_matches_oracle(
+        self, program, direction, monkeypatch
+    ):
+        engine_schedule = ListScheduler.schedule
+        calls = []
+
+        def checked(self, dag, block=None):
+            calls.append(len(dag))
+            return assert_matches_oracle(
+                lambda d, b: engine_schedule(self, d, b),
+                dag, block, self.direction,
+            )
+
+        monkeypatch.setattr(ListScheduler, "schedule", checked)
+        policies = [BalancedScheduler(direction=direction)] + [
+            TraditionalScheduler(latency, direction=direction)
+            for latency in OPTIMISTIC_LATENCIES
+        ]
+        program_blocks = sum(1 for f in load_program(program) for _b in f)
+        for policy in policies:
+            compile_program(load_program(program), policy)
+        # Two passes (schedule, allocate, reschedule) per block.
+        assert len(calls) == 2 * program_blocks * len(policies)
 
 
 class TestFastReferenceParity:
-    @pytest.mark.parametrize("name", sorted(TIE_BREAK_SETS))
     @pytest.mark.parametrize(
         "direction", [Direction.BOTTOM_UP, Direction.TOP_DOWN]
     )
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
-    def test_identical_schedules(self, name, direction, seed):
+    def test_identical_schedules(self, direction, seed):
         block, dag = weighted_dag(seed)
-        scheduler = ListScheduler(TIE_BREAK_SETS[name], direction)
-        fast = scheduler.schedule(dag, block)
-        reference = scheduler._schedule_reference(dag, block, None)
+        fast = ListScheduler(direction).schedule(dag, block)
+        reference = schedule_reference(dag, block, direction)
         assert result_surface(fast) == result_surface(reference)
 
     @given(seed=st.integers(0, 10_000), size=st.integers(1, 80))
     @settings(max_examples=30, deadline=None)
     def test_identical_schedules_varied_sizes(self, seed, size):
         block, dag = weighted_dag(seed, size)
-        scheduler = ListScheduler()
-        fast = scheduler.schedule(dag, block)
-        reference = scheduler._schedule_reference(dag, block, None)
+        fast = ListScheduler().schedule(dag, block)
+        reference = schedule_reference(dag, block)
         assert result_surface(fast) == result_surface(reference)
 
     def test_noop_span_is_exact_fraction(self):
@@ -111,7 +155,7 @@ class TestFastReferenceParity:
 
 
 class TestObservedParity:
-    """Fast-path observability mirrors the reference byte-for-byte."""
+    """Engine observability mirrors the oracle byte-for-byte."""
 
     @pytest.mark.parametrize(
         "direction", [Direction.BOTTOM_UP, Direction.TOP_DOWN]
@@ -120,11 +164,10 @@ class TestObservedParity:
     @settings(max_examples=10, deadline=None)
     def test_decision_log_parity(self, direction, seed):
         block, dag = weighted_dag(seed, 30)
-        scheduler = ListScheduler(direction=direction)
         with obs.recording(decisions=True) as rec_fast:
-            scheduler.schedule(dag, block)
+            ListScheduler(direction).schedule(dag, block)
         with obs.recording(decisions=True) as rec_ref:
-            scheduler._schedule_reference(dag, block, rec_ref)
+            schedule_reference(dag, block, direction)
         assert rec_fast.decisions.render() == rec_ref.decisions.render()
         assert DecisionLog.diff(rec_fast.decisions, rec_ref.decisions) == []
 
@@ -132,66 +175,64 @@ class TestObservedParity:
     @settings(max_examples=10, deadline=None)
     def test_selection_metrics_parity(self, seed):
         block, dag = weighted_dag(seed, 30)
-        scheduler = ListScheduler()
         with obs.recording() as rec_fast:
-            scheduler.schedule(dag, block)
+            ListScheduler().schedule(dag, block)
         with obs.recording() as rec_ref:
-            scheduler._schedule_reference(dag, block, rec_ref)
+            schedule_reference(dag, block)
         fast_snap = rec_fast.metrics.snapshot()
         ref_snap = rec_ref.metrics.snapshot()
         for section in ("counters", "gauges", "histograms"):
-            fast_series = {
-                key: value
-                for key, value in fast_snap[section].items()
-                if not key.startswith("sched.fast_path")
-            }
-            ref_series = {
-                key: value
-                for key, value in ref_snap[section].items()
-                if not key.startswith("sched.fast_path")
-            }
-            assert fast_series == ref_series
+            assert fast_snap[section] == ref_snap[section]
 
 
 class TestSelectIndexEmptyTieBreaks:
-    """The collapsed branch: no co-leaders, or no tie-breaks to run."""
-
-    def _state(self, size: int = 6):
-        block, dag = weighted_dag(3, size)
-        return _SchedulerState(dag, Direction.BOTTOM_UP)
+    """The collapsed branch: with no co-leaders there is nothing to break."""
 
     def test_unique_maximum_needs_no_tie_breaks(self):
-        state = self._state()
+        block, dag = weighted_dag(3, 6)
+        state = SchedulerState(dag, Direction.BOTTOM_UP)
         ready = [(0, 0), (1, 1), (2, 2)]
         prio_rank = [1, 5, 3]
-        idx = ListScheduler()._select_index(
-            state, ready, prio_rank, [None] * 3, DEFAULT_TIE_BREAKS
-        )
+        idx = select_index(state, ready, prio_rank, tie_break_columns(state))
         assert idx == 1
 
-    def test_empty_chain_picks_earliest_coleader(self):
-        state = self._state()
-        ready = [(0, 2), (1, 0), (2, 1)]
-        prio_rank = [4, 4, 4]
-        idx = ListScheduler(tie_breaks=())._select_index(
-            state, ready, prio_rank, [], ()
-        )
-        assert idx == 0
 
-    def test_empty_chain_ignores_later_coleaders(self):
-        state = self._state()
-        ready = [(0, 0), (1, 1), (2, 2), (3, 3)]
-        prio_rank = [1, 7, 7, 7]
-        idx = ListScheduler(tie_breaks=())._select_index(
-            state, ready, prio_rank, [], ()
-        )
-        assert idx == 1
+def _chain(weight=1, edge_latency=None):
+    """A load feeding an add; optional per-edge latency label."""
+    mem = MemRef(region="A", base=None, offset=0, affine_coeff=0)
+    dag = CodeDAG(
+        [
+            load(VirtualReg(0), mem),
+            alu(Opcode.ADD, VirtualReg(1), (VirtualReg(0),)),
+        ]
+    )
+    dag.add_edge(0, 1, DepKind.TRUE)
+    dag.set_weight(0, weight)
+    if edge_latency is not None:
+        dag.set_edge_latency(0, 1, edge_latency)
+    return dag
 
-    @given(seed=st.integers(0, 2_000))
-    @settings(max_examples=15, deadline=None)
-    def test_empty_chain_end_to_end_matches_reference(self, seed):
-        block, dag = weighted_dag(seed, 25)
-        scheduler = ListScheduler(tie_breaks=())
-        fast = scheduler.schedule(dag, block)
-        reference = scheduler._schedule_reference(dag, block, None)
-        assert result_surface(fast) == result_surface(reference)
+
+class TestRejectedInputs:
+    """Inputs the exact integer clock cannot represent raise instead of
+    being scheduled approximately."""
+
+    def test_float_weight_names_the_node(self):
+        with pytest.raises(TypeError, match="node 0"):
+            ListScheduler().schedule(_chain(weight=2.5))
+
+    def test_float_edge_label_names_the_edge(self):
+        with pytest.raises(TypeError, match="edge 0->1"):
+            ListScheduler().schedule(_chain(edge_latency=1.5))
+
+    def test_fraction_and_int_labels_are_exact(self):
+        result = ListScheduler().schedule(
+            _chain(weight=Fraction(5, 2), edge_latency=3)
+        )
+        assert result.noop_span == Fraction(2)
+
+    def test_oversized_key_names_the_block_size(self, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "_MAX_KEY_BITS", 8)
+        _block, dag = weighted_dag(5, 40)
+        with pytest.raises(ValueError, match="40 instructions"):
+            ListScheduler().schedule(dag)

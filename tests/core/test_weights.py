@@ -17,8 +17,11 @@ from repro.analysis.dag import CodeDAG, DepKind
 from repro.core import (
     average_block_weight,
     balanced_weights,
-    balanced_weights_reference,
     contribution_matrix,
+)
+from repro.extensions.multicycle import (
+    uncertain_load_or_multicycle,
+    with_fp_latency,
 )
 from repro.ir import MemRef, Opcode, VirtualReg, alu, load
 from repro.workloads import (
@@ -28,6 +31,8 @@ from repro.workloads import (
     random_block,
     random_dag,
 )
+
+from .oracles import balanced_weights_reference
 
 
 class TestWorkedExamples:
@@ -123,6 +128,22 @@ class TestOracle:
         block = random_block(rng, n_instructions=int(rng.integers(4, 28)))
         dag = build_dag(block)
         assert balanced_weights(dag) == balanced_weights_reference(dag)
+
+    @given(st.integers(0, 10_000), st.integers(2, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_fast_matches_reference_with_multicycle_predicate(
+        self, seed, fp_latency
+    ):
+        """Section 6: multi-cycle FP nodes are weighted too, and
+        ``Chances`` counts every weighted node on a path."""
+        rng = np.random.default_rng(seed)
+        block = random_block(rng, n_instructions=int(rng.integers(4, 28)))
+        with_fp_latency(block.instructions, fp_latency)
+        dag = build_dag(block)
+        predicate = uncertain_load_or_multicycle
+        assert balanced_weights(dag, predicate) == balanced_weights_reference(
+            dag, predicate
+        )
 
 
 class TestContributionMatrix:

@@ -7,15 +7,22 @@ cached cells so resumed runs match fresh runs exactly.
 """
 
 import dataclasses
+import os
 import pickle
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+from repro.experiments import cache as cache_module
 from repro.experiments.cache import (
-    CODE_VERSION,
+    PACKAGE_ROOT,
     ResultCache,
     cell_key,
+    code_version,
     object_key,
+    source_digest,
     spec_token,
 )
 from repro.experiments.common import CellSpec, evaluate_cells
@@ -73,13 +80,61 @@ class TestKeys:
 
         json.dumps(spec_token(_spec()))  # must not raise
 
-    def test_code_version_salts_every_key(self):
-        assert CODE_VERSION in str(
-            [CODE_VERSION]
-        )  # sanity: it is a string constant
+    def test_code_version_salts_every_key(self, monkeypatch):
+        assert len(code_version()) == 64  # a SHA-256 hex digest
         key = object_key("x")
         assert key == object_key("x")
         assert key != object_key("y")
+        monkeypatch.setattr(cache_module, "code_version", lambda: "other")
+        assert object_key("x") != key
+
+
+def _copy_package(dest):
+    """A copy of the running ``repro`` sources under ``dest/repro``."""
+    target = dest / "repro"
+    shutil.copytree(
+        PACKAGE_ROOT, target, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    return target
+
+
+def _key_in_subprocess(src_root):
+    """``object_key("probe")`` as computed by the package at ``src_root``."""
+    out = subprocess.run(
+        [
+            sys.executable, "-c",
+            "from repro.experiments.cache import object_key; "
+            "print(object_key('probe'))",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(src_root)),
+        capture_output=True, text=True, check=True,
+    )
+    return out.stdout.strip()
+
+
+class TestCodeVersion:
+    """The salt is derived from the code, never bumped by hand."""
+
+    def test_digest_of_a_copy_matches_the_running_package(self, tmp_path):
+        assert source_digest(_copy_package(tmp_path)) == code_version()
+
+    def test_digest_covers_relative_paths(self, tmp_path):
+        copy = _copy_package(tmp_path)
+        before = source_digest(copy)
+        (copy / "simulate" / "stats.py").rename(
+            copy / "simulate" / "stats_renamed.py"
+        )
+        assert source_digest(copy) != before
+
+    def test_editing_a_simulator_constant_changes_the_key(self, tmp_path):
+        same, edited = tmp_path / "same", tmp_path / "edited"
+        _copy_package(same)
+        program = _copy_package(edited) / "simulate" / "program.py"
+        text = program.read_text()
+        assert "DEFAULT_RUNS = 30" in text
+        program.write_text(text.replace("DEFAULT_RUNS = 30", "DEFAULT_RUNS = 31"))
+        assert _key_in_subprocess(same) == object_key("probe")
+        assert _key_in_subprocess(edited) != object_key("probe")
 
 
 class TestStore:

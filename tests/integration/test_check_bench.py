@@ -134,6 +134,54 @@ class TestGate:
         assert any("unreadable fresh file" in p for p in problems)
 
 
+OBS_BASELINE = {
+    "schedule_dag_512": {
+        "decisions_over_disabled": 1.1,
+        "enabled_over_disabled": 1.01,
+    },
+}
+
+
+@pytest.fixture
+def obs_repo(tmp_path):
+    """A one-commit git repo holding observation-overhead ratios."""
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "BENCH_x.json").write_text(json.dumps(OBS_BASELINE))
+    _git(tmp_path, "add", "BENCH_x.json")
+    _git(tmp_path, "commit", "-qm", "baseline")
+    return tmp_path
+
+
+class TestOverheadRatios:
+    """``*_over_disabled`` is observability-on time over -off time:
+    smaller is better, and it is noisy from run to run."""
+
+    def _fresh(self, decisions, enabled=1.01):
+        return {
+            "schedule_dag_512": {
+                "decisions_over_disabled": decisions,
+                "enabled_over_disabled": enabled,
+            },
+        }
+
+    def test_drop_in_overhead_passes(self, obs_repo):
+        assert _run(obs_repo, self._fresh(1.0, enabled=1.0)) == []
+
+    def test_observed_host_noise_passes(self, obs_repo):
+        """1.1 -> 1.8 is the spread seen between runs on one host."""
+        assert _run(obs_repo, self._fresh(1.8)) == []
+
+    def test_doubled_overhead_fails(self, obs_repo):
+        (problem,) = _run(obs_repo, self._fresh(1.1, enabled=2.5))
+        assert "enabled_over_disabled" in problem
+        assert "tolerance 0.5" in problem
+
+    def test_tight_relative_flag_does_not_tighten_overhead(self, obs_repo):
+        assert _run(
+            obs_repo, self._fresh(1.8), relative_tolerance=0.1
+        ) == []
+
+
 class TestMetricClassification:
     @pytest.mark.parametrize(
         "name",
@@ -159,6 +207,15 @@ class TestMetricClassification:
     def test_higher_is_better_names(self):
         assert not check_bench.lower_is_better("requests_per_s")
         assert not check_bench.lower_is_better("batch.speedup")
+
+    @pytest.mark.parametrize(
+        "name",
+        ["adm_cell_runs3.enabled_over_disabled",
+         "schedule_dag_512.decisions_over_disabled"],
+    )
+    def test_overhead_ratios_are_lower_is_better(self, name):
+        assert check_bench.lower_is_better(name)
+        assert check_bench.is_relative(name)
 
     def test_walk_metrics_flattens_with_dotted_paths(self):
         metrics = dict(check_bench.walk_metrics(BASELINE))

@@ -27,8 +27,8 @@ def _schedule_orders(policy_factory, block):
 class TestObservedSelectionEquivalence:
     @pytest.mark.parametrize("name", program_names())
     def test_observed_path_schedules_identically(self, name):
-        """`_select_observed` (via `_explain_selection`) and the fast
-        `_select_index` agree on every step of every suite block, for
+        """The narrated selection (`_explain`, obs on) and the packed-key
+        `argmax` (obs off) agree on every step of every suite block, for
         both policies."""
         program = load_program(name)
         for function in program:

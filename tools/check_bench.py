@@ -13,7 +13,13 @@ baselines were recorded on:
 * **relative** metrics (``speedup*``, ``*_ratio``, ``*_over_disabled``,
   ``overhead_pct``) are machine-independent by construction -- both
   sides of the ratio ran on the same machine -- so they get the tight
-  tolerance (default 0.35: fresh may drop at most 35% below baseline);
+  tolerance (default 0.35: fresh may drop at most 35% below baseline).
+  The observation-overhead ratios (``*_over_disabled``: time with
+  observability on over time with it off) are the exception: they
+  swing far more from run to run (``decisions_over_disabled`` moves
+  between 1.1 and 1.8 on one 2-core host), so they get
+  :data:`OVERHEAD_TOLERANCE` (0.5: fresh may be at most twice the
+  baseline);
 * **absolute** metrics (``*_seconds``/``seconds``, ``*_ms``,
   ``requests_per_s``, ``instructions_per_second``, ``runs_per_second``,
   ``ns_per_call``) vary with the host, so they get a loose,
@@ -22,7 +28,8 @@ baselines were recorded on:
 
 Every comparison is normalised so that >= 1.0 means "fresh is no worse
 than baseline": ``fresh/base`` for higher-is-better metrics,
-``base/fresh`` for lower-is-better ones (seconds, ms, ns, overhead).
+``base/fresh`` for lower-is-better ones (seconds, ms, ns, overhead
+percentages and ``*_over_disabled`` overhead ratios).
 ``meta`` sections, nested lists (e.g. the superscalar per-block rows)
 and non-positive values are skipped; so are metrics present on only
 one side (schema drift is not a regression).  A baseline identical to
@@ -50,11 +57,20 @@ import sys
 from typing import Dict, Iterator, List, Optional, Tuple
 
 #: Metric-name suffixes where a *smaller* value is better.
-LOWER_IS_BETTER = ("seconds", "_ms", "ns_per_call", "overhead_pct")
+LOWER_IS_BETTER = (
+    "seconds", "_ms", "ns_per_call", "overhead_pct", "_over_disabled",
+)
 
 #: Metric names (by suffix/prefix) that are ratios of two measurements
 #: taken on the same machine -- comparable across hosts.
 RELATIVE_MARKERS = ("speedup", "_ratio", "_over_disabled", "overhead_pct")
+
+#: Observation-overhead ratios: relative, lower is better, and noisy.
+OVERHEAD_MARKER = "_over_disabled"
+
+#: Floor for the overhead ratios: fresh may be at most 1/(1-0.5) = 2x
+#: the baseline, which clears the observed 1.1-1.8 run-to-run spread.
+OVERHEAD_TOLERANCE = 0.5
 
 
 def is_relative(name: str) -> bool:
@@ -64,6 +80,14 @@ def is_relative(name: str) -> bool:
 def lower_is_better(name: str) -> bool:
     return any(name.endswith(suffix) or name == suffix.lstrip("_")
                for suffix in LOWER_IS_BETTER)
+
+
+def tolerance_for(
+    name: str, relative_tolerance: float, absolute_tolerance: float
+) -> float:
+    if OVERHEAD_MARKER in name:
+        return max(relative_tolerance, OVERHEAD_TOLERANCE)
+    return relative_tolerance if is_relative(name) else absolute_tolerance
 
 
 def walk_metrics(doc: object, prefix: str = "") -> Iterator[Tuple[str, float]]:
@@ -121,8 +145,8 @@ def compare_file(
             score = base_value / fresh_value
         else:
             score = fresh_value / base_value
-        tolerance = (
-            relative_tolerance if is_relative(name) else absolute_tolerance
+        tolerance = tolerance_for(
+            name, relative_tolerance, absolute_tolerance
         )
         floor = 1.0 - tolerance
         if score < floor:
