@@ -19,7 +19,10 @@ used by the paper's main tables, but both simulators support it
 natively: the scalar :func:`~repro.simulate.simulator.simulate_block`
 and the run-vectorized :func:`~repro.simulate.batch.
 simulate_block_batch` model in-order multi-issue cycle-identically
-(there is no scalar fallback in the batch path).
+(there is no scalar fallback in the batch path).  Blocking loads are a
+single-issue model only: a processor with ``blocking_loads`` and
+``issue_width`` > 1 is rejected rather than simulated as something
+else.
 
 ``load_delay_tracking`` is the modern-processor scenario (Diavastos &
 Carlson, arXiv 2109.03112): the issue logic observes each load's
@@ -27,9 +30,11 @@ actual delay as the load resolves and reorders its ready queue around
 instructions whose operands it *knows* are still in flight.  The
 tracking table has finite capacity; only loads that win a table entry
 at issue time publish their delay to the issue logic.  Table size 0
-degrades exactly to the in-order interlocked model above, and a table
-at least as large as the number of loads in flight gives the hardware
-perfect per-load knowledge.  See ``docs/delay_tracking.md``.
+degrades exactly to the in-order interlocked model above -- the scalar
+simulator times every model as its delay-tracking engine's table-0
+case -- and a table at least as large as the number of loads in flight
+gives the hardware perfect per-load knowledge.  See
+``docs/delay_tracking.md``.
 """
 
 from __future__ import annotations
@@ -46,7 +51,9 @@ class ProcessorModel:
     introduction contrasts against: the processor stalls at every load
     until its data returns, so no instruction ever overlaps a memory
     access and instruction scheduling cannot hide latency at all.  All
-    of the paper's machines are non-blocking (the default).
+    of the paper's machines are non-blocking (the default).  Blocking
+    is modelled for single-issue machines only, so ``blocking_loads``
+    with ``issue_width`` > 1 raises ``ValueError``.
     """
 
     name: str
@@ -65,6 +72,11 @@ class ProcessorModel:
             raise ValueError("max_load_cycles must be >= 1")
         if self.load_delay_tracking is not None and self.load_delay_tracking < 0:
             raise ValueError("load_delay_tracking must be >= 0")
+        if self.blocking_loads and self.issue_width > 1:
+            raise ValueError(
+                f"blocking loads are modelled for single-issue machines "
+                f"only; {self.name} issues {self.issue_width} per cycle"
+            )
 
     def __str__(self) -> str:
         return self.name
@@ -117,6 +129,7 @@ def superscalar(width: int, base: ProcessorModel = UNLIMITED) -> ProcessorModel:
         max_outstanding_loads=base.max_outstanding_loads,
         max_load_cycles=base.max_load_cycles,
         issue_width=width,
+        blocking_loads=base.blocking_loads,
         load_delay_tracking=base.load_delay_tracking,
     )
 

@@ -271,9 +271,9 @@ def parse_simulate(payload: object) -> SimulateRequest:
     processor = _get_str(payload, "processor", "unlimited")
     try:
         parse_processor(processor)
-    except ValueError:
+    except ValueError as exc:
         raise RequestError(
-            f"unknown processor {processor!r}; choose from "
+            f"invalid processor {processor!r} ({exc}); choose from "
             f"{sorted(PROCESSORS)} or a spec like 'len8x2+dt4' "
             f"(<base>[x<width>][+dt<table>])"
         ) from None

@@ -13,7 +13,6 @@ from .simulator import (
     BlockSimResult,
     LatencyOverrunError,
     interlock_sweep,
-    run_block,
     simulate_block,
 )
 from .throughput import ThroughputResult, recurrence_bound, throughput
@@ -44,7 +43,6 @@ __all__ = [
     "BlockSimResult",
     "LatencyOverrunError",
     "interlock_sweep",
-    "run_block",
     "simulate_block",
     "ThroughputResult",
     "recurrence_bound",

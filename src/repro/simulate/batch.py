@@ -43,11 +43,7 @@ import numpy as np
 from ..ir.instructions import Instruction, Opcode
 from ..machine.processor import ProcessorModel, UNLIMITED
 from ..obs import recorder as _obs
-from .simulator import (
-    LatencyOverrunError,
-    conflict_successors,
-    warn_blocking_ignored,
-)
+from .simulator import LatencyOverrunError, conflict_successors
 
 
 #: ``BatchSimResult.causes`` codes besides an operand's position in
@@ -434,8 +430,7 @@ def _superscalar_kernel(
 ) -> BatchSimResult:
     """The ``issue_width > 1`` recurrence (Section 6 extension).
 
-    Mirrors the scalar ``_simulate_superscalar`` cycle for cycle.  Per
-    run the state is the current issue cycle, the number of slots
+    Per run the state is the current issue cycle, the number of slots
     already consumed in that cycle's issue group, and the count of
     *busy* cycles (cycles in which at least one instruction issued).
     An instruction's earliest issue is the current cycle -- or the next
@@ -444,17 +439,11 @@ def _superscalar_kernel(
     the same ``(runs,)`` vector machinery as the single-issue kernel.
     Whenever the issue time moves past the current cycle a fresh group
     opens there; interlocks are whole cycles in which nothing issued,
-    so ``interlock = total_cycles - busy_cycles``.
-
-    Like the scalar superscalar path, ``blocking_loads`` is ignored at
-    ``issue_width > 1`` (no such model exists in the paper or the
-    suite) -- loudly, via :func:`~repro.simulate.simulator.
-    warn_blocking_ignored`; exact scalar/batch agreement is what the
-    fuzz harness pins, for blocking configurations too.
+    so ``interlock = total_cycles - busy_cycles``.  (A blocking
+    machine is single-issue by construction: ``ProcessorModel`` rejects
+    ``blocking_loads`` at ``issue_width > 1``.)
     """
     width = processor.issue_width
-    if processor.blocking_loads:
-        warn_blocking_ignored(processor, runs)
     reg_ready = np.zeros((n_regs, runs), dtype=np.int64)
     cycle = np.zeros(runs, dtype=np.int64)
     slots_used = np.zeros(runs, dtype=np.int64)
@@ -579,8 +568,9 @@ def _delaytrack_kernel(
 ) -> BatchSimResult:
     """The delay-tracking adaptive-issue recurrence, across runs.
 
-    Mirrors the scalar ``_simulate_delaytrack`` decision for decision.
-    Because tracked-load delays differ per run, runs diverge in *issue
+    Makes the same decisions as the scalar engine
+    (``_simulate_delaytrack``), in independent code.  Because
+    tracked-load delays differ per run, runs diverge in *issue
     order* -- no single per-instruction sweep exists.  Instead the
     kernel runs a global step loop in which every unfinished run either
     parks head instructions, issues its best candidate, or advances its
@@ -601,9 +591,7 @@ def _delaytrack_kernel(
     table = processor.load_delay_tracking or 0
     max_out = processor.max_outstanding_loads
     limit = processor.max_load_cycles
-    blocking = processor.blocking_loads and width == 1
-    if processor.blocking_loads and width > 1:
-        warn_blocking_ignored(processor, runs)
+    blocking = processor.blocking_loads
 
     n = len(steps)
     if n == 0:

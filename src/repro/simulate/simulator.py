@@ -17,6 +17,16 @@ Processor constraints (Section 4.4):
   limit freezes the processor from ``issue + limit`` until its data
   returns; no instruction issues inside that window.
 
+One scalar engine, :func:`_simulate_delaytrack`, times every model: the
+delay-tracking front end with a table of size 0 never reorders, which
+is exactly the in-order interlocked machine.  It records one trace
+entry per executed instruction; :func:`simulate_block` summarises that
+trace into cycle totals, :func:`~repro.simulate.trace.trace_block`
+wraps it with per-instruction stall attribution, and
+:func:`delaytrack_issue_trace` exports its issue order.  The batch
+kernels in :mod:`repro.simulate.batch` share none of this code and are
+the independent reference the engine is tested against.
+
 Simulation is per basic block with cold state (the paper schedules and
 simulates block by block); a trailing load whose consumer lives in a
 later block costs nothing, identically for both schedulers.
@@ -24,20 +34,15 @@ later block costs nothing, identically for both schedulers.
 
 from __future__ import annotations
 
-import heapq
-import warnings
+import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.instructions import Instruction, Opcode
 from ..ir.operands import Register
-from ..machine.memory import MemorySystem
 from ..machine.processor import ProcessorModel, UNLIMITED
-from ..obs import recorder as _obs
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,15 @@ class BlockSimResult:
 
 class LatencyOverrunError(ValueError):
     """Raised when fewer latencies than loads are supplied."""
+
+
+class StallReason(enum.Enum):
+    """Why an instruction issued later than the previous one + 1."""
+
+    NONE = "none"
+    OPERAND = "operand"        # waiting for a source register
+    LOAD_SLOTS = "load-slots"  # MAX-n: too many outstanding loads
+    FREEZE = "freeze"          # LEN-n: processor frozen by a long load
 
 
 def _validate_latencies(
@@ -97,203 +111,18 @@ def simulate_block(
 
     ``latencies`` supplies the sampled latency of each load, in program
     order (pre-drawing them lets callers vectorise the sampling across
-    the 30 runs of an experiment).
+    the 30 runs of an experiment).  The result summarises the engine's
+    trace: a single-issue machine's interlocks are its cycles minus the
+    instructions issued; a multi-issue machine's are the cycles in
+    which nothing issued.
     """
-    _validate_latencies(instructions, latencies)
-    if processor.load_delay_tracking is not None:
-        return _simulate_delaytrack(instructions, latencies, processor)
-    if processor.issue_width > 1:
-        return _simulate_superscalar(instructions, latencies, processor)
-
-    reg_ready: Dict[Register, int] = {}
-    outstanding: List[int] = []  # completion times (MAX-n bookkeeping)
-    windows: List[Tuple[int, int]] = []  # LEN-n blocking windows
-    load_index = 0
-    next_free = 0
-    interlock = 0
-    issued = 0
-
-    for inst in instructions:
-        if inst.opcode is Opcode.NOP:
-            continue  # virtual no-ops never execute (hardware interlocks)
-
-        t = next_free
-        for reg in inst.all_uses():
-            ready = reg_ready.get(reg, 0)
-            if ready > t:
-                t = ready
-
-        if inst.is_load:
-            latency = int(latencies[load_index])
-            load_index += 1
-
-            if processor.max_outstanding_loads is not None:
-                t = _wait_for_load_slot(
-                    outstanding, t, processor.max_outstanding_loads
-                )
-        else:
-            latency = inst.latency
-
-        if processor.max_load_cycles is not None:
-            t = _apply_blocking_windows(windows, t)
-
-        interlock += t - next_free
-        issued += 1
-        completion = t + latency
-
-        if inst.is_load:
-            if processor.max_outstanding_loads is not None:
-                heapq.heappush(outstanding, completion)
-            if (
-                processor.max_load_cycles is not None
-                and latency > processor.max_load_cycles
-            ):
-                windows.append((t + processor.max_load_cycles, completion))
-
-        for reg in inst.defs:
-            reg_ready[reg] = completion
-        if inst.is_load and processor.blocking_loads:
-            # Conventional hardware: stall until the data returns.
-            interlock += completion - (t + 1)
-            next_free = completion
-        else:
-            next_free = t + 1
-
-    cycles = next_free
+    trace, cycles = _simulate_delaytrack(instructions, latencies, processor)
+    if processor.issue_width == 1:
+        busy = len(trace)
+    else:
+        busy = len({entry[1] for entry in trace})
     return BlockSimResult(
-        cycles=cycles, instructions=issued, interlock_cycles=interlock
-    )
-
-
-def _wait_for_load_slot(outstanding: List[int], t: int, limit: int) -> int:
-    """Delay ``t`` until fewer than ``limit`` loads are outstanding."""
-    while True:
-        while outstanding and outstanding[0] <= t:
-            heapq.heappop(outstanding)
-        if len(outstanding) < limit:
-            return t
-        t = outstanding[0]
-
-
-def _apply_blocking_windows(windows: List[Tuple[int, int]], t: int) -> int:
-    """Push ``t`` past every LEN-n freeze window it falls into.
-
-    ``windows`` is sorted by start time (windows are created at issue
-    time, and issue times increase monotonically), so one forward pass
-    reaches the fixed point: after a window pushes ``t`` to its end,
-    only windows with *later* starts can still contain ``t`` -- an
-    earlier window would already have triggered before ``t`` grew.
-    """
-    visited = 0
-    for start, end in windows:
-        if start > t:
-            break
-        if t < end:
-            t = end
-        visited += 1
-    if visited:
-        # Every visited window now lies fully in the past (it either
-        # pushed ``t`` to its end or had already expired); the rest
-        # start after ``t``.  Prune once per call.
-        del windows[:visited]
-    return t
-
-
-def warn_blocking_ignored(processor: ProcessorModel, runs: int = 1) -> None:
-    """Warn that ``blocking_loads`` has no effect at ``issue_width > 1``.
-
-    The multi-issue paths (scalar and batch alike) have always modelled
-    non-blocking loads only -- no blocking superscalar machine exists in
-    the paper or the suite -- but used to do so silently.  Both engines
-    now route through this helper: a ``RuntimeWarning`` (deduplicated by
-    Python's default warning filter) plus a ``sim.feature_ignored``
-    counter so the gap is visible in metrics, mirroring the
-    ``sim.attribution_skipped`` convention.  See ``docs/performance.md``.
-    """
-    warnings.warn(
-        f"blocking_loads is ignored at issue_width > 1 "
-        f"(processor {processor.name}): the multi-issue engines model "
-        f"non-blocking loads only",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    rec = _obs.get()
-    if rec is not None:
-        rec.metrics.inc(
-            "sim.feature_ignored",
-            runs,
-            feature="blocking-loads",
-            reason="multi-issue",
-            processor=processor.name,
-        )
-
-
-def _simulate_superscalar(
-    instructions: Sequence[Instruction],
-    latencies: Sequence[int],
-    processor: ProcessorModel,
-) -> BlockSimResult:
-    """In-order multi-issue variant (Section 6 extension).
-
-    Up to ``issue_width`` instructions issue per cycle, in order; a
-    stalled instruction stalls everything behind it.  Interlock cycles
-    are reported as whole cycles in which nothing issued.
-    """
-    width = processor.issue_width
-    if processor.blocking_loads:
-        warn_blocking_ignored(processor)
-    reg_ready: Dict[Register, int] = {}
-    outstanding: List[int] = []
-    windows: List[Tuple[int, int]] = []
-    load_index = 0
-    cycle = 0
-    slots_used = 0
-    issued = 0
-    busy_cycles: set = set()
-
-    for inst in instructions:
-        if inst.opcode is Opcode.NOP:
-            continue
-        t = cycle
-        if slots_used >= width:
-            t = cycle + 1
-        for reg in inst.all_uses():
-            ready = reg_ready.get(reg, 0)
-            if ready > t:
-                t = ready
-        if inst.is_load:
-            latency = int(latencies[load_index])
-            load_index += 1
-            if processor.max_outstanding_loads is not None:
-                t = _wait_for_load_slot(
-                    outstanding, t, processor.max_outstanding_loads
-                )
-        else:
-            latency = inst.latency
-        if processor.max_load_cycles is not None:
-            t = _apply_blocking_windows(windows, t)
-
-        if t > cycle:
-            cycle, slots_used = t, 0
-        completion = cycle + latency
-        if inst.is_load:
-            if processor.max_outstanding_loads is not None:
-                heapq.heappush(outstanding, completion)
-            if (
-                processor.max_load_cycles is not None
-                and latency > processor.max_load_cycles
-            ):
-                windows.append((cycle + processor.max_load_cycles, completion))
-        for reg in inst.defs:
-            reg_ready[reg] = completion
-        busy_cycles.add(cycle)
-        slots_used += 1
-        issued += 1
-
-    total_cycles = cycle + 1 if issued else 0
-    interlock = total_cycles - len(busy_cycles)
-    return BlockSimResult(
-        cycles=total_cycles, instructions=issued, interlock_cycles=interlock
+        cycles=cycles, instructions=len(trace), interlock_cycles=cycles - busy
     )
 
 
@@ -321,9 +150,9 @@ def _simulate_delaytrack(
     instructions: Sequence[Instruction],
     latencies: Sequence[int],
     processor: ProcessorModel,
-    issue_log: Optional[List[Tuple[int, int]]] = None,
-) -> BlockSimResult:
-    """Delay-tracking adaptive issue (the modern-processor scenario).
+    attribute: bool = False,
+) -> Tuple[List[tuple], int]:
+    """The scalar reference engine: delay-tracking adaptive issue.
 
     The issue logic keeps a ``load_delay_tracking``-entry table; a load
     wins an entry at issue time when fewer than that many tracked loads
@@ -341,21 +170,31 @@ def _simulate_delaytrack(
     respects every register dependence, store ordering under
     no-alias-knowledge, terminator placement and the MAX-n / LEN-n /
     BLOCKING resource rules (see :func:`conflict_successors` and
-    ``docs/delay_tracking.md``).  Table size 0 reproduces the in-order
-    interlocked model exactly; a table larger than the block's load
-    count gives perfect per-load knowledge.
+    ``docs/delay_tracking.md``).  A processor without a table (or with
+    a table of size 0) never parks anything: that is the in-order
+    interlocked model of the paper, single- or multi-issue.  A table
+    larger than the block's load count gives perfect per-load
+    knowledge.
 
-    ``issue_log``, when supplied, receives ``(source_position,
-    issue_cycle)`` per executed instruction in issue order -- the trace
-    the verification oracle's admissibility check consumes.
+    Returns ``(trace, cycles)``.  ``trace`` holds one tuple per
+    executed (non-NOP) instruction, in issue order: ``(index, issue,
+    completion)``, with ``index`` its source position.  With
+    ``attribute`` -- only meaningful for the in-order, single-issue,
+    non-blocking models :func:`~repro.simulate.trace.check_traceable`
+    accepts -- each tuple continues with ``(stall, reason, waited_on,
+    waited_on_writer)``: the cycles since the previous issue slot and
+    what bound them.  The first operand whose ready time is the maximum
+    is the cause, overridden by a MAX-n slot wait and then by a LEN-n
+    freeze.  ``cycles`` is the block's runtime: the next free issue
+    slot after the last instruction (single issue; a blocking load
+    holds it until its data returns), or the last issue cycle + 1.
     """
+    _validate_latencies(instructions, latencies)
     width = processor.issue_width
     table = processor.load_delay_tracking or 0
     max_out = processor.max_outstanding_loads
     limit = processor.max_load_cycles
-    blocking = processor.blocking_loads and width == 1
-    if processor.blocking_loads and width > 1:
-        warn_blocking_ignored(processor)
+    blocking = processor.blocking_loads
 
     steps = [
         (pos, inst)
@@ -363,8 +202,9 @@ def _simulate_delaytrack(
         if inst.opcode is not Opcode.NOP
     ]
     n = len(steps)
+    trace: List[tuple] = []
     if n == 0:
-        return BlockSimResult(cycles=0, instructions=0, interlock_cycles=0)
+        return trace, 0
 
     uses: List[Tuple[Register, ...]] = [inst.all_uses() for _, inst in steps]
     defs: List[Tuple[Register, ...]] = [inst.defs for _, inst in steps]
@@ -376,7 +216,9 @@ def _simulate_delaytrack(
         load_col.append(col if flag else -1)
         col += flag
     n_loads = col
-    succ = conflict_successors([inst for _, inst in steps])
+    # Only a parked instruction reads its conflict successors, and
+    # without a table nothing ever parks.
+    succ = conflict_successors([inst for _, inst in steps]) if table else None
 
     PENDING, PARKED, ISSUED = 0, 1, 2
     status = [PENDING] * n
@@ -385,7 +227,8 @@ def _simulate_delaytrack(
     parked: List[int] = []    # ascending program order
     reg_ready: Dict[Register, int] = {}
     reg_tracked: Dict[Register, bool] = {}
-    pending_writers: Dict[Register, int] = {}
+    reg_writer: Dict[Register, int] = {}  # attribution only
+    pending_writers: Dict[Register, int] = {}  # empty until a park
     # MAX-n: the max_out largest completions of issued loads, ascending
     # (zero-filled below capacity) -- same formulation as the batch
     # kernel's top-k array, so a load waits until top[0].
@@ -400,16 +243,16 @@ def _simulate_delaytrack(
     head = 0
     issued_count = 0
     next_free = 0             # width == 1 accounting
-    interlock = 0
     cycle = 0                 # width > 1 accounting
     slots_used = 0
-    busy_cycles: set = set()
     now = 0                   # current evaluation time, >= earliest slot
 
     def apply_windows(t: int) -> int:
-        # Non-mutating variant of _apply_blocking_windows: candidate
-        # evaluation probes hypothetical issue times, so pruning is
-        # deferred to the outer loop (by ``now``, which only grows).
+        # Push ``t`` past every freeze window it falls into.  Windows
+        # are sorted by start, so one forward pass reaches the fixed
+        # point.  Candidate evaluation probes hypothetical issue times,
+        # so pruning is left to the outer loop (by ``now``, which only
+        # grows).
         for start, end in windows:
             if start > t:
                 break
@@ -430,9 +273,11 @@ def _simulate_delaytrack(
 
         # Fetch/park: advance past head instructions whose only
         # in-flight operands are issued tracked loads.
-        while head < n:
+        while table and head < n:
             head_uses = uses[head]
-            if any(pending_writers.get(r, 0) for r in head_uses):
+            if pending_writers and any(
+                pending_writers.get(r, 0) for r in head_uses
+            ):
                 break
             ready = 0
             for r in head_uses:
@@ -472,7 +317,9 @@ def _simulate_delaytrack(
         head_event = -1
         if head < n:
             head_uses = uses[head]
-            if not any(pending_writers.get(r, 0) for r in head_uses):
+            if not pending_writers or not any(
+                pending_writers.get(r, 0) for r in head_uses
+            ):
                 ready = 0
                 for r in head_uses:
                     rr = reg_ready.get(r, 0)
@@ -482,7 +329,7 @@ def _simulate_delaytrack(
                     e = earliest_issue(head, ready if ready > now else now)
                     if best_j < 0 or e < best_e:
                         best_e, best_j = e, head
-                if ready > now:
+                if table and ready > now:
                     # Earliest time the head's blocker set changes; the
                     # park decision must be re-evaluated there (an
                     # untracked stall resolving can unlock parking
@@ -494,23 +341,51 @@ def _simulate_delaytrack(
                     )
 
         if best_e > now:
-            now = best_e if head_event < 0 or head_event > best_e else head_event
-            continue
+            # Advance to the next event and re-evaluate there.  Without
+            # a table nothing parks, so the re-evaluation would choose
+            # the same candidate at the same time: issue it straight away.
+            now = head_event if 0 <= head_event < best_e else best_e
+            if table:
+                continue
 
         # Issue best_j at ``now``.
         j = best_j
         e = now
+        index = steps[j][0]
         lat = int(latencies[load_col[j]]) if is_load[j] else static_lat[j]
-        if width == 1:
-            interlock += e - next_free
-            next_free = e + 1
-        else:
-            if e > cycle:
-                cycle = e
-                slots_used = 0
-            busy_cycles.add(cycle)
-            slots_used += 1
         completion = e + lat
+        if attribute:
+            # In order, so ``j`` is the head and ``e`` the in-order
+            # issue time: find which bound set it, before this
+            # instruction's own results update the machine state.  Each
+            # bound that moves ``t`` lies past ``next_free``, so an
+            # unstalled instruction keeps reason NONE.
+            t = next_free
+            reason = StallReason.NONE
+            waited_on = None
+            for r in uses[j]:
+                rr = reg_ready.get(r, 0)
+                if rr > t:
+                    t, reason, waited_on = rr, StallReason.OPERAND, r
+            if is_load[j] and top is not None and top[0] > t:
+                t, reason, waited_on = top[0], StallReason.LOAD_SLOTS, None
+            if e > t:
+                reason, waited_on = StallReason.FREEZE, None
+            trace.append((
+                index, e, completion, e - next_free, reason, waited_on,
+                reg_writer.get(waited_on),
+            ))
+            for d in defs[j]:
+                reg_writer[d] = index
+        else:
+            trace.append((index, e, completion))
+        if width == 1:
+            next_free = e + 1
+        elif e > cycle:
+            cycle = e
+            slots_used = 1
+        else:
+            slots_used += 1
         tracked = False
         if is_load[j]:
             if top is not None:
@@ -527,7 +402,6 @@ def _simulate_delaytrack(
                 track_top.sort()
             if blocking:
                 # Conventional hardware: stall until the data returns.
-                interlock += completion - (e + 1)
                 next_free = completion
         for d in defs[j]:
             reg_ready[d] = completion
@@ -542,23 +416,12 @@ def _simulate_delaytrack(
             head += 1
         status[j] = ISSUED
         issued_count += 1
-        if issue_log is not None:
-            issue_log.append((steps[j][0], e))
         if width == 1:
             now = next_free
         else:
             now = cycle if slots_used < width else cycle + 1
 
-    if width == 1:
-        return BlockSimResult(
-            cycles=next_free, instructions=n, interlock_cycles=interlock
-        )
-    total_cycles = cycle + 1
-    return BlockSimResult(
-        cycles=total_cycles,
-        instructions=n,
-        interlock_cycles=total_cycles - len(busy_cycles),
-    )
+    return trace, next_free if width == 1 else cycle + 1
 
 
 def delaytrack_issue_trace(
@@ -576,22 +439,8 @@ def delaytrack_issue_trace(
         raise ValueError(
             f"processor {processor.name} has no delay-tracking table"
         )
-    _validate_latencies(instructions, latencies)
-    log: List[Tuple[int, int]] = []
-    _simulate_delaytrack(instructions, latencies, processor, issue_log=log)
-    return log
-
-
-def run_block(
-    block: BasicBlock,
-    processor: ProcessorModel,
-    memory: MemorySystem,
-    rng: np.random.Generator,
-) -> BlockSimResult:
-    """Sample latencies from ``memory`` and simulate ``block`` once."""
-    n_loads = sum(1 for i in block.instructions if i.is_load)
-    latencies = memory.sample_many(rng, n_loads)
-    return simulate_block(block.instructions, latencies, processor)
+    trace, _ = _simulate_delaytrack(instructions, latencies, processor)
+    return [(entry[0], entry[1]) for entry in trace]
 
 
 def interlock_sweep(

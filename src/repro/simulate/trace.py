@@ -1,38 +1,26 @@
 """Cycle-by-cycle execution traces and pipeline diagrams.
 
-:func:`trace_block` replays one execution of a block (same semantics
-as :func:`repro.simulate.simulator.simulate_block`) but records, per
-instruction, the issue cycle, completion cycle, stall length and the
-*reason* for the stall -- which register it waited on, or which
-processor constraint (MAX-n slot, LEN-n freeze) bit.  This is the tool
-for answering "where did the interlocks in this schedule come from?",
-and the ASCII renderer draws the classic pipeline occupancy diagram.
-
-The trace is validated against the simulator in the test suite: total
-cycles and interlocks always agree.
+:func:`trace_block` records one execution of a block as the simulator's
+engine times it (:func:`repro.simulate.simulator.simulate_block` is a
+summary of the same trace): per instruction, the issue cycle,
+completion cycle, stall length and the *reason* for the stall -- which
+register it waited on, or which processor constraint (MAX-n slot, LEN-n
+freeze) bit.  This is the tool for answering "where did the interlocks
+in this schedule come from?", and the ASCII renderer draws the classic
+pipeline occupancy diagram.
 """
 
 from __future__ import annotations
 
-import enum
-import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..ir.block import BasicBlock
-from ..ir.instructions import Instruction, Opcode
+from ..ir.instructions import Instruction
 from ..ir.operands import Register
 from ..machine.memory import MemorySystem
 from ..machine.processor import ProcessorModel, UNLIMITED
-
-
-class StallReason(enum.Enum):
-    """Why an instruction issued later than the previous one + 1."""
-
-    NONE = "none"
-    OPERAND = "operand"        # waiting for a source register
-    LOAD_SLOTS = "load-slots"  # MAX-n: too many outstanding loads
-    FREEZE = "freeze"          # LEN-n: processor frozen by a long load
+from .simulator import StallReason, _simulate_delaytrack
 
 
 @dataclass(frozen=True)
@@ -204,11 +192,12 @@ class BlockTrace:
 
 
 def check_traceable(processor: ProcessorModel) -> None:
-    """Raise ``ValueError`` unless :func:`trace_block` times
-    ``processor`` exactly as ``simulate_block`` does.
+    """Raise ``ValueError`` unless :func:`trace_block` can attribute
+    every stall of ``processor``.
 
-    The replay models the paper's in-order, single-issue, non-blocking
-    processors.  Anything else would come out silently mis-timed.
+    Stall attribution models the paper's in-order, single-issue,
+    non-blocking processors.  Anything else has stalls that no single
+    earlier issue slot explains.
     """
     if processor.issue_width != 1:
         raise ValueError(
@@ -235,114 +224,20 @@ def trace_block(
     latencies: Sequence[int],
     processor: ProcessorModel = UNLIMITED,
 ) -> BlockTrace:
-    """Replay one execution, recording per-instruction timing.
+    """Record one execution, with per-instruction timing and stalls.
 
     Only for processors :func:`check_traceable` accepts (the paper's
     models); latencies are supplied per load in program order, as for
     ``simulate_block``.
     """
     check_traceable(processor)
-
-    reg_ready: Dict[Register, int] = {}
-    reg_writer: Dict[Register, int] = {}
-    outstanding: List[int] = []
-    windows: List[Tuple[int, int]] = []
-    load_index = 0
-    next_free = 0
-    entries: List[TraceEntry] = []
-
-    for index, inst in enumerate(instructions):
-        if inst.opcode is Opcode.NOP:
-            continue
-
-        t = next_free
-        reason = StallReason.NONE
-        waited_on: Optional[Register] = None
-        for reg in inst.all_uses():
-            ready = reg_ready.get(reg, 0)
-            if ready > t:
-                t = ready
-                reason = StallReason.OPERAND
-                waited_on = reg
-
-        if inst.is_load:
-            latency = int(latencies[load_index])
-            load_index += 1
-            if processor.max_outstanding_loads is not None:
-                slot_time = _slot_time(
-                    outstanding, t, processor.max_outstanding_loads
-                )
-                if slot_time > t:
-                    t = slot_time
-                    reason = StallReason.LOAD_SLOTS
-                    waited_on = None
-        else:
-            latency = inst.latency
-
-        if processor.max_load_cycles is not None:
-            frozen = _frozen_until(windows, t)
-            if frozen > t:
-                t = frozen
-                reason = StallReason.FREEZE
-                waited_on = None
-
-        stall = t - next_free
-        completion = t + latency
-        # Resolve the writer before this instruction's own defs clobber
-        # the writer map (e.g. ``r1 = r1 + 1``).
-        writer = (
-            reg_writer.get(waited_on)
-            if stall and waited_on is not None
-            else None
-        )
-        if inst.is_load:
-            if processor.max_outstanding_loads is not None:
-                heapq.heappush(outstanding, completion)
-            if (
-                processor.max_load_cycles is not None
-                and latency > processor.max_load_cycles
-            ):
-                windows.append((t + processor.max_load_cycles, completion))
-        for reg in inst.defs:
-            reg_ready[reg] = completion
-            reg_writer[reg] = index
-
-        entries.append(
-            TraceEntry(
-                index=index,
-                instruction=inst,
-                issue=t,
-                completion=completion,
-                stall=stall,
-                reason=reason if stall else StallReason.NONE,
-                waited_on=waited_on if stall else None,
-                waited_on_writer=writer,
-            )
-        )
-        next_free = t + 1
-
-    return BlockTrace(entries=entries)
-
-
-def _slot_time(outstanding: List[int], t: int, limit: int) -> int:
-    while True:
-        while outstanding and outstanding[0] <= t:
-            heapq.heappop(outstanding)
-        if len(outstanding) < limit:
-            return t
-        t = outstanding[0]
-
-
-def _frozen_until(windows: List[Tuple[int, int]], t: int) -> int:
-    moved = True
-    while moved:
-        moved = False
-        for start, end in windows:
-            if start <= t < end:
-                t = end
-                moved = True
-    windows[:] = [(s, e) for s, e in windows if e > t]
-    return t
+    trace, _ = _simulate_delaytrack(
+        instructions, latencies, processor, attribute=True
+    )
+    return BlockTrace(entries=[
+        TraceEntry(index, instructions[index], *timing)
+        for index, *timing in trace
+    ])
 
 
 def trace_with_memory(

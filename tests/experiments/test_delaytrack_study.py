@@ -153,3 +153,10 @@ class TestTraceCliGuards:
         assert cli_main(["trace", "x.mf", "--processor", "blocking"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "non-blocking" in err
+
+    @pytest.mark.parametrize("spec", ("blockingx2", "blockingx4+dt2"))
+    def test_trace_rejects_blocking_multi_issue_specs(self, capsys, spec):
+        assert cli_main(["trace", "x.mf", "--processor", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "blocking loads are modelled for single-issue" in err

@@ -557,6 +557,18 @@ class TestRequestValidation:
         assert excinfo.value.status == 400
         assert "dt8turbo" in str(excinfo.value)
 
+    @pytest.mark.parametrize("spec", ("blockingx2", "blockingx2+dt4"))
+    def test_blocking_multi_issue_processor_is_400(self, served, spec):
+        """A blocking multi-issue machine is not modelled: refused, not
+        answered as if its loads did not block."""
+        _, client = served
+        with pytest.raises(ServiceError) as excinfo:
+            client.simulate(processor=spec, **SIM_PAYLOAD)
+        assert excinfo.value.status == 400
+        assert "blocking loads are modelled for single-issue" in str(
+            excinfo.value
+        )
+
     def test_unknown_program_is_400(self, served):
         _, client = served
         with pytest.raises(ServiceError) as excinfo:

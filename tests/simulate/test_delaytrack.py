@@ -5,9 +5,10 @@ this file pins the model's *degeneracies* -- the boundary shapes that
 make the delay-tracking semantics checkable without a second
 implementation:
 
-* table size 0 reproduces the existing in-order interlocked model
-  exactly (cycles *and* interlocks), across every memory family and
-  issue width;
+* table size 0 reproduces the in-order interlocked model exactly
+  (cycles *and* interlocks), across every memory family and issue
+  width -- checked against the batch kernels' in-order paths, which
+  share no code with the scalar engine;
 * a table at least as large as the block's load count saturates --
   perfect per-load knowledge; growing it further changes nothing --
   and on a crafted block achieves the reordering the in-order machine
@@ -17,8 +18,8 @@ implementation:
   reorder and the BLOCKING baseline is reproduced exactly;
 * empty / all-NOP / zero-run edges and malformed-input parity with the
   existing kernels, asserted before any fast path;
-* the ``blocking_loads``-at-``issue_width > 1`` gap warns instead of
-  staying silent, on both engines.
+* a blocking multi-issue machine is rejected wherever one can be
+  built or named, rather than simulated as a non-blocking one.
 """
 
 import numpy as np
@@ -81,6 +82,18 @@ def _scalar_rows(instructions, latencies, processor):
     ]
 
 
+def _assert_matches_batch(instructions, latencies, processor, base):
+    """The scalar engine on ``processor`` against the batch kernel on
+    ``base``, run by run."""
+    batch = simulate_block_batch(instructions, latencies, base)
+    for run, scalar in enumerate(
+        _scalar_rows(instructions, latencies, processor)
+    ):
+        assert scalar.cycles == int(batch.cycles[run])
+        assert scalar.interlock_cycles == int(batch.interlocks[run])
+        assert scalar.instructions == batch.instructions
+
+
 def _assert_matches_scalar(instructions, latencies, processor):
     batch = simulate_block_batch(instructions, latencies, processor)
     for run, scalar in enumerate(
@@ -103,14 +116,9 @@ def test_table_zero_is_the_base_model(base, seed):
     base in-order model on every run."""
     block = _block(seed)
     latencies = _latencies(block, seed)
-    dt = delay_tracking(0, base)
-    for row in latencies:
-        row_list = [int(x) for x in row]
-        got = simulate_block(block.instructions, row_list, dt)
-        want = simulate_block(block.instructions, row_list, base)
-        assert got.cycles == want.cycles
-        assert got.interlock_cycles == want.interlock_cycles
-        assert got.instructions == want.instructions
+    _assert_matches_batch(
+        block.instructions, latencies, delay_tracking(0, base), base
+    )
 
 
 @pytest.mark.parametrize("width", (2, 4))
@@ -119,13 +127,9 @@ def test_table_zero_matches_superscalar(width, seed):
     block = _block(seed)
     latencies = _latencies(block, seed)
     for base in (superscalar(width), superscalar(width, MAX_8)):
-        dt = delay_tracking(0, base)
-        for row in latencies:
-            row_list = [int(x) for x in row]
-            got = simulate_block(block.instructions, row_list, dt)
-            want = simulate_block(block.instructions, row_list, base)
-            assert got.cycles == want.cycles
-            assert got.interlock_cycles == want.interlock_cycles
+        _assert_matches_batch(
+            block.instructions, latencies, delay_tracking(0, base), base
+        )
 
 
 # ----------------------------------------------------------------------
@@ -211,13 +215,10 @@ def test_blocking_machine_is_unchanged_by_tracking(table, seed):
     reproduced exactly, interlocks included."""
     block = _block(seed)
     latencies = _latencies(block, seed)
-    dt = delay_tracking(table, BLOCKING)
-    for row in latencies:
-        row_list = [int(x) for x in row]
-        got = simulate_block(block.instructions, row_list, dt)
-        want = simulate_block(block.instructions, row_list, BLOCKING)
-        assert got.cycles == want.cycles
-        assert got.interlock_cycles == want.interlock_cycles
+    _assert_matches_batch(
+        block.instructions, latencies, delay_tracking(table, BLOCKING),
+        BLOCKING,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -348,51 +349,34 @@ def test_model_family_and_parsing():
 
 
 # ----------------------------------------------------------------------
-# blocking_loads at issue_width > 1 warns on both engines
+# blocking_loads at issue_width > 1 is rejected, not simulated
 # ----------------------------------------------------------------------
-BLOCKING_X2 = ProcessorModel("BLOCKINGx2", blocking_loads=True, issue_width=2)
+BLOCKING_AT_WIDTH = "blocking loads are modelled for single-issue"
 
 
-@pytest.mark.parametrize(
-    "processor",
-    [BLOCKING_X2, delay_tracking(2, BLOCKING_X2)],
-    ids=lambda p: p.name,
-)
-def test_blocking_at_width_warns_scalar(processor):
-    block = _two_load_block()
-    with pytest.warns(RuntimeWarning, match="blocking_loads is ignored"):
-        simulate_block(block, [3, 4], processor)
-
-
-@pytest.mark.parametrize(
-    "processor",
-    [BLOCKING_X2, delay_tracking(2, BLOCKING_X2)],
-    ids=lambda p: p.name,
-)
-def test_blocking_at_width_warns_batch_and_counts(processor):
-    block = _two_load_block()
-    latencies = np.full((RUNS, 2), 3, dtype=np.int64)
-    with obs.recording() as rec:
-        with pytest.warns(RuntimeWarning, match="blocking_loads is ignored"):
-            simulate_block_batch(block, latencies, processor)
-    ignored = {
-        split_series_key(key)[1].get("feature"): value
-        for key, value in rec.metrics.counters.items()
-        if split_series_key(key)[0] == "sim.feature_ignored"
-    }
-    assert ignored == {"blocking-loads": RUNS}
-
-
-def test_nonblocking_multi_issue_does_not_warn(recwarn):
-    import warnings as _warnings
-
-    block = _two_load_block()
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error", RuntimeWarning)
-        simulate_block(block, [3, 4], superscalar(4))
-        simulate_block_batch(
-            block, np.full((RUNS, 2), 3, dtype=np.int64), superscalar(4)
+@pytest.mark.parametrize("table", (None, 0, 2))
+def test_processor_model_rejects_blocking_multi_issue(table):
+    with pytest.raises(ValueError, match=BLOCKING_AT_WIDTH):
+        ProcessorModel(
+            "BLOCKINGx2", blocking_loads=True, issue_width=2,
+            load_delay_tracking=table,
         )
+
+
+@pytest.mark.parametrize("width", (2, 4))
+def test_superscalar_keeps_blocking_and_rejects_it(width):
+    with pytest.raises(ValueError, match=f"BLOCKINGx{width} issues"):
+        superscalar(width, BLOCKING)
+    with pytest.raises(ValueError, match=BLOCKING_AT_WIDTH):
+        superscalar(width, delay_tracking(2, BLOCKING))
+    assert superscalar(1, BLOCKING).blocking_loads
+
+
+@pytest.mark.parametrize("spec", ("blockingx2", "blockingx4+dt2"))
+def test_parse_processor_rejects_blocking_multi_issue(spec):
+    with pytest.raises(ValueError, match=BLOCKING_AT_WIDTH):
+        parse_processor(spec)
+    assert parse_processor("blockingx1") == BLOCKING
 
 
 # ----------------------------------------------------------------------
