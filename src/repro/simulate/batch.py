@@ -20,7 +20,11 @@ fallback:
 * ``issue_width`` > 1 (the Section 6 superscalar extension), via
   :func:`_superscalar_kernel`: the per-run issue clock and the number
   of slots consumed in the current issue group become ``(runs,)``
-  vectors, composed with the same top-k and window machinery.
+  vectors, composed with the same top-k and window machinery;
+* a nonzero ``load_delay_tracking`` table, via
+  :func:`_delaytrack_kernel`.  A table of size 0 never parks an
+  instruction, so it is the in-order machine and runs on the kernels
+  above.
 
 On request (``attribute=True``) the single-issue kernel also records
 each step's stall and what bound it -- the stall attribution behind
@@ -43,7 +47,7 @@ import numpy as np
 from ..ir.instructions import Instruction, Opcode
 from ..machine.processor import ProcessorModel, UNLIMITED
 from ..obs import recorder as _obs
-from .simulator import LatencyOverrunError, conflict_successors
+from .simulator import LatencyOverrunError
 
 
 #: ``BatchSimResult.causes`` codes besides an operand's position in
@@ -234,8 +238,9 @@ def use_writers(
 def attribution_skip_reason(processor: ProcessorModel) -> Optional[str]:
     """Why stall attribution does not cover ``processor`` (``None`` for
     the in-order, single-issue, non-blocking models it does -- the
-    ones :func:`~repro.simulate.trace.trace_block` times)."""
-    if processor.load_delay_tracking is not None:
+    ones :func:`~repro.simulate.trace.trace_block` times, including a
+    delay-tracking table of size 0, which never reorders)."""
+    if processor.load_delay_tracking:
         # A delay-tracking front end reorders issue, so in-order
         # attribution does not describe it even at width 1.
         return "delay-tracking"
@@ -292,7 +297,7 @@ def simulate_block_batch(
         empty = np.zeros(0, dtype=np.int64)
         return BatchSimResult(empty, len(executed), empty.copy())
 
-    if processor.load_delay_tracking is not None:
+    if processor.load_delay_tracking:
         kernel = "delaytrack"
     elif processor.issue_width > 1:
         kernel = "superscalar"
@@ -558,6 +563,42 @@ class _DTWindows:
             self.ends = [self.ends[k] for k in keep]
 
 
+def _conflict_matrix(
+    uses_pad: np.ndarray,
+    defs_pad: np.ndarray,
+    def_sent: int,
+    is_mem: np.ndarray,
+    is_store: np.ndarray,
+    is_term: np.ndarray,
+) -> np.ndarray:
+    """The delay-tracking hardware's ordering constraints, as an
+    ``(n, n)`` int16 matrix: ``[j, i] = 1`` for each ``i < j`` whose
+    issue must precede ``j``'s.
+
+    A pair conflicts when one writes a register the other reads or
+    writes, when both access memory and one is a store (the issue logic
+    has no alias knowledge), or when either is a terminator.
+    ``uses_pad`` / ``defs_pad`` are the kernel's padded register rows,
+    ``def_sent`` the padding of ``defs_pad``.
+    """
+    n = len(defs_pad)
+    # Def padding becomes -1, which matches no register and no padding.
+    written = np.where(defs_pad == def_sent, -1, defs_pad)
+    touched = np.concatenate((uses_pad, defs_pad), axis=1)
+    # writes[i, j]: some def of i is read or written by j; a register
+    # overlap in either direction is its union with the transpose.
+    writes = np.zeros((n, n), dtype=bool)
+    for d in written.T:
+        for t in touched.T:
+            writes |= d[:, None] == t[None, :]
+    pair = writes | writes.T
+    pair |= is_mem[:, None] & is_mem[None, :] & (
+        is_store[:, None] | is_store[None, :]
+    )
+    pair |= is_term[:, None] | is_term[None, :]
+    return np.tril(pair, -1).astype(np.int16)
+
+
 def _delaytrack_kernel(
     executed: Sequence[Instruction],
     steps: Sequence[_Step],
@@ -569,7 +610,11 @@ def _delaytrack_kernel(
     """The delay-tracking adaptive-issue recurrence, across runs.
 
     Makes the same decisions as the scalar engine
-    (``_simulate_delaytrack``), in independent code.  Because
+    (``_simulate_delaytrack``), in independent code -- down to the
+    conflict rule, restated as array operations by
+    :func:`_conflict_matrix`.  The table is nonzero: a table of size 0
+    never parks, and :func:`simulate_block_batch` runs it on the
+    in-order kernels.  Because
     tracked-load delays differ per run, runs diverge in *issue
     order* -- no single per-instruction sweep exists.  Instead the
     kernel runs a global step loop in which every unfinished run either
@@ -588,7 +633,7 @@ def _delaytrack_kernel(
     (earliest-issue, oldest-first) choices.
     """
     width = processor.issue_width
-    table = processor.load_delay_tracking or 0
+    table = processor.load_delay_tracking
     max_out = processor.max_outstanding_loads
     limit = processor.max_load_cycles
     blocking = processor.blocking_loads
@@ -609,6 +654,9 @@ def _delaytrack_kernel(
     uses_pad = np.full((n, n_uses), use_sent, dtype=np.int64)
     defs_pad = np.full((n, n_defs), def_sent, dtype=np.int64)
     is_load = np.zeros(n, dtype=bool)
+    is_mem = np.array([inst.is_mem for inst in executed], dtype=bool)
+    is_store = np.array([inst.is_store for inst in executed], dtype=bool)
+    is_term = np.array([inst.is_terminator for inst in executed], dtype=bool)
     static_lat = np.zeros(n, dtype=np.int64)
     load_col = np.zeros(n, dtype=np.int64)
     col = 0
@@ -621,12 +669,11 @@ def _delaytrack_kernel(
             load_col[j] = col
             col += 1
     n_loads = col
-    is_term = np.array([inst.is_terminator for inst in executed], dtype=bool)
-    # conflict[j, i] = 1 for i < j whose issue must precede j's; column
-    # i is the +/- increment applied to ``blocked`` when i parks/issues.
-    conflict = np.zeros((n, n), dtype=np.int16)
-    for i, successors in enumerate(conflict_successors(executed)):
-        conflict[successors, i] = 1
+    # Column i is the +/- increment applied to ``blocked`` when i
+    # parks/issues.
+    conflict = _conflict_matrix(
+        uses_pad, defs_pad, def_sent, is_mem, is_store, is_term
+    )
 
     # ------------------------------------------------------------------
     # Per-run machine state.
@@ -656,23 +703,11 @@ def _delaytrack_kernel(
     )
     always_tracked = table > n_loads
     track_top = (
-        np.zeros((table, runs), dtype=np.int64)
-        if 0 < table <= n_loads
-        else None
+        None if always_tracked else np.zeros((table, runs), dtype=np.int64)
     )
     windows = _DTWindows() if limit is not None else None
 
-    def head_view(idx: np.ndarray) -> tuple:
-        """Readiness of each listed run's head instruction: (computable,
-        ready time, per-use ready times, per-use in-flight mask)."""
-        h = head[idx]
-        rows = uses_pad[h]                       # (k, n_uses)
-        cols = idx[:, None]
-        computable = (pending_writers[rows, cols] == 0).all(axis=1)
-        rr = reg_ready[rows, cols]
-        ready = rr.max(axis=1)
-        in_flight = rr > now[idx][:, None]
-        return h, computable, ready, rr, in_flight
+    n_parked = 0                  # parked, not yet issued, over all runs
 
     while True:
         act = np.nonzero(issued_count < n)[0]
@@ -680,23 +715,32 @@ def _delaytrack_kernel(
             break
         if windows is not None:
             windows.prune(now)
+        now_act = now[act]        # ``now`` is fixed until issue/advance
 
         # ------------------------------------------------------------
         # Fetch/park: per run, park head instructions whose in-flight
-        # operands are all issued tracked loads.
+        # operands are all issued tracked loads.  The pass that parks
+        # nothing leaves the state as it found it, so its view of the
+        # heads (readiness, per-use ready times, in-flight mask) also
+        # serves the head-event step below.
         # ------------------------------------------------------------
         while True:
-            can = act[head[act] < n]
+            has_head = head[act] < n
+            can = act[has_head]
             if can.size == 0:
                 break
-            h, computable, ready, rr, in_flight = head_view(can)
-            tracked_ok = (
-                ~in_flight | reg_tracked[uses_pad[h], can[:, None]]
-            ).all(axis=1)
+            h = head[can]
+            rows = uses_pad[h]                   # (k, n_uses)
+            cols = can[:, None]
+            computable = (pending_writers[rows, cols] == 0).all(axis=1)
+            rr = reg_ready[rows, cols]
+            ready = rr.max(axis=1)
+            now_h = now[can]
+            in_flight = rr > now_h[:, None]
+            stalled = computable & (ready > now_h)
             park = (
-                computable
-                & (ready > now[can])
-                & tracked_ok
+                stalled
+                & (~in_flight | reg_tracked[rows, cols]).all(axis=1)
                 & ~is_term[h]
             )
             if not park.any():
@@ -708,29 +752,32 @@ def _delaytrack_kernel(
             np.add.at(pending_writers, (defs_pad[hs], sel[:, None]), 1)
             blocked[:, sel] += conflict[:, hs]
             head[sel] += 1
+            n_parked += sel.size
 
         # ------------------------------------------------------------
         # Candidate selection: lexicographic (earliest issue, oldest).
         # ------------------------------------------------------------
-        probe = np.maximum(e_data[:, act], now[act][None, :])
-        if top is not None:
-            probe[is_load] = np.maximum(probe[is_load], top[0][act][None, :])
-        if windows is not None:
-            probe = windows.apply_mat(probe, act)
-        cand = (status[:, act] == PARKED) & (blocked[:, act] == 0)
-        key = np.where(
-            cand, probe * np.int64(n + 1) + seq[:, None], INF
-        )
-        best_key = key.min(axis=0)
+        if n_parked:
+            probe = np.maximum(e_data[:, act], now_act[None, :])
+            if top is not None:
+                probe[is_load] = np.maximum(
+                    probe[is_load], top[0][act][None, :]
+                )
+            if windows is not None:
+                probe = windows.apply_mat(probe, act)
+            cand = (status[:, act] == PARKED) & (blocked[:, act] == 0)
+            key = np.where(
+                cand, probe * np.int64(n + 1) + seq[:, None], INF
+            )
+            best_key = key.min(axis=0)
+        else:
+            best_key = np.full(act.size, INF, dtype=np.int64)
 
         head_event = np.full(act.size, INF, dtype=np.int64)
-        has_head = head[act] < n
-        if has_head.any():
-            can = act[has_head]
-            h, computable, ready, rr, in_flight = head_view(can)
+        if can.size:
             eligible = computable & (blocked[h, can] == 0)
             if eligible.any():
-                t = np.maximum(ready, now[can])
+                t = np.maximum(ready, now_h)
                 if top is not None:
                     t = np.where(
                         is_load[h], np.maximum(t, top[0][can]), t
@@ -743,7 +790,6 @@ def _delaytrack_kernel(
                 best_key[has_head] = np.minimum(
                     best_key[has_head], head_key
                 )
-            stalled = computable & (ready > now[can])
             if stalled.any():
                 ev = np.where(in_flight, rr, INF).min(axis=1)
                 head_event[has_head] = np.where(stalled, ev, INF)
@@ -755,7 +801,7 @@ def _delaytrack_kernel(
         # Issue where the best candidate is issuable now; elsewhere
         # advance the clock to the next event and re-evaluate.
         # ------------------------------------------------------------
-        issue = best_e == now[act]
+        issue = best_e == now_act
         adv = ~issue
         if adv.any():
             now[act[adv]] = np.minimum(best_e[adv], head_event[adv])
@@ -801,7 +847,7 @@ def _delaytrack_kernel(
                     windows.push(start, end)
             if always_tracked:
                 tracked[lmask] = True
-            elif track_top is not None:
+            else:
                 won = track_top[0, rl] <= e[lmask]
                 if won.any():
                     rw = rl[won]
@@ -823,6 +869,7 @@ def _delaytrack_kernel(
             rp = r[was_parked]
             np.add.at(pending_writers, (defs_pad[jp], rp[:, None]), -1)
             blocked[:, rp] -= conflict[:, jp]
+            n_parked -= rp.size
         if (~was_parked).any():
             head[r[~was_parked]] += 1
         issued_count[r] += 1

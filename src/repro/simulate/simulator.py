@@ -135,8 +135,9 @@ def conflict_successors(
     ``i``'s: register dependences (true, anti and output), memory pairs
     involving a store (no compile-time alias knowledge -- the hardware
     assumes any two references may overlap) and block terminators.
-    Shared by the scalar and batch delay-tracking engines and restated
-    independently by the verification oracle.
+    The scalar engine's formulation; the batch kernel restates it as
+    array operations and the verification oracle pairwise, each
+    independently.
     """
     succ: List[List[int]] = [[] for _ in instructions]
     for j, inst_j in enumerate(instructions):

@@ -489,35 +489,38 @@ def hardware_ordered_pairs(
     """All position pairs (i, j), i < j, that delay-tracking hardware
     must keep in issue order.
 
-    Restated from the machine's perspective, independently of
-    :func:`repro.simulate.simulator.conflict_successors`: the issue
+    Restated from the machine's perspective, independently of both
+    engines' formulations (the scalar
+    :func:`repro.simulate.simulator.conflict_successors` and the batch
+    kernel's array-built conflict matrix): the issue
     logic has *no* compile-time alias knowledge, so any two memory
     references with a store involved are assumed to overlap; register
     true, anti and output dependences (including load/store base
     registers) order as usual; and a terminator never moves relative
     to anything.
     """
+    # Each instruction's register sets and flags, built once.
+    facts = [
+        (
+            set(inst.defs),
+            set(inst.all_uses()),
+            inst.mem is not None,
+            inst.is_store,
+            inst.is_terminator,
+        )
+        for inst in instructions
+    ]
     pairs: List[Tuple[int, int]] = []
-    for j, later in enumerate(instructions):
-        uses_j = set(later.all_uses())
-        defs_j = set(later.defs)
+    for j, (defs_j, uses_j, mem_j, store_j, term_j) in enumerate(facts):
         for i in range(j):
-            earlier = instructions[i]
-            if earlier.is_terminator or later.is_terminator:
-                pairs.append((i, j))
-                continue
-            defs_i = set(earlier.defs)
+            defs_i, uses_i, mem_i, store_i, term_i = facts[i]
             if (
-                defs_i & uses_j
-                or defs_i & defs_j
-                or set(earlier.all_uses()) & defs_j
-            ):
-                pairs.append((i, j))
-                continue
-            if (
-                earlier.mem is not None
-                and later.mem is not None
-                and (earlier.is_store or later.is_store)
+                term_i
+                or term_j
+                or not defs_i.isdisjoint(uses_j)
+                or not defs_i.isdisjoint(defs_j)
+                or not uses_i.isdisjoint(defs_j)
+                or (mem_i and mem_j and (store_i or store_j))
             ):
                 pairs.append((i, j))
     return pairs

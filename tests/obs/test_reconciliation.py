@@ -150,6 +150,26 @@ class TestAttributionSkip:
         # The headline counters still come from the batch simulator.
         assert _sum_counter(rec.metrics, "sim.cycles") > 0
 
+    def test_table_zero_is_attributed_and_reconciles(self):
+        """A delay-tracking table of size 0 never reorders: it runs on
+        the in-order kernel, is attributed like UNLIMITED, and counts
+        no skip -- as ``trace --processor dt0`` attributes it."""
+        row = paper_system_rows()[0]
+        evaluator = ProgramEvaluator(load_program("ADM"), runs=3)
+        with obs.recording() as rec:
+            evaluator.cell(row, delay_tracking(0))
+        assert _sum_counter(rec.metrics, "sim.attribution_skipped") == 0
+        kernels = {
+            labels["kernel"]
+            for _key, labels in rec.metrics.series("sim.batch_kernel")
+        }
+        assert kernels == {"single-issue"}
+        interlocks = _sum_counter(rec.metrics, "sim.interlock_cycles")
+        stalls = _sum_histogram_totals(
+            rec.metrics, "sim.load_stall_cycles", "sim.other_stall_cycles"
+        )
+        assert stalls == interlocks > 0
+
     def test_max8_is_single_issue_and_still_reconciles(self):
         """Finite load slots (MAX-8) stay attributable: the kernel
         records LOAD_SLOTS causes, and totals still reconcile."""

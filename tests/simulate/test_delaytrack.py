@@ -8,7 +8,8 @@ implementation:
 * table size 0 reproduces the in-order interlocked model exactly
   (cycles *and* interlocks), across every memory family and issue
   width -- checked against the batch kernels' in-order paths, which
-  share no code with the scalar engine;
+  share no code with the scalar engine; the batch simulator runs DT-0
+  on those paths and attributes its stalls like the base model's;
 * a table at least as large as the block's load count saturates --
   perfect per-load knowledge; growing it further changes nothing --
   and on a crafted block achieves the reordering the in-order machine
@@ -41,8 +42,10 @@ from repro.machine.processor import ProcessorModel
 from repro.obs import recorder as obs
 from repro.obs.metrics import split_series_key
 from repro.simulate import LatencyOverrunError, simulate_block
-from repro.simulate.batch import simulate_block_batch
+from repro.simulate.batch import attribution_skip_reason, simulate_block_batch
+from repro.simulate.trace import check_traceable
 from repro.simulate.rng import spawn
+from repro.verify.fuzz import attribution_entries
 from repro.workloads.generator import random_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
@@ -319,17 +322,71 @@ class TestMalformedParity:
 # ----------------------------------------------------------------------
 # Kernel dispatch label and model family
 # ----------------------------------------------------------------------
-def test_batch_dispatch_is_labelled_delaytrack():
-    block = _two_load_block()
+def _kernel_labels(processor):
+    """Runs per ``sim.batch_kernel`` label for one batch simulation."""
     latencies = np.full((RUNS, 2), 3, dtype=np.int64)
     with obs.recording() as rec:
-        simulate_block_batch(block, latencies, DT_8)
-    kernels = {
+        simulate_block_batch(_two_load_block(), latencies, processor)
+    return {
         split_series_key(key)[1].get("kernel"): value
         for key, value in rec.metrics.counters.items()
         if split_series_key(key)[0] == "sim.batch_kernel"
     }
-    assert kernels == {"delaytrack": RUNS}
+
+
+def test_batch_dispatch_is_labelled_delaytrack():
+    assert _kernel_labels(DT_8) == {"delaytrack": RUNS}
+
+
+def test_table_zero_runs_on_the_in_order_kernels():
+    """A table with no entries never parks, so the batch simulator
+    times it with the in-order kernel of its issue width."""
+    assert _kernel_labels(delay_tracking(0)) == {"single-issue": RUNS}
+    assert _kernel_labels(delay_tracking(0, superscalar(2))) == {
+        "superscalar": RUNS
+    }
+
+
+def test_attribution_skip_reason_treats_table_zero_as_in_order():
+    """The same truthiness test as ``check_traceable``: DT-0 is the
+    in-order machine of its base, so only the base can exclude it."""
+    assert attribution_skip_reason(delay_tracking(0)) is None
+    assert attribution_skip_reason(delay_tracking(0, MAX_8)) is None
+    assert attribution_skip_reason(delay_tracking(0, BLOCKING)) == (
+        "blocking-loads"
+    )
+    assert attribution_skip_reason(delay_tracking(0, superscalar(2))) == (
+        "multi-issue"
+    )
+    assert attribution_skip_reason(DT_8) == "delay-tracking"
+    check_traceable(delay_tracking(0))
+
+
+@pytest.mark.parametrize(
+    "base", [UNLIMITED, MAX_8, LEN_8], ids=lambda p: p.name
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_table_zero_attribution_is_the_base_models(base, seed):
+    """DT-0 stall attribution equals the base model's, step for step,
+    and the kernel's agrees with ``trace_block``'s on DT-0 itself."""
+    block = _block(seed)
+    latencies = _latencies(block, seed)
+    processor = delay_tracking(0, base)
+    got = simulate_block_batch(
+        block.instructions, latencies, processor, attribute=True
+    )
+    want = simulate_block_batch(
+        block.instructions, latencies, base, attribute=True
+    )
+    np.testing.assert_array_equal(got.stalls, want.stalls)
+    np.testing.assert_array_equal(got.causes, want.causes)
+    kernel, scalar = attribution_entries(
+        block.instructions, latencies, processor
+    )
+    assert kernel == scalar
+    assert kernel == attribution_entries(
+        block.instructions, latencies, base
+    )[0]
 
 
 def test_model_family_and_parsing():
