@@ -18,7 +18,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from ..simulate.program import simulate_program
 from ..simulate.rng import DEFAULT_SEED, spawn
 from ..simulate.stats import percentage_improvement, program_bootstrap_runtimes
 from ..workloads.perfect import load_program
+from .cache import object_key
+from .common import WorkItem, checkpointed_map
 
 #: Representative systems for the ablations: one cache, one noisy
 #: network, the mixed model.
@@ -381,81 +383,22 @@ def _run_one_ablation(index: int) -> Dict[str, float]:
     return ALL_ABLATIONS[index][1]()
 
 
-def _run_one_ablation_timed(index: int):
-    """Worker entry point: one ablation plus (wall seconds, pid)."""
-    import os
-    import time
-
-    start = time.perf_counter()
-    table = _run_one_ablation(index)
-    return table, time.perf_counter() - start, os.getpid()
-
-
-def run_all_ablations(
-    jobs: int = 1, cache=None, manifest=None, resume=None
-) -> AblationResult:
+def run_all_ablations(jobs: int = 1) -> AblationResult:
     """Run every ablation with its default program.
 
     Each ablation's whole table is one checkpoint unit (they are
     deterministic: every random stream is string-keyed with fixed
-    seeds); ``cache``/``manifest``/``resume`` default to the ambient
-    engine session.
+    seeds); the ambient engine session supplies the cache and the
+    manifest.
     """
-    import os
-
-    from .cache import object_key
-    from .common import PoolMapStats, current_session, pool_map
-
-    session = current_session()
-    if cache is None:
-        cache = session.cache
-    if manifest is None:
-        manifest = session.manifest
-    if resume is None:
-        resume = session.resume
-
-    def key_for(label: str) -> str:
-        return object_key("ablation", label)
-
-    def record(label: str, wall: float, worker: int, status: str,
-               retried: int = 0) -> None:
-        if manifest is not None:
-            manifest.record_cell(
-                key=key_for(label), program="-", system="ablation",
-                processor=label, wall_s=wall, worker=worker, cache=status,
-                retries=retried,
-            )
-
-    tables: List[Optional[Dict[str, float]]] = [None] * len(ALL_ABLATIONS)
-    missing: List[int] = []
-    for index, (label, _fn) in enumerate(ALL_ABLATIONS):
-        cached = (
-            cache.get_object(key_for(label))
-            if cache is not None and resume
-            else None
+    items = [
+        WorkItem(
+            _run_one_ablation, index, object_key("ablation", label),
+            "-", "ablation", label,
         )
-        if cached is not None:
-            tables[index] = cached
-            record(label, 0.0, os.getpid(), "hit")
-        else:
-            missing.append(index)
-    if missing:
-        stats = PoolMapStats()
-
-        def consume(pos: int, timed) -> None:
-            table, wall, worker = timed
-            index = missing[pos]
-            tables[index] = table
-            label = ALL_ABLATIONS[index][0]
-            if cache is not None:
-                cache.put_object(key_for(label), table)
-            record(label, wall, worker, "miss",
-                   stats.item_attempts.get(pos, 0))
-
-        pool_map(
-            _run_one_ablation_timed, missing, jobs,
-            stats=stats, on_result=consume,
-        )
+        for index, (label, _fn) in enumerate(ALL_ABLATIONS)
+    ]
+    tables = checkpointed_map(items, jobs)
     result = AblationResult()
     for (label, _fn), table in zip(ALL_ABLATIONS, tables):
         result.tables[label] = table

@@ -145,9 +145,9 @@ def cell_key(spec: Any) -> str:
 class ResultCache:
     """A directory of pickled results, addressed by stable keys.
 
-    ``get``/``put`` work on cell specs; ``get_object``/``put_object``
-    take raw keys (from :func:`object_key`) so coarser-grained results
-    -- Table 4 rows, whole ablation tables -- checkpoint through the
+    Keys come from :func:`cell_key` for table cells and from
+    :func:`object_key` for coarser-grained results -- Table 4 rows,
+    whole ablation tables -- so everything checkpoints through the
     same store.
     """
 
@@ -158,12 +158,6 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.pkl"
 
     # ------------------------------------------------------------------
-    def get(self, spec: Any) -> Optional[Any]:
-        return self.get_object(cell_key(spec))
-
-    def put(self, spec: Any, result: Any) -> None:
-        self.put_object(cell_key(spec), result)
-
     def get_object(self, key: str) -> Optional[Any]:
         """The stored value, or ``None`` on a miss or a corrupt entry."""
         path = self.path_for(key)

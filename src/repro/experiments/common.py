@@ -21,14 +21,18 @@ list of :class:`CellSpec` out over a ``concurrent.futures`` process
 pool and return bit-identical results in spec order regardless of
 worker count or completion order (see docs/performance.md).
 
-The engine is also crash-safe and observable: finished cells are
-checkpointed to an on-disk :class:`~repro.experiments.cache.
-ResultCache` as they complete (so an interrupted run resumes where it
-died), a dead worker breaks only its in-flight batches -- which are
-retried on a rebuilt pool and, past the retry budget, degraded to
-inline execution -- and every cell is logged to a run manifest
-(``results/manifest.jsonl``).  See the "Crash safety and resume"
-section of docs/performance.md.
+One loop, :func:`checkpointed_map`, runs table cells, Table 4 rows and
+ablation tables alike, and makes them crash-safe and observable:
+finished items are checkpointed to an on-disk :class:`~repro.
+experiments.cache.ResultCache` as they complete (so an interrupted run
+resumes where it died), a dead worker breaks only its in-flight
+batches -- which are retried on a rebuilt pool and, past the retry
+budget, degraded to inline execution -- and every item is logged to a
+run manifest (``results/manifest.jsonl``).  Each item records its
+metrics into a child registry of its own, which the parent merges into
+the recorder's registry and summarises onto the item's manifest
+record.  See the "Crash safety and resume" section of
+docs/performance.md.
 """
 
 from __future__ import annotations
@@ -40,7 +44,10 @@ import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple,
+)
 
 from ..analysis.alias import AliasModel
 from ..core.balanced import BalancedScheduler
@@ -406,8 +413,8 @@ def engine_session(
     resume: bool = True,
 ) -> Iterator[EngineSession]:
     """Install a session for the duration of a ``with`` block; every
-    ``evaluate_cells``/table call inside it checkpoints through it
-    unless given explicit overrides."""
+    :func:`checkpointed_map` call inside it (every table and ablation)
+    checkpoints through it."""
     global _SESSION
     previous = _SESSION
     _SESSION = EngineSession(cache=cache, manifest=manifest, resume=resume)
@@ -455,7 +462,8 @@ def _maybe_inject_fault(spec: CellSpec) -> None:
 
 
 def _evaluate_cell(spec: CellSpec) -> CellResult:
-    """Worker entry point: evaluate one cell in this process."""
+    """Evaluate one cell in this process."""
+    _maybe_inject_fault(spec)
     key = (
         spec.program,
         spec.seed,
@@ -477,50 +485,75 @@ def _evaluate_cell(spec: CellSpec) -> CellResult:
     return evaluator.cell(spec.system, spec.processor)
 
 
-#: One timed cell as it crosses back from a worker: result, wall
-#: seconds, worker pid, (with obs on) the cell's metrics delta, and
-#: (for traced service requests) the cell's span fragments.
-_TimedCell = Tuple[CellResult, float, int, Optional[dict], List[dict]]
+@dataclass(frozen=True)
+class WorkItem:
+    """One checkpoint unit of :func:`checkpointed_map`.
+
+    ``fn(arg)`` computes the value; ``fn`` is a module-level function
+    so the item pickles across the pool boundary.  ``key`` is the
+    value's result-cache key, computed once by the caller;
+    ``program``/``system``/``processor`` label the manifest ``cell``
+    record, and ``trace_ids`` names the service requests waiting on
+    the item.
+    """
+
+    fn: Callable
+    arg: object
+    key: str
+    program: str
+    system: str
+    processor: str
+    trace_ids: Tuple[str, ...] = ()
 
 
-def _stall_cycles(delta: Optional[dict]) -> float:
-    """Total load-stall cycles attributed inside one metrics delta."""
-    if not delta:
+class _Timed(NamedTuple):
+    """One evaluated item as it crosses back from a worker."""
+
+    value: object
+    wall: float
+    worker: int
+    #: The item's child registry (``None`` with observability off).
+    metrics: Optional[MetricsRegistry]
+    #: Span fragments for the item's traced requests.
+    fragments: List[dict]
+
+
+def _stall_cycles(metrics: Optional[MetricsRegistry]) -> float:
+    """Total load-stall cycles attributed inside one child registry."""
+    if metrics is None:
         return 0.0
     return sum(
         MetricsRegistry.histogram_total(hist)
-        for key, hist in delta.get("histograms", {}).items()
+        for key, hist in metrics.histograms.items()
         if split_series_key(key)[0] == "sim.load_stall_cycles"
     )
 
 
 def _trace_fragments(
-    spec: CellSpec,
+    item: WorkItem,
     wall: float,
     t0_wall_ns: int,
     t0_clock_ns: int,
     rec: Optional[_obs.Recorder],
     new_spans: Sequence[_obs.SpanEvent],
-    delta: Optional[dict],
+    metrics: Optional[MetricsRegistry],
 ) -> List[dict]:
-    """Span fragments for one evaluated cell, one set per waiting trace.
+    """Span fragments for one evaluated item, one set per waiting trace.
 
-    The root ``evaluate_cell`` fragment carries the references the
-    tentpole asks for: the cell key (joins the trace to its manifest
-    record and cache entry), the load-stall cycles this evaluation
-    attributed, and whether a decision log was captured.  Top-level
-    recorder spans (compile / simulate_program / bootstrap) become
-    child fragments, remapped from the recorder's monotonic clock onto
-    the epoch timeline so multi-process traces line up.
+    The root ``evaluate_cell`` fragment carries the cell key (joins the
+    trace to its manifest record and cache entry), the load-stall
+    cycles this evaluation attributed, and whether a decision log was
+    captured.  Top-level recorder spans (compile / simulate_program /
+    bootstrap) become child fragments, remapped from the recorder's
+    monotonic clock onto the epoch timeline so multi-process traces
+    line up.
     """
-    if not spec.trace_ids:
-        return []
     args = {
-        "cell_key": cell_key(spec),
-        "program": spec.program,
-        "system": spec.system.label,
-        "processor": spec.processor.name,
-        "stall_cycles": _stall_cycles(delta),
+        "cell_key": item.key,
+        "program": item.program,
+        "system": item.system,
+        "processor": item.processor,
+        "stall_cycles": _stall_cycles(metrics),
         "decision_log": (
             "recorded"
             if rec is not None and rec.decisions is not None
@@ -547,11 +580,11 @@ def _trace_fragments(
                     span.args_dict,
                 )
             )
-    for trace_id in spec.trace_ids:
+    for trace_id in item.trace_ids:
         fragments.append(
             _reqtrace.fragment(
                 trace_id,
-                f"evaluate_cell {spec.program}",
+                f"evaluate_cell {item.program}",
                 cat="engine",
                 start_ns=t0_wall_ns,
                 dur_ns=int(wall * 1e9),
@@ -572,46 +605,63 @@ def _trace_fragments(
     return fragments
 
 
-def _evaluate_group_timed(specs: Sequence[CellSpec]) -> List[_TimedCell]:
-    """Worker entry point: evaluate one compile-sharing group of cells,
-    returning ``(cell, wall_seconds, worker_pid, metrics_delta,
-    span_fragments)`` tuples for the manifest and the request trace
-    store.  Deterministic per-cell failures are wrapped so the parent
-    knows exactly which spec died.
+def _run_timed(item: WorkItem) -> _Timed:
+    """Evaluate one item, timed, with its metrics in a child registry.
 
-    With observability on, each cell's metrics are captured as a
-    snapshot delta around its evaluation -- that delta is what crosses
-    the process boundary, gets folded into the parent's registry, and
-    is summarised onto the cell's manifest record.  (Workers inherit
-    the enabled recorder by forking; spans recorded in workers stay
-    worker-local, but cells carrying ``trace_ids`` export their
-    top-level spans as epoch-timestamped fragments.)
+    The one wrapper every item runs through, inline and in a pool
+    worker alike.  With observability on, a fresh
+    :class:`MetricsRegistry` replaces the recorder's registry for the
+    item and the parent comes back afterwards, so the child holds
+    exactly what this item recorded -- nothing written through a
+    reference to the parent (the service's request accounting, another
+    thread) leaks in.  The parent process folds a returned child into
+    its registry in :func:`checkpointed_map`; an item that raises
+    (including ``KeyboardInterrupt``) has its child folded in here
+    before the exception propagates, so a failing or interrupted item's
+    metrics (e.g. ``verify.violations``) still reach the recorder.  A
+    deterministic failure is wrapped so the caller knows exactly which
+    item died.
     """
-    out: List[_TimedCell] = []
     rec = _obs.get()
-    for spec in specs:
-        _maybe_inject_fault(spec)
-        before = rec.metrics.snapshot() if rec is not None else None
-        spans_mark = len(rec.spans) if rec is not None else 0
-        t0_wall = time.time_ns()
-        t0_clock = time.perf_counter_ns()
-        start = time.perf_counter()
-        try:
-            cell = _evaluate_cell(spec)
-        except Exception as exc:
-            raise CellEvaluationError(spec, exc) from exc
-        wall = time.perf_counter() - start
-        delta = (
-            MetricsRegistry.delta(before, rec.metrics.snapshot())
-            if rec is not None
-            else None
+    parent = child = None
+    spans_mark = 0
+    t0_wall = time.time_ns()
+    t0_clock = time.perf_counter_ns()
+    start = time.perf_counter()
+    try:
+        if rec is not None:
+            spans_mark = len(rec.spans)
+            parent, rec.metrics = rec.metrics, MetricsRegistry()
+        value = item.fn(item.arg)
+    except BaseException as exc:
+        if parent is not None and rec.metrics is not parent:
+            parent.merge(rec.metrics)
+        if isinstance(exc, Exception):
+            raise CellEvaluationError(item.arg, exc) from exc
+        raise
+    finally:
+        if parent is not None:
+            child, rec.metrics = rec.metrics, parent
+    wall = time.perf_counter() - start
+    fragments = (
+        _trace_fragments(
+            item, wall, t0_wall, t0_clock, rec,
+            rec.spans[spans_mark:] if rec is not None else (), child,
         )
-        fragments = _trace_fragments(
-            spec, wall, t0_wall, t0_clock, rec,
-            rec.spans[spans_mark:] if rec is not None else (), delta,
-        )
-        out.append((cell, wall, os.getpid(), delta, fragments))
-    return out
+        if item.trace_ids
+        else []
+    )
+    return _Timed(value, wall, os.getpid(), child, fragments)
+
+
+def _run_batch(items: Sequence[WorkItem]) -> List[_Timed]:
+    """Worker entry point: evaluate a batch of items in this process.
+
+    (Workers inherit the enabled recorder by forking; spans recorded in
+    workers stay worker-local, but items carrying ``trace_ids`` export
+    their top-level spans as epoch-timestamped fragments.)
+    """
+    return [_run_timed(item) for item in items]
 
 
 #: Lazily created, reused across evaluate_cells calls (so `run all`
@@ -704,7 +754,7 @@ def pool_map(
       the worker already named it).
 
     ``on_result`` fires as each item completes (in completion order),
-    which is what lets ``evaluate_cells`` checkpoint results while
+    which is what lets :func:`checkpointed_map` checkpoint results while
     later items are still running.  ``stats`` collects retry counts
     for the run manifest.  ``inline_fallback=False`` replaces the
     degrade-to-inline step with :class:`PoolBrokenError` -- the
@@ -780,6 +830,185 @@ def pool_map(
     return results
 
 
+def checkpointed_map(
+    items: Sequence[WorkItem],
+    jobs: int = 1,
+    group: Optional[Callable[[WorkItem], Hashable]] = None,
+    cache: Optional[ResultCache] = None,
+    manifest: Optional[ManifestWriter] = None,
+    resume: Optional[bool] = None,
+    retries: int = MAX_POOL_RETRIES,
+    inline_fallback: bool = True,
+    stats: Optional[PoolMapStats] = None,
+    force_pool: bool = False,
+) -> List:
+    """Evaluate work items with cache replay, checkpointing and logging.
+
+    The one loop behind table cells, Table 4 rows and ablation tables.
+    ``cache``/``manifest``/``resume`` default to the ambient
+    :func:`engine_session`.  Items whose key is in the cache are
+    replayed (unless ``resume`` is false) and recorded as hits; the
+    rest go through :func:`pool_map`, and as each result arrives it is
+    persisted with ``put_object``, its child registry is merged into
+    the recorder's, and its manifest ``cell`` record is written -- so a
+    crash or Ctrl-C loses at most the in-flight work, and the next run
+    recomputes only what is missing.  Replayed values are pickle
+    round-trips of the originals, so cached, resumed and fresh runs are
+    byte-identical for any ``jobs``.  Results come back in item order.
+
+    Only when the misses go to a pool are they batched: items with the
+    same ``group`` key stay in one task (for cells, the compilations
+    they share), and the groups are packed into a few batches per
+    worker -- enough for load balancing, few enough that task
+    round-trips stay off the critical path.  Inline, every item is its
+    own checkpoint, recorded in item order.
+
+    ``retries`` / ``inline_fallback`` / ``stats`` / ``force_pool`` are
+    forwarded to :func:`pool_map`; with ``inline_fallback=False`` pool
+    death raises :class:`PoolBrokenError`, and already-delivered items
+    are still cached and recorded, so a retry replays them for free.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    session = _SESSION
+    if cache is None:
+        cache = session.cache
+    if manifest is None:
+        manifest = session.manifest
+    if resume is None:
+        resume = session.resume
+    items = list(items)
+    out: List = [None] * len(items)
+
+    def record(item: WorkItem, wall: float, worker: int, status: str,
+               retried: int, metrics: Optional[dict] = None) -> None:
+        if manifest is not None:
+            manifest.record_cell(
+                key=item.key,
+                program=item.program,
+                system=item.system,
+                processor=item.processor,
+                wall_s=wall,
+                worker=worker,
+                cache=status,
+                retries=retried,
+                metrics=metrics,
+            )
+
+    missing: List[int] = []
+    for index, item in enumerate(items):
+        cached = (
+            cache.get_object(item.key)
+            if cache is not None and resume
+            else None
+        )
+        if cached is None:
+            missing.append(index)
+            continue
+        out[index] = cached
+        if item.trace_ids:
+            # A traced request served from cache still gets an engine
+            # fragment, so its span tree explains the missing pool work.
+            now = time.time_ns()
+            _reqtrace.record_fragments(
+                _reqtrace.fragment(
+                    trace_id,
+                    f"cache_hit {item.program}",
+                    cat="engine",
+                    start_ns=now,
+                    dur_ns=0,
+                    args={"cell_key": item.key},
+                )
+                for trace_id in item.trace_ids
+            )
+        record(item, 0.0, os.getpid(), "hit", 0)
+    if not missing:
+        return out
+
+    pooled = force_pool or (jobs > 1 and len(missing) > 1)
+    if pooled and group is not None:
+        batches = _pack(missing, lambda i: group(items[i]), jobs)
+    else:
+        batches = [[index] for index in missing]
+    if stats is None:
+        stats = PoolMapStats()
+
+    def consume(batch_pos: int, timed: List[_Timed]) -> None:
+        # Runs as each batch completes: checkpoint immediately so a
+        # later crash cannot lose it.
+        retried = stats.item_attempts.get(batch_pos, 0)
+        for index, result in zip(batches[batch_pos], timed):
+            item = items[index]
+            out[index] = result.value
+            if cache is not None:
+                cache.put_object(item.key, result.value)
+            summary = None
+            if result.metrics is not None:
+                rec = _obs.get()
+                if rec is not None:
+                    rec.metrics.merge(result.metrics)
+                summary = summarize_delta(result.metrics) or None
+            if result.fragments:
+                _reqtrace.record_fragments(result.fragments)
+                store = _reqtrace.active()
+                if store is not None:
+                    for trace_id in item.trace_ids:
+                        store.note_timing(
+                            trace_id, "pool", result.wall * 1000.0
+                        )
+            record(item, result.wall, result.worker, "miss", retried,
+                   metrics=summary)
+
+    pool_map(
+        _run_batch, [[items[i] for i in batch] for batch in batches], jobs,
+        retries=retries, stats=stats, on_result=consume,
+        inline_fallback=inline_fallback, force_pool=force_pool,
+    )
+    if stats.inline_items and manifest is not None:
+        manifest.record_pool_downgrade(
+            stats.inline_items, cause=stats.last_error,
+            trace_ids=sorted(
+                {t for i in missing for t in items[i].trace_ids}
+            ) or None,
+        )
+    return out
+
+
+def _pack(
+    indices: List[int], key: Callable[[int], Hashable], jobs: int
+) -> List[List[int]]:
+    """Group ``indices`` by ``key`` and pack the groups, in first-seen
+    order, into batches of at least ``len(indices) / (4 * jobs)``."""
+    groups: Dict[Hashable, List[int]] = {}
+    for index in indices:
+        groups.setdefault(key(index), []).append(index)
+    per_batch = max(1, -(-len(indices) // (jobs * 4)))
+    batches: List[List[int]] = []
+    current: List[int] = []
+    for members in groups.values():
+        current.extend(members)
+        if len(current) >= per_batch:
+            batches.append(current)
+            current = []
+    if current:
+        batches.append(current)
+    return batches
+
+
+def _compile_group(item: WorkItem) -> tuple:
+    """Cells with equal keys need exactly the same two compilations."""
+    spec = item.arg
+    return (
+        spec.program,
+        spec.system.optimistic_latency,
+        spec.seed,
+        spec.runs,
+        spec.n_boot,
+        spec.register_file,
+        spec.alias_model,
+    )
+
+
 def evaluate_cells(
     specs: Sequence[CellSpec],
     jobs: int = 1,
@@ -791,193 +1020,31 @@ def evaluate_cells(
     stats: Optional[PoolMapStats] = None,
     force_pool: bool = False,
 ) -> List[CellResult]:
-    """Evaluate cells, optionally fanned out over a process pool.
+    """Evaluate cells through :func:`checkpointed_map`, in spec order.
 
-    Results come back in spec order.  Every random stream a cell uses
-    is derived from string keys (program, memory, latency, processor,
-    policy) plus the seed -- never from shared generator state -- so
-    the output is bit-identical for any ``jobs``; parallelism only
-    changes wall-clock time.
+    Every random stream a cell uses is derived from string keys
+    (program, memory, latency, processor, policy) plus the seed --
+    never from shared generator state -- so the output is bit-identical
+    for any ``jobs``; parallelism only changes wall-clock time.
 
-    ``cache``/``manifest``/``resume`` default to the ambient
-    :func:`engine_session`.  With a cache, finished cells are replayed
-    from disk before any work is dispatched (unless ``resume`` is
-    false) and every newly computed cell is persisted *as its batch
-    completes* -- so a crash or Ctrl-C loses at most the in-flight
-    batches, and the next run recomputes only what is missing.
-    Replayed cells are pickle round-trips of the originals, so cached,
-    resumed and fresh runs are byte-identical for any ``jobs``.
-
-    The unit of distribution is a *compile-sharing group*: all cells
-    with the same (program, optimistic latency, compile settings) need
-    exactly the same two compilations, so keeping a group in one worker
-    means no traditional compilation ever runs twice anywhere (the
-    cheap balanced compilation is duplicated at most once per worker
-    per program).  Groups are then packed into a few cell-balanced
-    batches -- enough for load balancing, few enough that task
-    round-trips stay off the critical path.
-
-    ``retries`` / ``inline_fallback`` / ``stats`` are forwarded to
-    :func:`pool_map`; the scheduling service passes
+    Pooled cells are batched by compile-sharing group: all cells with
+    the same (program, optimistic latency, compile settings) run in
+    one worker, so no traditional compilation ever runs twice anywhere
+    (the cheap balanced compilation is duplicated at most once per
+    worker per program).  The scheduling service passes
     ``inline_fallback=False`` (and its own retry budget) so pool death
-    raises :class:`PoolBrokenError` -- already-delivered cells are still
-    cached and recorded, so a client retry replays them for free.
+    raises :class:`PoolBrokenError` instead of running cells in the
+    serving process.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    session = _SESSION
-    if cache is None:
-        cache = session.cache
-    if manifest is None:
-        manifest = session.manifest
-    if resume is None:
-        resume = session.resume
-    specs = list(specs)
-    out: List[Optional[CellResult]] = [None] * len(specs)
-
-    def record(spec: CellSpec, wall: float, worker: int, status: str,
-               retried: int, metrics: Optional[dict] = None) -> None:
-        if manifest is not None:
-            manifest.record_cell(
-                key=cell_key(spec),
-                program=spec.program,
-                system=spec.system.label,
-                processor=spec.processor.name,
-                wall_s=wall,
-                worker=worker,
-                cache=status,
-                retries=retried,
-                metrics=metrics,
-            )
-
-    missing: List[int] = []
-    for index, spec in enumerate(specs):
-        cached = cache.get(spec) if (cache is not None and resume) else None
-        if cached is not None:
-            out[index] = cached
-            if spec.trace_ids:
-                # A traced request served from cache still gets an
-                # engine fragment, so its span tree explains the miss
-                # of pool work.
-                now = time.time_ns()
-                _reqtrace.record_fragments(
-                    _reqtrace.fragment(
-                        trace_id,
-                        f"cache_hit {spec.program}",
-                        cat="engine",
-                        start_ns=now,
-                        dur_ns=0,
-                        args={"cell_key": cell_key(spec)},
-                    )
-                    for trace_id in spec.trace_ids
-                )
-            record(spec, 0.0, os.getpid(), "hit", 0)
-        else:
-            missing.append(index)
-    if not missing:
-        return out
-
-    if not force_pool and (jobs == 1 or len(missing) <= 1):
-        rec = _obs.get()
-        for index in missing:
-            spec = specs[index]
-            before = rec.metrics.snapshot() if rec is not None else None
-            spans_mark = len(rec.spans) if rec is not None else 0
-            t0_wall = time.time_ns()
-            t0_clock = time.perf_counter_ns()
-            start = time.perf_counter()
-            out[index] = _evaluate_cell(spec)
-            wall = time.perf_counter() - start
-            summary = None
-            delta = None
-            if rec is not None:
-                delta = MetricsRegistry.delta(before, rec.metrics.snapshot())
-                summary = summarize_delta(delta) or None
-            if spec.trace_ids:
-                _reqtrace.record_fragments(
-                    _trace_fragments(
-                        spec, wall, t0_wall, t0_clock, rec,
-                        rec.spans[spans_mark:] if rec is not None else (),
-                        delta,
-                    )
-                )
-                store = _reqtrace.active()
-                if store is not None:
-                    for trace_id in spec.trace_ids:
-                        store.note_timing(trace_id, "pool", wall * 1000.0)
-            if cache is not None:
-                cache.put(spec, out[index])
-            record(spec, wall, os.getpid(), "miss", 0,
-                   metrics=summary)
-        return out
-
-    groups: Dict[tuple, List[int]] = {}
-    for index in missing:
-        spec = specs[index]
-        key = (
-            spec.program,
-            spec.system.optimistic_latency,
-            spec.seed,
-            spec.runs,
-            spec.n_boot,
-            spec.register_file,
-            spec.alias_model,
+    items = [
+        WorkItem(
+            _evaluate_cell, spec, cell_key(spec), spec.program,
+            spec.system.label, spec.processor.name, spec.trace_ids,
         )
-        groups.setdefault(key, []).append(index)
-    per_batch = max(1, -(-len(missing) // (jobs * 4)))
-    batches: List[List[int]] = []
-    current: List[int] = []
-    for indices in groups.values():
-        current.extend(indices)
-        if len(current) >= per_batch:
-            batches.append(current)
-            current = []
-    if current:
-        batches.append(current)
-    tasks = [[specs[i] for i in batch] for batch in batches]
-    if stats is None:
-        stats = PoolMapStats()
-
-    parent_rec = _obs.get()
-    parent_pid = os.getpid()
-
-    def consume(batch_pos: int, timed: List[_TimedCell]) -> None:
-        # Runs as each batch completes: checkpoint immediately so a
-        # later crash cannot lose this batch.
-        retried = stats.item_attempts.get(batch_pos, 0)
-        for index, (cell, wall, worker, delta, fragments) in zip(
-            batches[batch_pos], timed
-        ):
-            out[index] = cell
-            if cache is not None:
-                cache.put(specs[index], cell)
-            summary = None
-            if delta is not None:
-                # Fold worker-recorded metrics into the parent registry
-                # so --metrics-out is complete for any --jobs (inline
-                # degraded items already recorded into it directly).
-                if parent_rec is not None and worker != parent_pid:
-                    parent_rec.metrics.merge(delta)
-                summary = summarize_delta(delta) or None
-            if fragments:
-                _reqtrace.record_fragments(fragments)
-                store = _reqtrace.active()
-                if store is not None:
-                    for trace_id in specs[index].trace_ids:
-                        store.note_timing(trace_id, "pool", wall * 1000.0)
-            record(specs[index], wall, worker, "miss", retried,
-                   metrics=summary)
-
-    pool_map(
-        _evaluate_group_timed, tasks, jobs, retries=retries, stats=stats,
-        on_result=consume, inline_fallback=inline_fallback,
-        force_pool=force_pool,
+        for spec in specs
+    ]
+    return checkpointed_map(
+        items, jobs, group=_compile_group, cache=cache, manifest=manifest,
+        resume=resume, retries=retries, inline_fallback=inline_fallback,
+        stats=stats, force_pool=force_pool,
     )
-    if stats.inline_items and manifest is not None:
-        manifest.record_pool_downgrade(
-            stats.inline_items, cause=stats.last_error,
-            trace_ids=sorted(
-                {t for i in missing for t in specs[i].trace_ids}
-            ) or None,
-        )
-    return out

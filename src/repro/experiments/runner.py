@@ -199,20 +199,16 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _parse_programs(args: argparse.Namespace) -> Optional[List[str]]:
-    """Validate a ``--programs`` subset against the Perfect Club suite."""
-    text = getattr(args, "programs", None)
+def _program_list(text: Optional[str]) -> Optional[List[str]]:
+    """Parse a ``--programs`` list against the Perfect Club suite.
+
+    Parts are stripped and empty parts dropped (``"ADM, MDG,"`` is
+    ``["ADM", "MDG"]``); an unknown name or an empty list exits 2.
+    """
     if text is None:
         return None
     from ..workloads.perfect import program_names
 
-    if args.experiment not in ("table2",):
-        print(
-            f"--programs applies to table2 only "
-            f"(got {args.experiment!r})",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
     known = program_names()
     names = [n for n in (part.strip() for part in text.split(",")) if n]
     unknown = [n for n in names if n not in known]
@@ -224,6 +220,19 @@ def _parse_programs(args: argparse.Namespace) -> Optional[List[str]]:
         )
         raise SystemExit(2)
     return names
+
+
+def _parse_programs(args: argparse.Namespace) -> Optional[List[str]]:
+    """The ``--programs`` subset of ``run``/``profile`` (table2 only)."""
+    text = getattr(args, "programs", None)
+    if text is not None and args.experiment not in ("table2",):
+        print(
+            f"--programs applies to table2 only "
+            f"(got {args.experiment!r})",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+    return _program_list(text)
 
 
 def _wants_obs(args: argparse.Namespace) -> bool:
@@ -260,7 +269,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     manifest = ManifestWriter(args.manifest)
     names = EXPERIMENTS if args.experiment == "all" else [args.experiment]
     # Enable *before* any work so lazily-forked pool workers inherit
-    # the recorder (their metrics come back as per-cell deltas).
+    # the recorder (their metrics come back as per-item child registries).
     rec = _obs.enable() if _wants_obs(args) else None
     verify_hook = None
     if args.verify:
@@ -336,7 +345,7 @@ def _print_verify_summary(hook, rec, jobs: int) -> None:
     """One line accounting for what the pipeline hook checked.
 
     Worker processes keep their own hook counters; their numbers come
-    back to the parent only as observability metric deltas, so the
+    back to the parent only as per-item child metric registries, so the
     recorder is the authoritative count when it exists.
     """
     checked = hook.blocks_checked
@@ -357,20 +366,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     """Replay every compilation behind the published tables under the
     legality oracle."""
     from ..verify.replay import verify_perfect_suite
-    from ..workloads.perfect import program_names
 
-    names = None
-    if args.programs:
-        known = program_names()
-        names = [n for n in (p.strip() for p in args.programs.split(",")) if n]
-        unknown = [n for n in names if n not in known]
-        if not names or unknown:
-            print(
-                f"unknown program(s) {unknown or [args.programs]}; "
-                f"choose from {known}",
-                file=sys.stderr,
-            )
-            return 2
+    names = _program_list(args.programs)
     start = time.time()
     report = verify_perfect_suite(
         programs=names,
@@ -774,21 +771,9 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimal_gap(args: argparse.Namespace) -> int:
-    from ..workloads.perfect import program_names
     from .optimalgap import run_optimal_gap
 
-    if args.programs is not None:
-        names = args.programs.split(",")
-        unknown = [n for n in names if n not in program_names()]
-        if unknown:
-            print(
-                f"balanced-sched: unknown program(s) {', '.join(unknown)}; "
-                f"choose from {', '.join(program_names())}",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        names = None
+    names = _program_list(args.programs)
     from ..core.optimal import DEFAULT_NODE_BUDGET
 
     report = run_optimal_gap(
@@ -809,21 +794,9 @@ def _cmd_optimal_gap(args: argparse.Namespace) -> int:
 
 
 def _cmd_delay_track(args: argparse.Namespace) -> int:
-    from ..workloads.perfect import program_names
     from .delaytrack import DEFAULT_TABLES, run_delay_tracking
 
-    if args.programs is not None:
-        names = args.programs.split(",")
-        unknown = [n for n in names if n not in program_names()]
-        if unknown:
-            print(
-                f"balanced-sched: unknown program(s) {', '.join(unknown)}; "
-                f"choose from {', '.join(program_names())}",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        names = None
+    names = _program_list(args.programs)
     if args.tables is not None:
         try:
             tables = tuple(
@@ -1281,7 +1254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8321)
     serve.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="process-pool workers for simulation batches",
     )

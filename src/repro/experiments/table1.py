@@ -103,13 +103,13 @@ class Table1Result:
         return "\n".join(lines)
 
 
-def run_table1(manifest=None) -> Table1Result:
+def run_table1() -> Table1Result:
     """Regenerate Table 1 from the reconstructed Figure 7 DAG.
 
     Purely symbolic (exact Fractions, no simulation or compilation),
     so there is nothing to checkpoint; the computation is still logged
-    to the run ``manifest`` (ambient session by default) so `run all`
-    manifests account for every experiment uniformly.
+    to the ambient session's run manifest so `run all` manifests
+    account for every experiment uniformly.
     """
     import os
     import time
@@ -117,8 +117,7 @@ def run_table1(manifest=None) -> Table1Result:
     from .cache import object_key
     from .common import current_session
 
-    if manifest is None:
-        manifest = current_session().manifest
+    manifest = current_session().manifest
     start = time.perf_counter()
     block, labels = figure7_block()
     dag = build_dag(block)

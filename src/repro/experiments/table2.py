@@ -137,18 +137,14 @@ def run_table2(
     runs: int = 30,
     programs: Optional[List[str]] = None,
     jobs: int = 1,
-    cache=None,
-    manifest=None,
-    resume: Optional[bool] = None,
 ) -> Table2Result:
     """Evaluate the full Table 2 grid (or a subset of programs).
 
     ``jobs`` fans the cells out over a process pool; results are
     bit-identical for any value (all random streams are string-keyed).
-    ``cache``/``manifest``/``resume`` checkpoint and log the run (they
-    default to the ambient engine session); a resumed run replays
-    finished cells from the store and is byte-identical to an
-    uninterrupted one.
+    The ambient engine session checkpoints and logs the run; a resumed
+    run replays finished cells from the store and is byte-identical to
+    an uninterrupted one.
     """
     names = programs if programs is not None else program_names()
     systems = paper_system_rows()
@@ -162,9 +158,7 @@ def run_table2(
         for name in names
         for system in systems
     ]
-    results = evaluate_cells(
-        specs, jobs=jobs, cache=cache, manifest=manifest, resume=resume
-    )
+    results = evaluate_cells(specs, jobs=jobs)
     by_key = {
         (spec.program, spec.system.label): cell
         for spec, cell in zip(specs, results)

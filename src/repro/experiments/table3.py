@@ -103,14 +103,11 @@ def run_table3(
     seed: int = DEFAULT_SEED,
     runs: int = 30,
     jobs: int = 1,
-    cache=None,
-    manifest=None,
-    resume=None,
 ) -> Table3Result:
     """Evaluate the detail table for one program (MDG by default).
 
-    ``cache``/``manifest``/``resume`` checkpoint and log the run; they
-    default to the ambient engine session (see ``evaluate_cells``).
+    The ambient engine session checkpoints and logs the run (see
+    ``evaluate_cells``).
     """
     specs = [
         CellSpec(
@@ -120,9 +117,7 @@ def run_table3(
         for system in paper_system_rows()
         for processor in PAPER_PROCESSORS
     ]
-    results = evaluate_cells(
-        specs, jobs=jobs, cache=cache, manifest=manifest, resume=resume
-    )
+    results = evaluate_cells(specs, jobs=jobs)
     cells: Dict[Tuple[str, str], CellResult] = {
         (spec.system.label, spec.processor.name): cell
         for spec, cell in zip(specs, results)

@@ -20,15 +20,13 @@ latencies, and on the deep-tree programs (e.g. BDNA) at every latency.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..simulate.rng import DEFAULT_SEED
 from ..workloads.perfect import load_program, program_names
 from .cache import object_key
-from .common import PoolMapStats, ProgramEvaluator, current_session, pool_map
+from .common import ProgramEvaluator, WorkItem, checkpointed_map
 
 #: The paper's Table 4 column set.
 OPTIMISTIC_LATENCIES = (2, 2.15, 2.4, 2.6, 3, 3.6, 5, 7.6, 30)
@@ -108,79 +106,20 @@ def _spill_row(task) -> Table4Row:
     )
 
 
-def _spill_row_timed(task):
-    """Worker entry point: one row plus (wall seconds, worker pid)."""
-    start = time.perf_counter()
-    row = _spill_row(task)
-    return row, time.perf_counter() - start, os.getpid()
-
-
-def _row_key(name: str, seed: int) -> str:
-    return object_key("table4-row", name, seed, list(OPTIMISTIC_LATENCIES))
-
-
-def run_table4(
-    seed: int = DEFAULT_SEED,
-    jobs: int = 1,
-    cache=None,
-    manifest=None,
-    resume: Optional[bool] = None,
-) -> Table4Result:
+def run_table4(seed: int = DEFAULT_SEED, jobs: int = 1) -> Table4Result:
     """Compile every program under every policy and count spills.
 
     The unit of checkpointing is one program's whole row (this table
     is compile-only and deterministic, so a cached row replays
-    exactly); ``cache``/``manifest``/``resume`` default to the ambient
-    engine session.
+    exactly); the ambient engine session supplies the cache and the
+    manifest.
     """
-    session = current_session()
-    if cache is None:
-        cache = session.cache
-    if manifest is None:
-        manifest = session.manifest
-    if resume is None:
-        resume = session.resume
-    names = program_names()
-
-    def record(name: str, wall: float, worker: int, status: str,
-               retried: int = 0) -> None:
-        if manifest is not None:
-            manifest.record_cell(
-                key=_row_key(name, seed), program=name, system="table4-row",
-                processor="-", wall_s=wall, worker=worker, cache=status,
-                retries=retried,
-            )
-
-    rows: List[Optional[Table4Row]] = [None] * len(names)
-    missing: List[int] = []
-    for index, name in enumerate(names):
-        cached = (
-            cache.get_object(_row_key(name, seed))
-            if cache is not None and resume
-            else None
+    items = [
+        WorkItem(
+            _spill_row, (name, seed),
+            object_key("table4-row", name, seed, list(OPTIMISTIC_LATENCIES)),
+            name, "table4-row", "-",
         )
-        if cached is not None:
-            rows[index] = cached
-            record(name, 0.0, os.getpid(), "hit")
-        else:
-            missing.append(index)
-    if missing:
-        stats = PoolMapStats()
-
-        def consume(pos: int, timed) -> None:
-            row, wall, worker = timed
-            index = missing[pos]
-            rows[index] = row
-            if cache is not None:
-                cache.put_object(_row_key(names[index], seed), row)
-            record(names[index], wall, worker, "miss",
-                   stats.item_attempts.get(pos, 0))
-
-        pool_map(
-            _spill_row_timed,
-            [(names[i], seed) for i in missing],
-            jobs,
-            stats=stats,
-            on_result=consume,
-        )
-    return Table4Result(rows=rows)
+        for name in program_names()
+    ]
+    return Table4Result(rows=checkpointed_map(items, jobs))

@@ -85,14 +85,11 @@ def run_table5(
     seed: int = DEFAULT_SEED,
     runs: int = 30,
     jobs: int = 1,
-    cache=None,
-    manifest=None,
-    resume=None,
 ) -> Table5Result:
     """Evaluate N(30,5) for every program and processor model.
 
-    ``cache``/``manifest``/``resume`` checkpoint and log the run; they
-    default to the ambient engine session (see ``evaluate_cells``).
+    The ambient engine session checkpoints and logs the run (see
+    ``evaluate_cells``).
     """
     row = system_row(N30_LABEL, N30_LATENCY)
     specs = [
@@ -103,9 +100,7 @@ def run_table5(
         for name in program_names()
         for processor in PAPER_PROCESSORS
     ]
-    results = evaluate_cells(
-        specs, jobs=jobs, cache=cache, manifest=manifest, resume=resume
-    )
+    results = evaluate_cells(specs, jobs=jobs)
     cells: Dict[Tuple[str, str], CellResult] = {
         (spec.program, spec.processor.name): cell
         for spec, cell in zip(specs, results)

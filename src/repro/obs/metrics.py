@@ -16,10 +16,12 @@ Three instrument kinds:
   totals reconcile to the cycle counters without rounding -- the
   property the observability acceptance tests rely on.
 
-Registries support ``snapshot`` / ``delta`` / ``merge`` so a per-cell
-metric delta can be computed in a worker process, pickled across the
-pool boundary, folded into the parent's registry, and summarised onto
-the cell's run-manifest record (see ``repro.experiments.common``).
+Each unit of experiment work records into a child registry of its own,
+swapped onto the recorder for the duration of the item, in a pool
+worker or inline alike.  The child is pickled back to the parent,
+folded into the parent's registry with :meth:`MetricsRegistry.merge`,
+and summarised onto the item's run-manifest record with
+:func:`summarize_delta` (see ``repro.experiments.common``).
 """
 
 from __future__ import annotations
@@ -167,81 +169,18 @@ class MetricsRegistry:
     def histogram_count(hist: Histogram) -> int:
         return sum(hist.values())
 
-    def snapshot(self) -> dict:
-        """A deep, picklable copy of the whole registry.
-
-        The ``exemplars`` key is present only when non-empty, so
-        snapshots from exemplar-free registries (workers, the batch
-        CLI) keep their historical three-key shape.
-        """
-        snap = {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {k: dict(h) for k, h in self.histograms.items()},
-        }
-        if self.exemplars:
-            snap["exemplars"] = {
-                k: {"value": e["value"], "labels": dict(e["labels"])}
-                for k, e in self.exemplars.items()
-            }
-        return snap
-
-    @staticmethod
-    def delta(before: dict, after: dict) -> dict:
-        """What changed between two snapshots (zero entries dropped).
-
-        Counters and histogram bins subtract; gauges keep the ``after``
-        value of every series that appeared or changed.  Registries
-        only ever grow, so a delta is always non-negative.
-        """
-        counters = {}
-        for key, value in after["counters"].items():
-            changed = value - before["counters"].get(key, 0)
-            if changed:
-                counters[key] = changed
-        gauges = {
-            key: value
-            for key, value in after["gauges"].items()
-            if before["gauges"].get(key) != value
-        }
-        histograms = {}
-        for key, hist in after["histograms"].items():
-            old = before["histograms"].get(key)
-            if old is None:
-                trimmed = {v: c for v, c in hist.items() if c}
-            else:
-                trimmed = {
-                    v: c - old.get(v, 0)
-                    for v, c in hist.items()
-                    if c - old.get(v, 0)
-                }
-            if trimmed:
-                histograms[key] = trimmed
-        out = {
-            "counters": counters, "gauges": gauges, "histograms": histograms
-        }
-        exemplars = {
-            key: value
-            for key, value in after.get("exemplars", {}).items()
-            if before.get("exemplars", {}).get(key) != value
-        }
-        if exemplars:
-            out["exemplars"] = exemplars
-        return out
-
-    def merge(self, snap: dict) -> None:
-        """Fold a snapshot/delta (e.g. from a worker process) into this
-        registry: counters and histogram bins add, gauges and exemplars
-        overwrite."""
-        for key, value in snap.get("counters", {}).items():
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold another registry (e.g. a child from a worker process)
+        into this one: counters and histogram bins add, gauges and
+        exemplars overwrite."""
+        for key, value in other.counters.items():
             self.counters[key] = self.counters.get(key, 0) + value
-        self.gauges.update(snap.get("gauges", {}))
-        for key, hist in snap.get("histograms", {}).items():
+        self.gauges.update(other.gauges)
+        for key, hist in other.histograms.items():
             mine = self.histograms.setdefault(key, {})
             for value, count in hist.items():
                 mine[value] = mine.get(value, 0) + count
-        for key, exemplar in snap.get("exemplars", {}).items():
-            self.exemplars[key] = exemplar
+        self.exemplars.update(other.exemplars)
 
     # ------------------------------------------------------------------
     def series(self, name: str) -> List[Tuple[str, Dict[str, str]]]:
@@ -270,19 +209,26 @@ def counter_total(counters: dict, base: str) -> float:
     )
 
 
-def summarize_delta(delta: dict) -> dict:
-    """Compress a metrics delta into a compact per-cell summary.
+def summarize_delta(delta: MetricsRegistry) -> dict:
+    """Compress what one work item recorded into a compact summary.
 
-    Counters are summed by base name (labels stripped); histograms
-    collapse to ``{count, total}``.  The result is a dozen-key dict
+    ``delta`` is the item's child registry.  Counters are summed by
+    base name (labels stripped); histograms collapse to ``{count,
+    total}``.  Zero counters and empty histograms are left out: a
+    child keeps ``inc(..., 0)`` series, but the summary lists only
+    what the item actually changed.  The result is a dozen-key dict
     small enough to ride on a run-manifest ``cell`` record.
     """
     counters: Dict[str, Number] = {}
-    for key, value in delta.get("counters", {}).items():
+    for key, value in delta.counters.items():
+        if not value:
+            continue
         base, _ = split_series_key(key)
         counters[base] = counters.get(base, 0) + value
     histograms: Dict[str, Dict[str, Number]] = {}
-    for key, hist in delta.get("histograms", {}).items():
+    for key, hist in delta.histograms.items():
+        if not hist:
+            continue
         base, _ = split_series_key(key)
         entry = histograms.setdefault(base, {"count": 0, "total": 0})
         entry["count"] += MetricsRegistry.histogram_count(hist)

@@ -13,8 +13,8 @@ registry (``verify.blocks_checked`` / ``verify.violations``) when a
 recorder is active, so ``run --verify --obs --metrics-out`` leaves an
 auditable artifact that ``tools/check_verify.py`` can gate on.  With a
 parallel engine (``--jobs N``) the hook is inherited by forked workers;
-worker-side counters travel back only through the obs per-cell metric
-deltas, but a violation always fails the run -- the raised
+worker-side counters travel back only through the obs per-item child
+metric registries, but a violation always fails the run -- the raised
 :class:`LegalityError` propagates through the cell-evaluation error
 path regardless of worker count.
 """

@@ -66,11 +66,10 @@ def result_surface(result):
 
 def selection_series(rec):
     """The recorder's per-slot selection metrics, every label series."""
-    snapshot = rec.metrics.snapshot()
     return {
         section: {
             key: value
-            for key, value in snapshot[section].items()
+            for key, value in getattr(rec.metrics, section).items()
             if split_series_key(key)[0] in SELECTION_SERIES
         }
         for section in ("counters", "gauges", "histograms")
@@ -179,10 +178,10 @@ class TestObservedParity:
             ListScheduler().schedule(dag, block)
         with obs.recording() as rec_ref:
             schedule_reference(dag, block)
-        fast_snap = rec_fast.metrics.snapshot()
-        ref_snap = rec_ref.metrics.snapshot()
         for section in ("counters", "gauges", "histograms"):
-            assert fast_snap[section] == ref_snap[section]
+            assert getattr(rec_fast.metrics, section) == getattr(
+                rec_ref.metrics, section
+            )
 
 
 class TestSelectIndexEmptyTieBreaks:

@@ -204,7 +204,7 @@ class TestMemoisationCounter:
         dag = build_dag(saxpy_block)
         with obs.recording() as rec:
             balanced_weights(dag)
-        counters = rec.metrics.snapshot()["counters"]
+        counters = rec.metrics.counters
         assert counters.get("sched.gind_memo_hits", 0) > 0
 
     def test_counter_silent_without_recorder(self, saxpy_block):

@@ -253,9 +253,12 @@ class TestEvaluateCellsWithCache:
         poisoned = evaluate_cells(specs, jobs=1, cache=cache)
         # Corrupt the stored values; --fresh must not read them...
         for spec in specs:
-            cache.put(spec, dataclasses.replace(poisoned[0], program="BOGUS"))
+            cache.put_object(
+                cell_key(spec),
+                dataclasses.replace(poisoned[0], program="BOGUS"),
+            )
         fresh = evaluate_cells(specs, jobs=1, cache=cache, resume=False)
         assert [c.program for c in fresh] == [s.program for s in specs]
         # ...and must repopulate the store with the real results.
         for spec, cell in zip(specs, fresh):
-            assert cache.get(spec).program == cell.program
+            assert cache.get_object(cell_key(spec)).program == cell.program

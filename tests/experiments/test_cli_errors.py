@@ -92,6 +92,36 @@ class TestBadInputsExitCleanly:
         assert "==== balanced" in proc.stdout
 
 
+class TestOptionValidation:
+    def test_serve_rejects_zero_jobs_at_parse_time(self):
+        # Before parse-time validation the daemon started and answered
+        # every /simulate with a 500; the timeout catches that.
+        proc = run_cli(["serve", "--jobs", "0", "--port", "0"], timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "--jobs" in proc.stderr and "must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["run", "table2", "--quick"], id="run"),
+            pytest.param(["profile", "table2", "--quick"], id="profile"),
+            pytest.param(["verify"], id="verify"),
+            pytest.param(["optimal-gap"], id="optimal-gap"),
+            pytest.param(["delay-track", "--quick"], id="delay-track"),
+        ],
+    )
+    def test_every_programs_option_parses_the_same_way(self, argv):
+        """Parts are stripped and blank parts dropped, so only the
+        genuinely unknown name is reported, in one line."""
+        proc = run_cli(argv + ["--programs", "ADM, NOPE,"])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        lines = [l for l in proc.stderr.splitlines() if l.strip()]
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("unknown program(s) ['NOPE']; ")
+
+
 class TestInterruptDrill:
     def test_sigterm_shuts_down_run_cleanly(self, tmp_path):
         """SIGTERM mid-`run` must behave like Ctrl-C: exit 130, an

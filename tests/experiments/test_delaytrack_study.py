@@ -57,8 +57,16 @@ class TestGolden:
         assert cli_main(argv + ["--out", str(out)]) == 0
         assert out.read_text() == stdout
 
+    def test_blank_program_parts_are_dropped(self, capsys):
+        argv = ["delay-track", "--tables", "0,2", "--quick", "--programs"]
+        assert _cli_stdout(capsys, argv + [" TRACK,"]) == _cli_stdout(
+            capsys, argv + ["TRACK"]
+        )
+
     def test_unknown_program_exits_2(self, capsys):
-        assert cli_main(["delay-track", "--programs", "NOPE"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["delay-track", "--programs", "NOPE"])
+        assert exc.value.code == 2
         assert "unknown program" in capsys.readouterr().err
 
     def test_malformed_tables_exit_2(self, capsys):

@@ -52,8 +52,16 @@ class TestGolden:
         ]) == 0
         assert out.read_text() == stdout
 
+    def test_blank_program_parts_are_dropped(self, capsys):
+        argv = ["optimal-gap", "--no-pareto", "--programs"]
+        assert _cli_stdout(capsys, argv + ["TRACK, "]) == _cli_stdout(
+            capsys, argv + ["TRACK"]
+        )
+
     def test_unknown_program_exits_2(self, capsys):
-        assert cli_main(["optimal-gap", "--programs", "NOPE"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["optimal-gap", "--programs", "NOPE"])
+        assert exc.value.code == 2
         assert "unknown program" in capsys.readouterr().err
 
 

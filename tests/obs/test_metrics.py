@@ -12,6 +12,15 @@ from repro.obs.metrics import (
 )
 
 
+def _state(registry):
+    return (
+        registry.counters,
+        registry.gauges,
+        registry.histograms,
+        registry.exemplars,
+    )
+
+
 class TestSeriesKey:
     def test_no_labels_is_the_bare_name(self):
         assert series_key("sim.cycles", {}) == "sim.cycles"
@@ -105,84 +114,85 @@ class TestObserveCounts:
         counted, many = MetricsRegistry(), MetricsRegistry()
         counted.observe_counts("sim.latency_draw", [], [], block="b0")
         many.observe_many("sim.latency_draw", [], block="b0")
-        assert counted.snapshot() == many.snapshot()
+        assert _state(counted) == _state(many)
 
-    def test_same_snapshot_delta_and_merge(self):
+    def test_same_merge_and_summary(self):
         one_by_one, counted = self._pair()
-        assert counted.snapshot() == one_by_one.snapshot()
-        empty = MetricsRegistry().snapshot()
-        delta_a = MetricsRegistry.delta(empty, one_by_one.snapshot())
-        delta_b = MetricsRegistry.delta(empty, counted.snapshot())
-        assert delta_a == delta_b
+        assert _state(counted) == _state(one_by_one)
         merged_a, merged_b = MetricsRegistry(), MetricsRegistry()
-        merged_a.merge(delta_a)
-        merged_a.merge(delta_a)
-        merged_b.merge(delta_b)
+        merged_a.merge(one_by_one)
+        merged_a.merge(one_by_one)
+        merged_b.merge(counted)
         merged_b.observe_counts(
             "sim.load_stall_cycles", [1, 3, 7], [2, 3, 1], load=2
         )
         merged_b.observe_counts("sim.latency_draw", [5], [1], block="b0")
-        assert merged_a.snapshot() == merged_b.snapshot()
-        assert summarize_delta(delta_a) == summarize_delta(delta_b)
+        assert _state(merged_a) == _state(merged_b)
+        assert summarize_delta(one_by_one) == summarize_delta(counted)
 
 
-class TestSnapshotDeltaMerge:
-    def test_delta_contains_only_what_changed(self):
-        m = MetricsRegistry()
-        m.inc("a", 5)
-        m.observe("h", 1)
-        before = m.snapshot()
-        m.inc("a", 2)
-        m.inc("b", 1)
-        m.observe("h", 1)
-        m.observe("h", 4)
-        m.set_gauge("g", 7)
-        delta = MetricsRegistry.delta(before, m.snapshot())
-        assert delta["counters"] == {"a": 2, "b": 1}
-        assert delta["histograms"] == {"h": {1: 1, 4: 1}}
-        assert delta["gauges"] == {"g": 7}
-
-    def test_unchanged_snapshot_gives_empty_delta(self):
-        m = MetricsRegistry()
-        m.inc("a", 5)
-        snap = m.snapshot()
-        delta = MetricsRegistry.delta(snap, m.snapshot())
-        assert delta == {"counters": {}, "gauges": {}, "histograms": {}}
-
+class TestMerge:
     def test_merge_is_addition(self):
         parent = MetricsRegistry()
         parent.inc("a", 1)
         parent.observe("h", 2)
-        parent.merge({"counters": {"a": 4}, "histograms": {"h": {2: 1, 3: 2}}})
+        child = MetricsRegistry()
+        child.inc("a", 4)
+        child.observe_counts("h", [2, 3], [1, 2])
+        child.set_gauge("g", 7)
+        parent.merge(child)
         assert parent.counters["a"] == 5
         assert parent.histograms["h"] == {2: 2, 3: 2}
+        assert parent.gauges == {"g": 7}
 
-    def test_delta_survives_pickling(self):
-        # The worker -> parent pool boundary moves deltas by pickle.
+    def test_merged_child_equals_recording_into_the_parent(self):
+        # Zero counters and empty series survive the merge, so the
+        # parent ends up exactly as if the child's writes went to it.
+        direct, parent, child = (
+            MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+        )
+        for registry in (direct, child):
+            registry.inc("sched.gind_memo_hits", 0, block="b")
+            registry.observe_many("sim.latency_draw", [], block="b")
+            registry.inc("sim.cycles", 3)
+            registry.observe("sim.load_stall_cycles", 2, exemplar={"t": "1"})
+        parent.merge(child)
+        assert _state(parent) == _state(direct)
+
+    def test_registry_survives_pickling(self):
+        # The worker -> parent pool boundary moves child registries by
+        # pickle.
         m = MetricsRegistry()
-        before = m.snapshot()
         m.inc("a", 1, block="b0")
         m.observe("h", 9, load=3)
-        delta = MetricsRegistry.delta(before, m.snapshot())
-        assert pickle.loads(pickle.dumps(delta)) == delta
+        m.set_gauge("g", 2)
+        m.observe("l", 4, exemplar={"trace_id": "t"})
+        assert _state(pickle.loads(pickle.dumps(m))) == _state(m)
 
 
 class TestSummarizeDelta:
     def test_collapses_labels_by_base_name(self):
         m = MetricsRegistry()
-        before = m.snapshot()
         m.inc("sim.cycles", 10, block="b0")
         m.inc("sim.cycles", 20, block="b1")
         m.observe("sim.load_stall_cycles", 5, load=0)
         m.observe("sim.load_stall_cycles", 7, load=1)
-        delta = MetricsRegistry.delta(before, m.snapshot())
-        summary = summarize_delta(delta)
+        summary = summarize_delta(m)
         assert summary["counters"] == {"sim.cycles": 30}
         assert summary["histograms"] == {
             "sim.load_stall_cycles": {"count": 2, "total": 12}
         }
 
     def test_empty_delta_summarises_to_empty_dict(self):
-        assert summarize_delta(
-            {"counters": {}, "gauges": {}, "histograms": {}}
-        ) == {}
+        assert summarize_delta(MetricsRegistry()) == {}
+
+    def test_zero_counters_and_empty_histograms_are_left_out(self):
+        m = MetricsRegistry()
+        m.inc("sched.gind_memo_hits", 0)
+        m.inc("sim.interlock_cycles", 0, block="b0")
+        m.inc("sim.interlock_cycles", 4, block="b1")
+        m.observe_many("sim.latency_draw", [], block="b0")
+        m.set_gauge("sim.runs_configured", 3)
+        assert summarize_delta(m) == {
+            "counters": {"sim.interlock_cycles": 4}
+        }
