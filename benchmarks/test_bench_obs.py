@@ -72,8 +72,7 @@ def _bench_dag():
     block = random_block(spawn("bench-obs"), n_instructions=BLOCK_SIZE)
     policy = BalancedScheduler()
     dag = build_dag(block)
-    policy.assign_weights(dag)
-    return policy, dag, block
+    return policy, dag.with_weights(policy.load_weights(dag)), block
 
 
 def test_bench_null_spans_add_under_two_percent():

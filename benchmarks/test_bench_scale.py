@@ -122,9 +122,9 @@ def test_bench_schedule_large_dag(benchmark, size):
     pass itself, not the balanced weight computation.
     """
     block = random_block(spawn("bench-sched", size), n_instructions=size)
-    dag = build_dag(block)
     policy = BalancedScheduler()
-    policy.assign_weights(dag)
+    dag = build_dag(block)
+    dag = dag.with_weights(policy.load_weights(dag))
     scheduler = policy._scheduler
 
     result = benchmark(scheduler.schedule, dag, block)

@@ -76,8 +76,7 @@ def _median_of(fn, repeats=REPEATS):
 def _weighted_dag(size):
     block = random_block(spawn("bench-sched", size), n_instructions=size)
     dag = build_dag(block)
-    BalancedScheduler().assign_weights(dag)
-    return block, dag
+    return block, dag.with_weights(BalancedScheduler().load_weights(dag))
 
 
 @pytest.mark.parametrize("size", [512, 2048])

@@ -68,9 +68,9 @@ def main() -> None:
     with_fp_latency(big.instructions, 4)
     mc = MultiCycleBalancedScheduler()
     dag = build_dag(big)
-    mc.assign_weights(dag)
+    weights = mc.load_weights(dag)
     weighted_fp = [
-        (v, dag.weights[v])
+        (v, weights[v])
         for v in dag.nodes()
         if dag.instructions[v].is_fp and not dag.is_load(v)
     ]

@@ -56,9 +56,13 @@ class CodeDAG:
 
     The node order (0..n-1) is the original program order and is
     guaranteed topological.  Node weights default to each instruction's
-    static latency and are overwritten by the scheduling policy
-    (fixed optimistic latency for the traditional scheduler, computed
-    load-level-parallelism weights for the balanced scheduler).
+    static latency.  A scheduling policy never writes into a built DAG:
+    it returns its weights as a map (fixed optimistic latency for the
+    traditional scheduler, computed load-level-parallelism weights for
+    the balanced scheduler) that the list scheduler reads next to the
+    DAG; :meth:`with_weights` makes a weighted view for code that wants
+    one object.  One DAG can therefore be shared by every policy that
+    schedules its block.
     """
 
     def __init__(self, instructions: Sequence[Instruction]):
@@ -149,14 +153,25 @@ class CodeDAG:
     # Weights
     # ------------------------------------------------------------------
     def set_weight(self, node: int, weight: Weight) -> None:
+        """Set one node's weight while the DAG is being built."""
         self.weights[node] = weight
 
-    def set_load_weights(self, weights: Dict[int, Weight]) -> None:
-        """Install a weight per load node (other nodes untouched)."""
+    def with_weights(self, weights: Dict[int, Weight]) -> "CodeDAG":
+        """This DAG with ``weights`` (node -> weight) over its own.
+
+        The result shares the instructions, the edges and the edge
+        labels with ``self`` and owns only its weight list, so ``self``
+        is left unchanged and costs nothing to reuse.
+        """
+        view = CodeDAG.__new__(CodeDAG)
+        view.instructions = self.instructions
+        view._succ = self._succ
+        view._pred = self._pred
+        view._edge_latency = self._edge_latency
+        view.weights = list(self.weights)
         for node, weight in weights.items():
-            if not self.is_load(node):
-                raise ValueError(f"node {node} is not a load")
-            self.weights[node] = weight
+            view.weights[node] = weight
+        return view
 
     def set_edge_latency(self, src: int, dst: int, latency: Weight) -> None:
         """Label one edge with its own latency (i860-style machines,

@@ -37,7 +37,7 @@ def build_dag(
 
     The returned DAG's node ``k`` is ``block.instructions[k]``; node
     weights are initialised to each instruction's static latency (the
-    scheduling policies overwrite load weights).
+    scheduling policies supply their load weights as a separate map).
     """
     instructions = block.instructions
     dag = CodeDAG(instructions)

@@ -11,6 +11,9 @@ specifically configured for any of the processor models").
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Dict
+
 from ..analysis.dag import CodeDAG
 from .policy import SchedulingPolicy, observe_load_weights
 from .weights import average_block_weight, balanced_weights
@@ -20,11 +23,12 @@ class BalancedScheduler(SchedulingPolicy):
     """Load weights = 1 + distributed load-level parallelism."""
 
     name = "balanced"
+    weight_key = ("balanced",)
 
-    def assign_weights(self, dag: CodeDAG) -> None:
+    def load_weights(self, dag: CodeDAG) -> Dict[int, Fraction]:
         weights = balanced_weights(dag)
-        dag.set_load_weights(weights)
         observe_load_weights(self.name, weights)
+        return weights
 
 
 class AverageWeightScheduler(SchedulingPolicy):
@@ -37,13 +41,12 @@ class AverageWeightScheduler(SchedulingPolicy):
     """
 
     name = "average-weight"
+    weight_key = ("average-weight",)
 
-    def assign_weights(self, dag: CodeDAG) -> None:
+    def load_weights(self, dag: CodeDAG) -> Dict[int, Fraction]:
         average = average_block_weight(dag)
         if average is None:
-            return
-        for node in dag.load_nodes():
-            dag.set_weight(node, average)
-        observe_load_weights(
-            self.name, {node: average for node in dag.load_nodes()}
-        )
+            return {}
+        weights = {node: average for node in dag.load_nodes()}
+        observe_load_weights(self.name, weights)
+        return weights

@@ -504,14 +504,28 @@ class OptimalScheduler(SchedulingPolicy):
         self.time_budget_s = time_budget_s
         self.max_live = max_live
         self.name = f"optimal(W={self.load_latency})"
+        self.weight_key = ("optimal", self.load_latency)
 
-    def assign_weights(self, dag: CodeDAG) -> None:
+    @property
+    def schedule_key(self):
+        """The search reads its budget and pressure cap too; a
+        wall-clock budget makes the result depend on the host, so such
+        schedules are not shared."""
+        if self.time_budget_s is not None:
+            return None
+        return (self.weight_key, self.direction, self.node_budget,
+                self.max_live)
+
+    def load_weights(self, dag: CodeDAG) -> Dict[int, int]:
         weights = {node: self.load_latency for node in dag.load_nodes()}
-        dag.set_load_weights(weights)
         observe_load_weights(self.name, weights)
+        return weights
 
     def schedule_dag(
-        self, dag: CodeDAG, block: Optional[BasicBlock] = None
+        self,
+        dag: CodeDAG,
+        block: Optional[BasicBlock] = None,
+        weights: Optional[Dict[int, int]] = None,
     ) -> OptimalScheduleResult:
         live_in = block.live_in if block is not None else ()
         live_out = block.live_out if block is not None else ()
@@ -521,11 +535,12 @@ class OptimalScheduler(SchedulingPolicy):
                 # Seed 1: the balanced schedule (the upper bound the
                 # issue calls for); seed 2: the fixed-weight schedule
                 # at the model latency.
-                dag.set_load_weights(balanced_weights(dag))
-                seeds.append(self._scheduler.schedule(dag).order)
-            self.assign_weights(dag)
+                balanced = balanced_weights(dag)
+                seeds.append(self._scheduler.schedule(dag, None, balanced).order)
+            if weights is None:
+                weights = self.load_weights(dag)
             if len(dag) > 0:
-                seeds.append(self._scheduler.schedule(dag).order)
+                seeds.append(self._scheduler.schedule(dag, None, weights).order)
         with _span("schedule", policy=self.name):
             search = optimize_order(
                 dag,
@@ -548,7 +563,7 @@ class OptimalScheduler(SchedulingPolicy):
             order=order,
             block=ListScheduler._emit(dag, order, block),
             noop_span=Fraction(max(search.cost - len(order), 0)),
-            priorities=compute_priorities(dag),
+            priorities=compute_priorities(dag.with_weights(weights)),
             slots={v: Fraction(t) for v, t in times.items()},
             cost=search.cost,
             lower_bound=search.lower_bound,

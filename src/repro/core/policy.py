@@ -5,13 +5,14 @@ in how load-instruction weights are assigned (Section 2: "The balanced
 scheduler simply incorporates the new method of computing weights for
 each load instruction into a traditional list scheduler").  A
 :class:`SchedulingPolicy` therefore owns exactly one decision --
-``assign_weights`` -- and inherits everything else.
+``load_weights``, which returns the weights as a map and leaves the
+DAG untouched -- and inherits everything else.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import Dict, Hashable, Optional
 
 from ..analysis.alias import AliasModel
 from ..analysis.dag import CodeDAG
@@ -19,7 +20,7 @@ from ..analysis.dependence import build_dag
 from ..ir.block import BasicBlock
 from ..obs import recorder as _obs
 from ..obs.recorder import span as _span
-from .scheduler import Direction, ListScheduler, ScheduleResult
+from .scheduler import Direction, ListScheduler, ScheduleResult, Weight
 
 
 def observe_load_weights(policy_name: str, weights) -> None:
@@ -47,6 +48,15 @@ class SchedulingPolicy(abc.ABC):
     #: Short human-readable policy name (appears in reports).
     name: str = "abstract"
 
+    #: Everything :meth:`load_weights` reads besides the DAG, as a
+    #: hashable value: two policies of one class with equal keys weight
+    #: every DAG identically, so the staged compile memo
+    #: (:class:`repro.core.pipeline.StageMemo`) may share their weights
+    #: and schedules.  ``None`` (the default, and what a subclass with
+    #: parameters of its own must keep unless it sets a key covering
+    #: them) opts out of sharing.
+    weight_key: Optional[Hashable] = None
+
     def __init__(self, direction: Direction = Direction.BOTTOM_UP):
         self._scheduler = ListScheduler(direction)
 
@@ -54,17 +64,34 @@ class SchedulingPolicy(abc.ABC):
     def direction(self) -> Direction:
         return self._scheduler.direction
 
+    @property
+    def schedule_key(self) -> Optional[Hashable]:
+        """Everything :meth:`schedule_dag` reads besides the DAG and the
+        block, or ``None`` when its schedules must not be shared."""
+        if self.weight_key is None:
+            return None
+        return (self.weight_key, self.direction)
+
     @abc.abstractmethod
-    def assign_weights(self, dag: CodeDAG) -> None:
-        """Install load weights into ``dag`` (in place)."""
+    def load_weights(self, dag: CodeDAG) -> Dict[int, Weight]:
+        """This policy's weight for every node it weights (the loads,
+        for the paper's policies), as a ``node -> weight`` map; other
+        nodes keep their static latency.  ``dag`` is only read."""
 
     # ------------------------------------------------------------------
-    def schedule_dag(self, dag: CodeDAG, block: Optional[BasicBlock] = None) -> ScheduleResult:
-        """Weight the DAG, then run the shared list scheduler."""
-        with _span("weights", policy=self.name):
-            self.assign_weights(dag)
+    def schedule_dag(
+        self,
+        dag: CodeDAG,
+        block: Optional[BasicBlock] = None,
+        weights: Optional[Dict[int, Weight]] = None,
+    ) -> ScheduleResult:
+        """Run the shared list scheduler under this policy's weights
+        (computed here unless the caller already has them)."""
+        if weights is None:
+            with _span("weights", policy=self.name):
+                weights = self.load_weights(dag)
         with _span("schedule", policy=self.name):
-            return self._scheduler.schedule(dag, block)
+            return self._scheduler.schedule(dag, block, weights)
 
     def schedule_block(
         self,

@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
@@ -130,6 +131,18 @@ class ScheduleResult:
 # ----------------------------------------------------------------------
 # Plan: everything one run needs, precomputed per block
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=4096)
+def _exact(units: int, scale: int) -> Fraction:
+    """``units / scale`` as a shared :class:`Fraction`.
+
+    Schedule results keep one exact slot and priority per node, and the
+    staged compile memo keeps the results; across the paper suite they
+    take ~1.4k distinct values, so sharing the immutable objects saves
+    both the memory and the normalising constructor calls.
+    """
+    return Fraction(units, scale)
+
+
 def _denominator(value, what: str) -> int:
     if isinstance(value, Fraction):
         return value.denominator
@@ -176,9 +189,15 @@ class SchedulePlan:
     seq_top: int                    # seq field value = seq_top - seq
 
 
-def build_plan(dag: CodeDAG, bottom_up: bool) -> SchedulePlan:
+def build_plan(
+    dag: CodeDAG,
+    bottom_up: bool,
+    weights: Optional[Dict[int, Weight]] = None,
+) -> SchedulePlan:
     """Precompute the clock scale, adjacency and static key parts.
 
+    ``weights`` (node -> weight, typically a policy's load weights)
+    overrides the DAG's own node weights; the DAG is only read.
     Raises :class:`TypeError` for a node weight or edge latency label
     that is neither an ``int`` nor a ``Fraction`` (floats would break
     exactness), and :class:`ValueError` when the packed selection key
@@ -187,15 +206,20 @@ def build_plan(dag: CodeDAG, bottom_up: bool) -> SchedulePlan:
     n = len(dag)
 
     # ---- the scaled-integer clock -----------------------------------
+    node_weights = dag.weights
+    if weights:
+        node_weights = list(node_weights)
+        for v, w in weights.items():
+            node_weights[v] = w
     scale = 1
-    for v, w in enumerate(dag.weights):
+    for v, w in enumerate(node_weights):
         d = _denominator(w, f"the weight of node {v}")
         scale = scale * d // gcd(scale, d)
     overrides = dag._edge_latency
     for (src, dst), value in overrides.items():
         d = _denominator(value, f"the latency label of edge {src}->{dst}")
         scale = scale * d // gcd(scale, d)
-    weight_units = [_to_units(w, scale) for w in dag.weights]
+    weight_units = [_to_units(w, scale) for w in node_weights]
 
     # ---- adjacency --------------------------------------------------
     # Only ``sched_targets`` needs sorted neighbour order (it fixes the
@@ -527,11 +551,15 @@ class ListScheduler:
         self.direction = direction
 
     def schedule(
-        self, dag: CodeDAG, block: Optional[BasicBlock] = None
+        self,
+        dag: CodeDAG,
+        block: Optional[BasicBlock] = None,
+        weights: Optional[Dict[int, Weight]] = None,
     ) -> ScheduleResult:
-        """Schedule ``dag``; if ``block`` given, also emit the reordered block."""
+        """Schedule ``dag`` with ``weights`` (node -> weight) over its
+        node weights; if ``block`` given, also emit the reordered block."""
         bottom_up = self.direction is Direction.BOTTOM_UP
-        plan = build_plan(dag, bottom_up)
+        plan = build_plan(dag, bottom_up, weights)
         rec = _obs.get()
         observe = None if rec is None else _observer(rec, dag, block, plan)
         placement, slot_units, noop_units = run_plan(plan, observe)
@@ -540,9 +568,9 @@ class ListScheduler:
         return ScheduleResult(
             order=order,
             block=self._emit(dag, order, block),
-            noop_span=Fraction(noop_units, scale),
-            priorities=[Fraction(u, scale) for u in plan.prio_units],
-            slots={v: Fraction(slot_units[v], scale) for v in placement},
+            noop_span=_exact(noop_units, scale),
+            priorities=[_exact(u, scale) for u in plan.prio_units],
+            slots={v: _exact(slot_units[v], scale) for v in placement},
         )
 
     @staticmethod

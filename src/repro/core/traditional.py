@@ -11,7 +11,7 @@ distribution on network machines (Section 5).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Dict, Union
 
 from ..analysis.dag import CodeDAG
 from .policy import SchedulingPolicy, observe_load_weights
@@ -44,12 +44,10 @@ class TraditionalScheduler(SchedulingPolicy):
         super().__init__(direction)
         self.optimistic_latency = as_fraction(optimistic_latency)
         self.name = f"traditional(W={optimistic_latency})"
+        self.weight_key = ("traditional", self.optimistic_latency)
 
-    def assign_weights(self, dag: CodeDAG) -> None:
+    def load_weights(self, dag: CodeDAG) -> Dict[int, Fraction]:
         """Every load gets the same implementation-defined weight."""
-        for node in dag.load_nodes():
-            dag.set_weight(node, self.optimistic_latency)
-        observe_load_weights(
-            self.name,
-            {node: self.optimistic_latency for node in dag.load_nodes()},
-        )
+        weights = {node: self.optimistic_latency for node in dag.load_nodes()}
+        observe_load_weights(self.name, weights)
+        return weights

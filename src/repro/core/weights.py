@@ -27,18 +27,20 @@ uint64 bitset *matrices* for the closures and independent sets,
 structurally identical ``(G_ind, IssueSlots)`` pairs deduplicated and
 computed once (unrolled blocks repeat them heavily), and a single
 topological ``Chances`` DP sweep vectorised across every distinct
-subgraph.  Contributions accumulate as integer ``(slots, chances) ->
-count`` tables and are converted to exact rationals once per load at
-the end -- byte-identical to per-``i`` accumulation because Fraction
-arithmetic is exact, commutative and associative.  The test suite
-cross-checks it against a deliberately naive re-derivation (per-``i``
-BFS closures, BFS components, path DP over an explicit node list) in
-``tests/core/oracles.py``.
+subgraph.  Contributions accumulate as an integer ``(load, chances) ->
+slots * count`` table; at the end each load's entries are summed over
+the common denominator of the ``chances`` present, in integers, and
+one exact rational is built per load -- equal to per-``i`` Fraction
+accumulation because rational arithmetic is exact, commutative and
+associative.  The test suite cross-checks it against a deliberately
+naive re-derivation (per-``i`` BFS closures, BFS components, path DP
+over an explicit node list) in ``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -85,9 +87,8 @@ def balanced_weights(
     instruction that may execute in parallel with it.
     """
     load_nodes = [v for v in dag.nodes() if is_weighted(dag, v)]
-    weights: Dict[int, Fraction] = {l: Fraction(1) for l in load_nodes}
     if not load_nodes:
-        return weights
+        return {}
 
     n = len(dag)
     pred_m, succ_m = closure_matrix(dag)
@@ -122,12 +123,11 @@ def balanced_weights(
     if rec is not None:
         rec.metrics.inc("sched.gind_memo_hits", considered - len(groups))
 
-    # Contributions accumulate in integer space first -- per issue
-    # width, a (load, chances) -> count matrix -- and become Fractions
-    # once per distinct denominator at the end, instead of one exact
-    # rational addition per (i, component, load) triple.
+    # Contributions accumulate in integer space -- a (load, chances)
+    # -> slots * count matrix -- instead of one exact rational addition
+    # per (i, component, load) triple.
     load_idx = np.array(load_nodes, dtype=np.intp)
-    counts: Dict[int, np.ndarray] = {}
+    scaled = np.zeros((len(load_nodes), n + 1), dtype=np.int64)
     group_items = list(groups.items())
     pred_lists = [list(dag._pred[v]) for v in range(n)]
     # Chunk the mask axis so the DP matrix stays modest for huge DAGs.
@@ -148,26 +148,28 @@ def balanced_weights(
         for column, ((key, slots), multiplicity) in enumerate(batch):
             ind = mask_from_words(key)
             per_mask = np.ascontiguousarray(paths[:, column])
-            matrix = counts.get(slots)
-            if matrix is None:
-                matrix = counts[slots] = np.zeros(
-                    (len(load_nodes), n + 1), dtype=np.int64
-                )
+            share = slots * multiplicity
             for component in connected_components(dag, ind, neighbor_masks):
                 if not component & load_mask:
                     continue
                 comp_member = mask_member_array(component, n)
                 comp_load_rows = np.flatnonzero(comp_member[load_idx])
                 chances = int(per_mask[comp_member].max())
-                matrix[comp_load_rows, chances] += multiplicity
+                scaled[comp_load_rows, chances] += share
 
-    for slots, matrix in counts.items():
-        for row, l in enumerate(load_nodes):
-            entries = matrix[row]
-            for chances in np.flatnonzero(entries):
-                weights[l] += Fraction(
-                    slots * int(entries[chances]), int(chances)
-                )
+    # Weight = 1 + sum(scaled[chances] / chances): summed over the
+    # common denominator of the chances present, in Python ints (the
+    # LCM can outgrow int64), with one Fraction per load.
+    weights: Dict[int, Fraction] = {}
+    for row, l in enumerate(load_nodes):
+        entries = scaled[row]
+        present = np.flatnonzero(entries).tolist()
+        denominator = lcm(*present)
+        numerator = denominator + sum(
+            share * (denominator // chances)
+            for chances, share in zip(present, entries[present].tolist())
+        )
+        weights[l] = Fraction(numerator, denominator)
     return weights
 
 

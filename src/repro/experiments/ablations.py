@@ -24,7 +24,6 @@ import numpy as np
 
 from ..analysis.alias import AliasModel
 from ..core.balanced import AverageWeightScheduler, BalancedScheduler
-from ..core.pipeline import compile_program
 from ..core.scheduler import Direction
 from ..core.traditional import TraditionalScheduler
 from ..machine.config import system_row
@@ -39,7 +38,7 @@ from ..simulate.rng import DEFAULT_SEED, spawn
 from ..simulate.stats import percentage_improvement, program_bootstrap_runtimes
 from ..workloads.perfect import load_program
 from .cache import object_key
-from .common import WorkItem, checkpointed_map
+from .common import COMPILATION_CACHE, WorkItem, checkpointed_map
 
 #: Representative systems for the ablations: one cache, one noisy
 #: network, the mixed model.
@@ -53,7 +52,7 @@ ABLATION_SYSTEMS = (
 def _runtime_boot(program, policy, system, seed_key, register_file=DEFAULT_REGISTER_FILE,
                   alias_model=AliasModel.FORTRAN, runs=30):
     """Compile under ``policy`` and bootstrap program runtimes."""
-    compiled = compile_program(
+    compiled = COMPILATION_CACHE.compile(
         program, policy, register_file=register_file, alias_model=alias_model
     )
     rng = spawn("ablation-sim", *seed_key)
@@ -207,8 +206,8 @@ def run_superscalar_ablation(program_name: str = "MDG") -> Dict[str, float]:
         # no width-1 special case is needed now that the batch
         # simulator runs every width natively.
         processor = superscalar(width)
-        trad = compile_program(program, TraditionalScheduler(latency))
-        bal = compile_program(program, BalancedScheduler())
+        trad = COMPILATION_CACHE.compile(program, TraditionalScheduler(latency))
+        bal = COMPILATION_CACHE.compile(program, BalancedScheduler())
         key = (program_name, mem, f"{latency:g}", f"w{width}")
         trad_runs = simulate_program(
             trad.final_blocks, processor, system.memory, spawn("ss", *key, "t")
@@ -232,8 +231,8 @@ def run_blocking_ablation(program_name: str = "MDG") -> Dict[str, float]:
     out: Dict[str, float] = {}
     mem, latency = ABLATION_SYSTEMS[1]
     system = system_row(mem, latency)
-    trad = compile_program(program, TraditionalScheduler(latency))
-    bal = compile_program(program, BalancedScheduler())
+    trad = COMPILATION_CACHE.compile(program, TraditionalScheduler(latency))
+    bal = COMPILATION_CACHE.compile(program, BalancedScheduler())
     for processor in (UNLIMITED, BLOCKING):
         key = (program_name, mem, f"{latency:g}", processor.name)
         trad_runs = simulate_program(
@@ -271,7 +270,7 @@ def run_allocator_ablation(program_name: str = "BDNA") -> Dict[str, float]:
             ("traditional W=2", TraditionalScheduler(2)),
             ("traditional W=30", TraditionalScheduler(30)),
         ):
-            compiled = compile_program(
+            compiled = COMPILATION_CACHE.compile(
                 program, policy, allocator=factory(DEFAULT_REGISTER_FILE)
             )
             out[f"{label}: {policy_label} spill %"] = compiled.spill_percentage

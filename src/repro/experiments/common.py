@@ -10,9 +10,13 @@ reported across Tables 2-5.
 Compilation is machine-independent for the balanced scheduler and
 depends only on the optimistic latency for the traditional scheduler,
 so compiled artefacts are memoised in a process-wide
-:class:`CompilationCache`: each (program, policy, latency, register
-file, alias model) combination compiles exactly once per process, no
-matter how many tables or :class:`ProgramEvaluator` instances ask.
+:class:`CompilationCache`, at two grains: each (program, policy,
+register file, alias model) combination compiles exactly once per
+process, no matter how many tables or :class:`ProgramEvaluator`
+instances ask, and every compilation -- the ablations' and the
+delay-tracking study's too -- shares its stages (DAG, weights,
+schedules, allocation) with every other through one
+:class:`~repro.core.pipeline.StageMemo`.
 
 Cells are independent by construction -- every random stream is derived
 from string keys via :func:`repro.simulate.rng.spawn`, never from
@@ -51,7 +55,8 @@ from typing import (
 
 from ..analysis.alias import AliasModel
 from ..core.balanced import BalancedScheduler
-from ..core.pipeline import CompilationResult, compile_program
+from ..core.pipeline import CompilationResult, StageMemo, compile_program
+from ..core.policy import SchedulingPolicy
 from ..core.traditional import TraditionalScheduler
 from ..ir.block import Program
 from ..machine.config import SystemRow
@@ -77,29 +82,63 @@ logger = logging.getLogger("repro.experiments")
 
 
 class CompilationCache:
-    """Process-wide memo of :func:`compile_program` results.
+    """Process-wide compile memo, at two grains.
 
-    Keys are ``(program identity, policy key, register file, alias
-    model)``; the cache keeps a strong reference to each keyed program
-    so object identities stay valid for the life of the process (the
-    Perfect Club suite is itself cached for the process lifetime, so
-    this adds nothing for the standard tables).
+    * **Whole programs** (:meth:`get_or_compile`), keyed on ``(program
+      identity, policy class, policy schedule key, register file, alias
+      model)``.  A hit returns the earlier :class:`CompilationResult`
+      and records nothing: a table cell that reuses a compilation did
+      no compile work.  The cache keeps a strong reference to each
+      keyed program so object identities stay valid for the life of
+      the process (the Perfect Club suite is itself cached for the
+      process lifetime, so this adds nothing for the standard tables).
+    * **Stages** (:attr:`stages`, a
+      :class:`~repro.core.pipeline.StageMemo`), shared by every
+      compilation in the process.  :meth:`compile` goes through it
+      directly: a repeated compilation is assembled from stage hits,
+      which replay the metrics the skipped work would have recorded.
+
+    ``len()`` counts whole-program entries; :meth:`clear` empties both.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[tuple, CompilationResult] = {}
         self._programs: Dict[int, Program] = {}
+        self.stages = StageMemo()
+
+    def compile(
+        self,
+        program: Program,
+        policy: SchedulingPolicy,
+        register_file: Optional[RegisterFile] = DEFAULT_REGISTER_FILE,
+        alias_model: AliasModel = AliasModel.FORTRAN,
+        allocator: Optional[object] = None,
+    ) -> CompilationResult:
+        """:func:`compile_program` through the shared stage memo."""
+        return compile_program(
+            program, policy, register_file=register_file,
+            alias_model=alias_model, allocator=allocator, memo=self.stages,
+        )
 
     def get_or_compile(
         self,
         program: Program,
-        policy_key: tuple,
-        factory: Callable[[], CompilationResult],
+        policy: SchedulingPolicy,
+        register_file: Optional[RegisterFile] = DEFAULT_REGISTER_FILE,
+        alias_model: AliasModel = AliasModel.FORTRAN,
     ) -> CompilationResult:
-        key = (id(program),) + policy_key
+        """The program's compilation, compiled on the first request."""
+        if policy.schedule_key is None:
+            return self.compile(program, policy, register_file, alias_model)
+        key = (
+            id(program), type(policy), policy.schedule_key, register_file,
+            alias_model,
+        )
         result = self._entries.get(key)
         if result is None:
-            result = self._entries[key] = factory()
+            result = self._entries[key] = self.compile(
+                program, policy, register_file, alias_model
+            )
             self._programs[id(program)] = program
         return result
 
@@ -109,6 +148,7 @@ class CompilationCache:
     def clear(self) -> None:
         self._entries.clear()
         self._programs.clear()
+        self.stages.clear()
 
 
 #: The shared cache every :class:`ProgramEvaluator` compiles through.
@@ -157,34 +197,22 @@ class ProgramEvaluator:
     # ------------------------------------------------------------------
     # Compilation (memoised process-wide in COMPILATION_CACHE)
     # ------------------------------------------------------------------
-    def balanced(self) -> CompilationResult:
-        """The balanced compilation (machine-independent; compiled once)."""
+    def _compiled(self, policy: SchedulingPolicy) -> CompilationResult:
         return COMPILATION_CACHE.get_or_compile(
-            self.program,
-            ("balanced", self.register_file, self.alias_model),
-            lambda: compile_program(
-                self.program,
-                BalancedScheduler(),
-                register_file=self.register_file,
-                alias_model=self.alias_model,
-            ),
+            self.program, policy, self.register_file, self.alias_model
         )
 
+    def balanced(self) -> CompilationResult:
+        """The balanced compilation (machine-independent; compiled once)."""
+        return self._compiled(BalancedScheduler())
+
     def traditional(self, optimistic_latency: float) -> CompilationResult:
-        """The traditional compilation for one optimistic latency."""
-        # Normalise through the scheduler so 2 and 2.0 share a key but
-        # 2.15 and 2.4 stay exactly distinct (Fraction, not float).
-        latency_key = TraditionalScheduler(optimistic_latency).optimistic_latency
-        return COMPILATION_CACHE.get_or_compile(
-            self.program,
-            ("traditional", latency_key, self.register_file, self.alias_model),
-            lambda: compile_program(
-                self.program,
-                TraditionalScheduler(optimistic_latency),
-                register_file=self.register_file,
-                alias_model=self.alias_model,
-            ),
-        )
+        """The traditional compilation for one optimistic latency.
+
+        The policy keys its latency as a ``Fraction``, so 2 and 2.0
+        share a compilation while 2.15 and 2.4 stay exactly distinct.
+        """
+        return self._compiled(TraditionalScheduler(optimistic_latency))
 
     def optimal(self, load_latency: float) -> CompilationResult:
         """The exact compilation for one fixed memory latency.
@@ -197,22 +225,7 @@ class ProgramEvaluator:
         """
         from ..core.optimal import OptimalScheduler
 
-        scheduler = OptimalScheduler(load_latency)
-        return COMPILATION_CACHE.get_or_compile(
-            self.program,
-            (
-                "optimal",
-                scheduler.load_latency,
-                self.register_file,
-                self.alias_model,
-            ),
-            lambda: compile_program(
-                self.program,
-                scheduler,
-                register_file=self.register_file,
-                alias_model=self.alias_model,
-            ),
-        )
+        return self._compiled(OptimalScheduler(load_latency))
 
     # ------------------------------------------------------------------
     # Simulation

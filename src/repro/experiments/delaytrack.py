@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.balanced import BalancedScheduler
-from ..core.pipeline import compile_program
 from ..core.traditional import TraditionalScheduler
 from ..extensions.known_latency import KnownLatencyScheduler, expected_latency
 from ..machine.config import N_2_5
@@ -52,6 +51,7 @@ from ..simulate.stats import (
 )
 from ..verify.oracle import check_delaytrack_issue
 from ..workloads.perfect import load_program, program_names
+from .common import COMPILATION_CACHE
 
 #: Tracking-table sizes swept by the study.  0 is the paper's in-order
 #: interlocked machine; 64 exceeds every suite block's load count, so
@@ -218,7 +218,7 @@ def run_delay_tracking(
     for name in names:
         program = load_program(name)
         compiled = {
-            tag: compile_program(program, policy)
+            tag: COMPILATION_CACHE.compile(program, policy)
             for tag, policy in policies.items()
         }
         for table in tables:

@@ -404,8 +404,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     must measure real work, not replay)."""
     runs = 3 if args.quick else args.runs
     programs = _parse_programs(args)
-    # Process-level memos would replay compilation (and skip the
-    # frontend entirely), leaving the profile with nothing but
+    # Process-level memos (the suite, whole-program compilations and
+    # the compile stages) would replay compilation and skip the
+    # frontend entirely, leaving the profile with nothing but
     # simulation; drop them so every phase does real work.
     from ..workloads.perfect import clear_cache
     from .common import COMPILATION_CACHE
@@ -645,16 +646,20 @@ def _compile_file(path: str):
 
 def render_compile(program, latency: float = 2.0) -> str:
     """The ``compile`` listing (both policies) as a string; shared by
-    the CLI and the service so their outputs are byte-identical."""
+    the CLI and the service so their outputs are byte-identical.
+
+    The two compilations share a throwaway stage memo: a user program
+    must not fill the process-wide one of a long-running daemon."""
     from ..core.balanced import BalancedScheduler
-    from ..core.pipeline import compile_program
+    from ..core.pipeline import StageMemo, compile_program
     from ..core.traditional import TraditionalScheduler
     from ..ir.printer import format_block
 
     buf = io.StringIO()
+    memo = StageMemo()
     policies = [BalancedScheduler(), TraditionalScheduler(latency)]
     for policy in policies:
-        compiled = compile_program(program, policy)
+        compiled = compile_program(program, policy, memo=memo)
         print(f"==== {policy.name}", file=buf)
         for block in compiled.final_blocks:
             print(format_block(block), file=buf)
@@ -712,13 +717,14 @@ def render_schedule(
     """The ``schedule`` listing as a string; shared by the CLI and the
     service so their outputs are byte-identical.
 
-    Every block is scheduled inline, one after another.  ``jobs`` no
+    Every block is scheduled inline, one after another, through the
+    pipeline's pass-1 stages on a throwaway stage memo.  ``jobs`` no
     longer changes how blocks are scheduled: it is echoed in the
     ``(jobs=N)`` footer only, which the CLI and the service both print
     as ``jobs=1``."""
-    from ..analysis.dependence import build_dag
     from ..core.balanced import BalancedScheduler
     from ..core.optimal import OptimalScheduler
+    from ..core.pipeline import StageMemo
     from ..core.traditional import TraditionalScheduler
 
     if policy_name == "optimal":
@@ -728,7 +734,11 @@ def render_schedule(
     else:
         policy = TraditionalScheduler(latency)
     blocks = program.all_blocks()
-    results = [policy.schedule_dag(build_dag(block), block) for block in blocks]
+    memo = StageMemo()
+    results = [
+        memo.schedule(block, AliasModel.FORTRAN, policy)
+        for block in blocks
+    ]
     buf = io.StringIO()
     for block, result in zip(blocks, results):
         print(

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..analysis.dag import CodeDAG
 from ..core.policy import SchedulingPolicy
-from ..core.scheduler import Direction
+from ..core.scheduler import Direction, Weight
 from ..core.weights import balanced_weights
 from ..ir.instructions import Instruction
 
@@ -89,14 +89,13 @@ class KnownLatencyScheduler(SchedulingPolicy):
         super().__init__(direction)
         self.oracle = oracle
 
-    def assign_weights(self, dag: CodeDAG) -> None:
-        weights = balanced_weights(dag)
+    def load_weights(self, dag: CodeDAG) -> Dict[int, Weight]:
+        weights: Dict[int, Weight] = dict(balanced_weights(dag))
         for node in dag.load_nodes():
             known = self.oracle(dag, node)
             if known is not None:
-                dag.set_weight(node, known)
-            else:
-                dag.set_weight(node, weights[node])
+                weights[node] = known
+        return weights
 
     def known_loads(self, dag: CodeDAG) -> Dict[int, int]:
         """The loads the oracle pins, with their latencies (diagnostics)."""

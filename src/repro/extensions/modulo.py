@@ -193,8 +193,8 @@ def modulo_schedule(
     if carried is None:
         carried = infer_carried(block)
 
-    dag = build_dag(block)
-    policy.assign_weights(dag)
+    unweighted = build_dag(block)
+    dag = unweighted.with_weights(policy.load_weights(unweighted))
     carried_edges = _carried_edges(block, dag, carried)
     node_priorities = compute_priorities(dag)
 

@@ -13,7 +13,8 @@ all weighted instructions in series, not just loads.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from fractions import Fraction
+from typing import Callable, Dict, Sequence
 
 from ..analysis.dag import CodeDAG
 from ..core.policy import SchedulingPolicy
@@ -43,9 +44,8 @@ class MultiCycleBalancedScheduler(SchedulingPolicy):
         super().__init__(direction)
         self.is_weighted = is_weighted
 
-    def assign_weights(self, dag: CodeDAG) -> None:
-        for node, weight in balanced_weights(dag, self.is_weighted).items():
-            dag.set_weight(node, weight)
+    def load_weights(self, dag: CodeDAG) -> Dict[int, Fraction]:
+        return balanced_weights(dag, self.is_weighted)
 
 
 def with_fp_latency(

@@ -63,8 +63,9 @@ class Opcode(enum.Enum):
 LOAD_OPCODES = frozenset({Opcode.LOAD})
 #: Opcodes that write memory.
 STORE_OPCODES = frozenset({Opcode.STORE})
+_TERMINATORS = (Opcode.BRANCH, Opcode.JUMP, Opcode.RET)
 #: Opcodes that terminate a basic block and anchor at its end.
-TERMINATOR_OPCODES = frozenset({Opcode.BRANCH, Opcode.JUMP, Opcode.RET})
+TERMINATOR_OPCODES = frozenset(_TERMINATORS)
 #: Floating point arithmetic (candidates for the multi-cycle extension).
 FP_OPCODES = frozenset(
     {Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV, Opcode.FMA, Opcode.FMOV}
@@ -101,13 +102,17 @@ class Instruction:
     # ------------------------------------------------------------------
     # Classification helpers
     # ------------------------------------------------------------------
+    # The hot classification checks compare by identity (one opcode
+    # each) or scan a tuple, instead of hashing the Enum into the
+    # frozensets above: the scheduler and the allocator ask them
+    # hundreds of thousands of times per suite run.
     @property
     def is_load(self) -> bool:
-        return self.opcode in LOAD_OPCODES
+        return self.opcode is Opcode.LOAD
 
     @property
     def is_store(self) -> bool:
-        return self.opcode in STORE_OPCODES
+        return self.opcode is Opcode.STORE
 
     @property
     def is_mem(self) -> bool:
@@ -115,7 +120,7 @@ class Instruction:
 
     @property
     def is_terminator(self) -> bool:
-        return self.opcode in TERMINATOR_OPCODES
+        return self.opcode in _TERMINATORS
 
     @property
     def is_fp(self) -> bool:

@@ -60,6 +60,12 @@ class ChaitinAllocator:
     def __init__(self, register_file: RegisterFile = DEFAULT_REGISTER_FILE):
         self.register_file = register_file
 
+    @property
+    def memo_key(self) -> RegisterFile:
+        """What :meth:`allocate` reads besides the block (the staged
+        compile memo keys allocations on it)."""
+        return self.register_file
+
     # ------------------------------------------------------------------
     def allocate(self, block: BasicBlock) -> AllocationResult:
         intervals = {

@@ -75,15 +75,17 @@ class TestLoadsAndWeights:
         dag = three_node_dag()
         assert dag.weights == [1, 1, 1]
 
-    def test_set_load_weights(self):
+    def test_with_weights(self):
         dag = three_node_dag()
-        dag.set_load_weights({0: Fraction(7, 2)})
-        assert dag.weights[0] == Fraction(7, 2)
+        weighted = dag.with_weights({0: Fraction(7, 2)})
+        assert weighted.weights == [Fraction(7, 2), 1, 1]
+        assert weighted.edges() == dag.edges()
+        assert weighted.instructions is dag.instructions
 
-    def test_set_load_weights_rejects_non_load(self):
+    def test_with_weights_leaves_the_dag_unchanged(self):
         dag = three_node_dag()
-        with pytest.raises(ValueError, match="not a load"):
-            dag.set_load_weights({1: Fraction(2)})
+        dag.with_weights({0: Fraction(2), 1: Fraction(3)})
+        assert dag.weights == [1, 1, 1]
 
     def test_edge_latency_true_vs_order(self):
         dag = three_node_dag()

@@ -31,14 +31,14 @@ class TestAsFraction:
 
 class TestTraditional:
     def test_uniform_load_weights(self, saxpy_block):
-        dag = build_dag(saxpy_block)
-        TraditionalScheduler(4).assign_weights(dag)
+        base = build_dag(saxpy_block)
+        dag = base.with_weights(TraditionalScheduler(4).load_weights(base))
         for node in dag.load_nodes():
             assert dag.weights[node] == Fraction(4)
 
     def test_non_loads_untouched(self, saxpy_block):
-        dag = build_dag(saxpy_block)
-        TraditionalScheduler(4).assign_weights(dag)
+        base = build_dag(saxpy_block)
+        dag = base.with_weights(TraditionalScheduler(4).load_weights(base))
         for node in dag.nodes():
             if not dag.is_load(node):
                 assert dag.weights[node] == dag.instructions[node].latency
@@ -49,9 +49,9 @@ class TestTraditional:
 
 class TestBalanced:
     def test_assign_matches_weights_function(self, saxpy_block):
-        dag = build_dag(saxpy_block)
-        expected = balanced_weights(dag)
-        BalancedScheduler().assign_weights(dag)
+        base = build_dag(saxpy_block)
+        expected = balanced_weights(base)
+        dag = base.with_weights(BalancedScheduler().load_weights(base))
         for node, weight in expected.items():
             assert dag.weights[node] == weight
 
@@ -63,10 +63,10 @@ class TestBalanced:
 
 class TestAverageWeight:
     def test_every_load_gets_the_block_average(self, reduction_block):
-        dag = build_dag(reduction_block)
-        per_load = balanced_weights(dag)
+        base = build_dag(reduction_block)
+        per_load = balanced_weights(base)
         average = sum(per_load.values(), Fraction(0)) / len(per_load)
-        AverageWeightScheduler().assign_weights(dag)
+        dag = base.with_weights(AverageWeightScheduler().load_weights(base))
         for node in dag.load_nodes():
             assert dag.weights[node] == average
 
@@ -75,7 +75,7 @@ class TestAverageWeight:
         from repro.ir import Opcode, VirtualReg, alu
 
         dag = CodeDAG([alu(Opcode.ADD, VirtualReg(0), ())])
-        AverageWeightScheduler().assign_weights(dag)
+        assert AverageWeightScheduler().load_weights(dag) == {}
         assert dag.weights == [1]
 
 
@@ -83,15 +83,14 @@ class TestPolicyInterface:
     def test_policies_share_one_scheduler_implementation(self, saxpy_block):
         """Same tie-breaks + same weights => identical schedules."""
         fixed = BalancedScheduler()
-        dag = build_dag(saxpy_block)
-        fixed.assign_weights(dag)
+        base = build_dag(saxpy_block)
+        dag = base.with_weights(fixed.load_weights(base))
 
         class Precomputed(SchedulingPolicy):
             name = "precomputed"
 
-            def assign_weights(self, inner):
-                for node, weight in enumerate(dag.weights):
-                    inner.set_weight(node, weight)
+            def load_weights(self, inner):
+                return dict(enumerate(dag.weights))
 
         ours = fixed.schedule_block(saxpy_block)
         theirs = Precomputed().schedule_block(saxpy_block)

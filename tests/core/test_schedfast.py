@@ -50,8 +50,7 @@ def weighted_dag(seed: int, size: int = 40):
         spawn("schedfast-prop", seed), n_instructions=size
     )
     dag = build_dag(block)
-    BalancedScheduler().assign_weights(dag)
-    return block, dag
+    return block, dag.with_weights(BalancedScheduler().load_weights(dag))
 
 
 def result_surface(result):
@@ -106,11 +105,13 @@ class TestSuiteParity:
         engine_schedule = ListScheduler.schedule
         calls = []
 
-        def checked(self, dag, block=None):
+        def checked(self, dag, block=None, weights=None):
+            # The engine reads the policy's weight map; the oracle reads
+            # the same weights installed on a view of the DAG.
             calls.append(len(dag))
             return assert_matches_oracle(
-                lambda d, b: engine_schedule(self, d, b),
-                dag, block, self.direction,
+                lambda _d, b: engine_schedule(self, dag, b, weights),
+                dag.with_weights(weights or {}), block, self.direction,
             )
 
         monkeypatch.setattr(ListScheduler, "schedule", checked)

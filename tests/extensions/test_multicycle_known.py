@@ -54,8 +54,8 @@ class TestMultiCycle:
     def test_fp_ops_receive_balanced_weights(self):
         block = fresh_block()
         with_fp_latency(block.instructions, 4)
-        dag = build_dag(block)
-        MultiCycleBalancedScheduler().assign_weights(dag)
+        base = build_dag(block)
+        dag = base.with_weights(MultiCycleBalancedScheduler().load_weights(base))
         fp_nodes = [v for v in dag.nodes() if dag.instructions[v].is_fp]
         for v in fp_nodes:
             assert dag.weights[v] >= 1
@@ -112,11 +112,11 @@ class TestKnownLatency:
 
     def test_known_loads_pinned_unknown_balanced(self):
         block = fresh_block()
-        dag = build_dag(block)
+        base = build_dag(block)
         oracle = second_access_same_line(hit_latency=2, line_elements=4)
         scheduler = KnownLatencyScheduler(oracle)
         reference = balanced_weights(build_dag(block))
-        scheduler.assign_weights(dag)
+        dag = base.with_weights(scheduler.load_weights(base))
         known = scheduler.known_loads(dag)
         for node in dag.load_nodes():
             if node in known:
