@@ -12,6 +12,9 @@ generated workloads and records the numbers in ``BENCH_scale.json``
   ``--jobs 4`` (the CLI clamps to usable cores, so on a single-core
   machine both legs are expected to tie; the JSON records the core
   count so readers can interpret the ratio).
+* Table 2's cells in one process, as one-cell ``evaluate_cells`` calls
+  versus one call that groups each program's cells and stacks their
+  kernel calls (``table2_grouped``).
 """
 
 from __future__ import annotations
@@ -23,17 +26,20 @@ import subprocess
 import sys
 import time
 
+import statistics
+
 import numpy as np
 import pytest
 
 from repro.analysis import build_dag
 from repro.core import BalancedScheduler
 from repro.machine import LEN_8, MAX_8, UNLIMITED
-from repro.machine.config import SYSTEMS_BY_NAME
+from repro.experiments.common import CellSpec, evaluate_cells
+from repro.machine.config import SYSTEMS_BY_NAME, paper_system_rows
 from repro.simulate import simulate_block
 from repro.simulate.batch import simulate_block_batch
 from repro.simulate.rng import spawn
-from repro.workloads import random_block
+from repro.workloads import program_names, random_block
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 
@@ -137,7 +143,10 @@ def test_bench_schedule_large_dag(benchmark, size):
     }
 
 
-def _run_all_quick(jobs: int) -> float:
+def _run_all_quick(jobs: int, tmp_path) -> float:
+    """Wall time of one cold ``run all --quick``: no result cache (a
+    cache filled by the other leg would be replayed instead of
+    computed) and a throwaway manifest."""
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     existing = env.get("PYTHONPATH")
@@ -153,6 +162,9 @@ def _run_all_quick(jobs: int) -> float:
             "--quick",
             "--jobs",
             str(jobs),
+            "--no-cache",
+            "--manifest",
+            str(tmp_path / f"manifest-{jobs}.jsonl"),
         ],
         capture_output=True,
         env=env,
@@ -162,10 +174,10 @@ def _run_all_quick(jobs: int) -> float:
     return elapsed
 
 
-def test_bench_run_all_quick_jobs():
+def test_bench_run_all_quick_jobs(tmp_path):
     """CLI wall-clock: the full --quick regeneration, serial vs parallel."""
-    serial = _run_all_quick(1)
-    parallel = _run_all_quick(4)
+    serial = _run_all_quick(1, tmp_path)
+    parallel = _run_all_quick(4, tmp_path)
     cores = (
         len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity")
@@ -186,3 +198,56 @@ def test_bench_run_all_quick_jobs():
         # Single core: the CLI clamps --jobs to 1, so the legs must tie
         # (no parallel-path regression), within generous noise.
         assert parallel < serial * 1.35
+
+
+def test_bench_table2_grouped(monkeypatch):
+    """Table 2's 136 cells: one-cell ``evaluate_cells`` calls versus one
+    grouped call, after a warm-up pass has compiled every binary (so
+    both legs time sampling, bootstrap and the work loop, not the
+    compile memo).  Legs alternate; the speedup is the ratio of the
+    medians.  Results must be identical either way."""
+    import repro.simulate.program as program_mod
+
+    specs = [
+        CellSpec(name, row) for name in program_names()
+        for row in paper_system_rows()
+    ]
+    calls = []
+    real = program_mod.simulate_block_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(program_mod, "simulate_block_batch", counting)
+
+    def per_cell():
+        return [evaluate_cells([spec])[0] for spec in specs]
+
+    def grouped():
+        return evaluate_cells(specs)
+
+    reference = grouped()  # warm-up: compiles every binary once
+    counts = {}
+    walls = {"per_cell": [], "grouped": []}
+    for _ in range(3):
+        for name, leg in (("per_cell", per_cell), ("grouped", grouped)):
+            calls.clear()
+            start = time.perf_counter()
+            cells = leg()
+            walls[name].append(time.perf_counter() - start)
+            counts[name] = len(calls)
+            assert [c.imp_pct for c in cells] == [
+                c.imp_pct for c in reference
+            ]
+    per_cell_s = statistics.median(walls["per_cell"])
+    grouped_s = statistics.median(walls["grouped"])
+    _RECORD["table2_grouped"] = {
+        "cells": len(specs),
+        "per_cell_seconds": round(per_cell_s, 4),
+        "grouped_seconds": round(grouped_s, 4),
+        "speedup": round(per_cell_s / grouped_s, 2),
+        "per_cell_kernel_calls": counts["per_cell"],
+        "grouped_kernel_calls": counts["grouped"],
+    }
+    assert counts["grouped"] < counts["per_cell"]

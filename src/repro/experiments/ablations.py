@@ -38,7 +38,7 @@ from ..simulate.rng import DEFAULT_SEED, spawn
 from ..simulate.stats import percentage_improvement, program_bootstrap_runtimes
 from ..workloads.perfect import load_program
 from .cache import object_key
-from .common import COMPILATION_CACHE, WorkItem, checkpointed_map
+from .common import COMPILATION_CACHE, PerItem, WorkItem, checkpointed_map
 
 #: Representative systems for the ablations: one cache, one noisy
 #: network, the mixed model.
@@ -392,7 +392,7 @@ def run_all_ablations(jobs: int = 1) -> AblationResult:
     """
     items = [
         WorkItem(
-            _run_one_ablation, index, object_key("ablation", label),
+            PerItem(_run_one_ablation), index, object_key("ablation", label),
             "-", "ablation", label,
         )
         for index, (label, _fn) in enumerate(ALL_ABLATIONS)

@@ -42,6 +42,7 @@ docs/performance.md.
 from __future__ import annotations
 
 import atexit
+import functools
 import logging
 import os
 import time
@@ -49,8 +50,8 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence,
-    Tuple,
+    Callable, ContextManager, Dict, Hashable, Iterator, List, NamedTuple,
+    Optional, Sequence, Tuple,
 )
 
 from ..analysis.alias import AliasModel
@@ -66,7 +67,9 @@ from ..obs import requesttrace as _reqtrace
 from ..obs.metrics import MetricsRegistry, split_series_key, summarize_delta
 from ..obs.recorder import span as _span
 from ..regalloc.target import DEFAULT_REGISTER_FILE, RegisterFile
-from ..simulate.program import DEFAULT_RUNS, ProgramRuns, simulate_program
+from ..simulate.program import (
+    DEFAULT_RUNS, ProgramRuns, SimulationJob, simulate_programs,
+)
 from ..simulate.rng import DEFAULT_SEED, spawn
 from ..simulate.stats import (
     DEFAULT_BOOTSTRAP,
@@ -230,13 +233,14 @@ class ProgramEvaluator:
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
-    def _simulate(
+    def _job(
         self,
         compilation: CompilationResult,
         row: SystemRow,
         processor: ProcessorModel,
         policy_tag: str,
-    ) -> ProgramRuns:
+        scope: Callable[[], ContextManager],
+    ) -> SimulationJob:
         rng = spawn(
             "sim",
             self.program.name,
@@ -246,47 +250,103 @@ class ProgramEvaluator:
             policy_tag,
             seed=self.seed,
         )
-        return simulate_program(
+        return SimulationJob(
             compilation.final_blocks,
             processor,
             row.memory,
             rng,
             runs=self.runs,
             name=f"{self.program.name}/{policy_tag}",
+            labels={
+                "program": self.program.name,
+                "policy": policy_tag,
+                "system": row.label,
+            },
+            scope=scope,
         )
 
     def cell(
         self, row: SystemRow, processor: ProcessorModel = UNLIMITED
     ) -> CellResult:
-        """Evaluate one table cell (compile if needed, simulate, bootstrap).
+        """Evaluate one table cell: the one-cell case of :meth:`cells`."""
+        return self.cells([(row, processor)])[0]
 
-        The ``cell`` span's args (program/system/processor) become the
-        ambient labels every metric recorded below it carries -- see
-        :meth:`repro.obs.recorder.Recorder.context`.
+    def cells(
+        self,
+        requests: Sequence[Tuple[SystemRow, ProcessorModel]],
+        scope: Optional["ItemScopes"] = None,
+    ) -> List[CellResult]:
+        """Evaluate a group of this program's table cells together.
+
+        Three phases.  Each cell compiles (or reuses) its two binaries;
+        then every cell's two programs are sampled by one
+        :func:`~repro.simulate.program.simulate_programs` call, which
+        makes one kernel call per (compiled block, processor) -- the
+        balanced binary is the same in every row, the traditional one
+        in every row with the same optimistic latency; then each cell
+        bootstraps its own samples.  Every cell draws from its own
+        string-keyed streams, so a cell's result does not depend on
+        the group it is evaluated in.
+
+        ``scope(i)`` (see :class:`ItemScopes`) wraps the work done for
+        request ``i`` alone, and ``scope.charge`` gives it its share of
+        the stacked sampling.  Spans: a ``cell`` span per cell around
+        its compilations (its args, program/system/processor, become
+        the ambient labels every metric recorded below it carries --
+        see :meth:`repro.obs.recorder.Recorder.context`), one
+        ``simulate_program`` span for the group, and a ``bootstrap``
+        span per cell.
         """
-        with _span(
-            "cell",
-            program=self.program.name,
-            system=row.label,
-            processor=processor.name,
-        ):
-            return self._cell(row, processor)
-
-    def _cell(
-        self, row: SystemRow, processor: ProcessorModel
-    ) -> CellResult:
-        with _span("compile", policy="balanced"):
-            balanced = self.balanced()
-        with _span("compile", policy="traditional"):
-            traditional = self.traditional(row.optimistic_latency)
-
-        with _span("simulate_program", policy="traditional"):
-            trad_runs = self._simulate(
-                traditional, row, processor, "traditional"
+        if scope is None:
+            scope = ItemScopes(len(requests), None)
+        name = self.program.name
+        compiled = []
+        jobs: List[SimulationJob] = []
+        for index, (row, processor) in enumerate(requests):
+            with scope(index), _span(
+                "cell", program=name, system=row.label,
+                processor=processor.name,
+            ):
+                with _span("compile", policy="balanced"):
+                    balanced = self.balanced()
+                with _span("compile", policy="traditional"):
+                    traditional = self.traditional(row.optimistic_latency)
+            compiled.append((balanced, traditional))
+            own = functools.partial(scope, index)
+            jobs.append(
+                self._job(traditional, row, processor, "traditional", own)
             )
-        with _span("simulate_program", policy="balanced"):
-            bal_runs = self._simulate(balanced, row, processor, "balanced")
+            jobs.append(self._job(balanced, row, processor, "balanced", own))
 
+        with _span("simulate_program", program=name, cells=len(requests)):
+            sampled = simulate_programs(jobs)
+
+        results = []
+        for index, (row, processor) in enumerate(requests):
+            balanced, traditional = compiled[index]
+            trad_runs, bal_runs = sampled[2 * index], sampled[2 * index + 1]
+            scope.charge(index, trad_runs.shared_s + bal_runs.shared_s)
+            with scope(index), _span(
+                "bootstrap", program=name, system=row.label,
+                processor=processor.name,
+            ):
+                results.append(
+                    self._bootstrap(
+                        row, processor, balanced, traditional, trad_runs,
+                        bal_runs,
+                    )
+                )
+        return results
+
+    def _bootstrap(
+        self,
+        row: SystemRow,
+        processor: ProcessorModel,
+        balanced: CompilationResult,
+        traditional: CompilationResult,
+        trad_runs: ProgramRuns,
+        bal_runs: ProgramRuns,
+    ) -> CellResult:
         boot_rng = spawn(
             "boot",
             self.program.name,
@@ -295,14 +355,9 @@ class ProgramEvaluator:
             processor.name,
             seed=self.seed,
         )
-        with _span("bootstrap"):
-            t_boot = program_bootstrap_runtimes(
-                trad_runs, boot_rng, self.n_boot
-            )
-            b_boot = program_bootstrap_runtimes(
-                bal_runs, boot_rng, self.n_boot
-            )
-            improvement = percentage_improvement(t_boot, b_boot)
+        t_boot = program_bootstrap_runtimes(trad_runs, boot_rng, self.n_boot)
+        b_boot = program_bootstrap_runtimes(bal_runs, boot_rng, self.n_boot)
+        improvement = percentage_improvement(t_boot, b_boot)
 
         return CellResult(
             program=self.program.name,
@@ -474,40 +529,39 @@ def _maybe_inject_fault(spec: CellSpec) -> None:
     os._exit(1)
 
 
-def _evaluate_cell(spec: CellSpec) -> CellResult:
-    """Evaluate one cell in this process."""
-    _maybe_inject_fault(spec)
-    key = (
-        spec.program,
-        spec.seed,
-        spec.runs,
-        spec.n_boot,
-        spec.register_file,
-        spec.alias_model,
-    )
+def _evaluate_cells(specs: Sequence[CellSpec], scope: "ItemScopes"):
+    """Evaluate one group of cells (equal :func:`_cell_group` keys) in
+    this process, through one :meth:`ProgramEvaluator.cells` call."""
+    first = specs[0]
+    _maybe_inject_fault(first)
+    key = _cell_group_key(first)
     evaluator = _EVALUATORS.get(key)
     if evaluator is None:
         evaluator = _EVALUATORS[key] = ProgramEvaluator(
-            load_program(spec.program),
-            register_file=spec.register_file,
-            alias_model=spec.alias_model,
-            seed=spec.seed,
-            runs=spec.runs,
-            n_boot=spec.n_boot,
+            load_program(first.program),
+            register_file=first.register_file,
+            alias_model=first.alias_model,
+            seed=first.seed,
+            runs=first.runs,
+            n_boot=first.n_boot,
         )
-    return evaluator.cell(spec.system, spec.processor)
+    return evaluator.cells(
+        [(spec.system, spec.processor) for spec in specs], scope
+    )
 
 
 @dataclass(frozen=True)
 class WorkItem:
     """One checkpoint unit of :func:`checkpointed_map`.
 
-    ``fn(arg)`` computes the value; ``fn`` is a module-level function
-    so the item pickles across the pool boundary.  ``key`` is the
-    value's result-cache key, computed once by the caller;
-    ``program``/``system``/``processor`` label the manifest ``cell``
-    record, and ``trace_ids`` names the service requests waiting on
-    the item.
+    ``fn(args, scope)`` computes the values of a group of items that
+    share ``fn`` (one value per arg, in order); ``scope`` is the
+    group's :class:`ItemScopes`.  ``fn`` is a module-level callable so
+    the item pickles across the pool boundary; :class:`PerItem` adapts
+    a one-argument function.  ``key`` is the value's result-cache key,
+    computed once by the caller; ``program``/``system``/``processor``
+    label the manifest ``cell`` record, and ``trace_ids`` names the
+    service requests waiting on the item.
     """
 
     fn: Callable
@@ -517,6 +571,89 @@ class WorkItem:
     system: str
     processor: str
     trace_ids: Tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class PerItem:
+    """The group form of a one-argument function: each arg is
+    evaluated on its own, inside its own scope."""
+
+    fn: Callable
+
+    def __call__(self, args: Sequence, scope: "ItemScopes") -> List:
+        values = []
+        for index, arg in enumerate(args):
+            with scope(index):
+                values.append(self.fn(arg))
+        return values
+
+
+class ItemScopes:
+    """Per-item child registries and wall clocks for a group of items
+    evaluated together.
+
+    ``scope(i)`` is a context manager around work done for item ``i``
+    alone.  Given a recorder ``rec``, it swaps item ``i``'s child
+    :class:`MetricsRegistry` onto the recorder and puts the parent back
+    on exit (with ``rec=None``, as for a direct evaluation, metrics go
+    wherever they would have gone), so the child holds exactly what the item recorded --
+    nothing written through a reference to the parent (the service's
+    request accounting, another thread) leaks in.  The elapsed time is
+    added to the item's wall, and an exception escaping the scope names
+    the item as the one that failed.  ``charge(i, seconds)`` adds item
+    ``i``'s share of work done for several items at once.
+    """
+
+    def __init__(self, count: int, rec: Optional[_obs.Recorder]) -> None:
+        self.rec = rec
+        self.walls = [0.0] * count
+        self.children: List[Optional[MetricsRegistry]] = [
+            MetricsRegistry() if rec is not None else None
+            for _ in range(count)
+        ]
+        #: Per item, the ``rec.spans`` index ranges recorded in its scope.
+        self.span_ranges: List[List[Tuple[int, int]]] = [
+            [] for _ in range(count)
+        ]
+        #: The item whose scope an exception escaped first.
+        self.failed: Optional[int] = None
+
+    @contextmanager
+    def __call__(self, index: int) -> Iterator[None]:
+        rec = self.rec
+        parent = None
+        if rec is not None:
+            mark = len(rec.spans)
+            parent, rec.metrics = rec.metrics, self.children[index]
+        start = time.perf_counter()
+        try:
+            yield
+        except BaseException:
+            if self.failed is None:
+                self.failed = index
+            raise
+        finally:
+            self.walls[index] += time.perf_counter() - start
+            if rec is not None:
+                rec.metrics = parent
+                self.span_ranges[index].append((mark, len(rec.spans)))
+
+    def charge(self, index: int, seconds: float) -> None:
+        self.walls[index] += seconds
+
+    def spans(self, index: int, mark: int) -> List[_obs.SpanEvent]:
+        """The spans since ``mark`` that belong to item ``index``: those
+        recorded in its scope, and those recorded in no item's scope
+        (work shared by the group)."""
+        spans = self.rec.spans
+        owner: Dict[int, int] = {}
+        for item, ranges in enumerate(self.span_ranges):
+            for lo, hi in ranges:
+                owner.update(dict.fromkeys(range(lo, hi), item))
+        return [
+            spans[k] for k in range(mark, len(spans))
+            if owner.get(k, index) == index
+        ]
 
 
 class _Timed(NamedTuple):
@@ -618,63 +755,62 @@ def _trace_fragments(
     return fragments
 
 
-def _run_timed(item: WorkItem) -> _Timed:
-    """Evaluate one item, timed, with its metrics in a child registry.
+def _run_group(items: Sequence[WorkItem]) -> List[_Timed]:
+    """Evaluate one group of items together, each timed, with its
+    metrics in a child registry of its own.
 
-    The one wrapper every item runs through, inline and in a pool
-    worker alike.  With observability on, a fresh
-    :class:`MetricsRegistry` replaces the recorder's registry for the
-    item and the parent comes back afterwards, so the child holds
-    exactly what this item recorded -- nothing written through a
-    reference to the parent (the service's request accounting, another
-    thread) leaks in.  The parent process folds a returned child into
-    its registry in :func:`checkpointed_map`; an item that raises
-    (including ``KeyboardInterrupt``) has its child folded in here
+    The one wrapper every group runs through, inline and in a pool
+    worker alike: one ``fn(args, scope)`` call, where ``scope`` is an
+    :class:`ItemScopes` that keeps each item's metrics, wall clock and
+    spans apart.  The parent process folds a returned child into its
+    registry in :func:`checkpointed_map`; a group that raises
+    (including ``KeyboardInterrupt``) has every child folded in here
     before the exception propagates, so a failing or interrupted item's
     metrics (e.g. ``verify.violations``) still reach the recorder.  A
-    deterministic failure is wrapped so the caller knows exactly which
-    item died.
+    deterministic failure is wrapped in :class:`CellEvaluationError`
+    naming the item whose scope it escaped.
     """
     rec = _obs.get()
-    parent = child = None
-    spans_mark = 0
+    scope = ItemScopes(len(items), rec)
+    spans_mark = len(rec.spans) if rec is not None else 0
     t0_wall = time.time_ns()
     t0_clock = time.perf_counter_ns()
-    start = time.perf_counter()
     try:
-        if rec is not None:
-            spans_mark = len(rec.spans)
-            parent, rec.metrics = rec.metrics, MetricsRegistry()
-        value = item.fn(item.arg)
+        values = items[0].fn([item.arg for item in items], scope)
     except BaseException as exc:
-        if parent is not None and rec.metrics is not parent:
-            parent.merge(rec.metrics)
+        if rec is not None:
+            for child in scope.children:
+                rec.metrics.merge(child)
         if isinstance(exc, Exception):
-            raise CellEvaluationError(item.arg, exc) from exc
+            failed = items[scope.failed or 0]
+            raise CellEvaluationError(failed.arg, exc) from exc
         raise
-    finally:
-        if parent is not None:
-            child, rec.metrics = rec.metrics, parent
-    wall = time.perf_counter() - start
-    fragments = (
-        _trace_fragments(
-            item, wall, t0_wall, t0_clock, rec,
-            rec.spans[spans_mark:] if rec is not None else (), child,
+    worker = os.getpid()
+    timed = []
+    for index, (item, value) in enumerate(zip(items, values)):
+        wall = scope.walls[index]
+        child = scope.children[index]
+        fragments = (
+            _trace_fragments(
+                item, wall, t0_wall, t0_clock, rec,
+                scope.spans(index, spans_mark) if rec is not None else (),
+                child,
+            )
+            if item.trace_ids
+            else []
         )
-        if item.trace_ids
-        else []
-    )
-    return _Timed(value, wall, os.getpid(), child, fragments)
+        timed.append(_Timed(value, wall, worker, child, fragments))
+    return timed
 
 
-def _run_batch(items: Sequence[WorkItem]) -> List[_Timed]:
-    """Worker entry point: evaluate a batch of items in this process.
+def _run_batch(groups: Sequence[Sequence[WorkItem]]) -> List[_Timed]:
+    """Worker entry point: evaluate a batch of groups in this process.
 
     (Workers inherit the enabled recorder by forking; spans recorded in
     workers stay worker-local, but items carrying ``trace_ids`` export
     their top-level spans as epoch-timestamped fragments.)
     """
-    return [_run_timed(item) for item in items]
+    return [timed for group in groups for timed in _run_group(group)]
 
 
 #: Lazily created, reused across evaluate_cells calls (so `run all`
@@ -869,12 +1005,16 @@ def checkpointed_map(
     round-trips of the originals, so cached, resumed and fresh runs are
     byte-identical for any ``jobs``.  Results come back in item order.
 
-    Only when the misses go to a pool are they batched: items with the
-    same ``group`` key stay in one task (for cells, the compilations
-    they share), and the groups are packed into a few batches per
-    worker -- enough for load balancing, few enough that task
-    round-trips stay off the critical path.  Inline, every item is its
-    own checkpoint, recorded in item order.
+    Misses with equal ``group`` keys (every miss on its own without
+    one) form a group, evaluated together by one ``fn`` call (for
+    cells, one program's: they share its binaries and kernel calls).
+    Inline, every group is its own checkpoint, recorded in item order;
+    to a pool, the groups are packed into a few batches per worker --
+    enough for load balancing, few enough that task round-trips stay
+    off the critical path.  The manifest is fsynced once per consumed
+    batch (and once after a run of cache hits): a record is flushed as
+    it is written, so a crashed process loses none, and only a machine
+    crash can lose the records of the batch in flight.
 
     ``retries`` / ``inline_fallback`` / ``stats`` / ``force_pool`` are
     forwarded to :func:`pool_map`; with ``inline_fallback=False`` pool
@@ -936,13 +1076,18 @@ def checkpointed_map(
             )
         record(item, 0.0, os.getpid(), "hit", 0)
     if not missing:
+        if manifest is not None:
+            manifest.sync()
         return out
 
-    pooled = force_pool or (jobs > 1 and len(missing) > 1)
-    if pooled and group is not None:
-        batches = _pack(missing, lambda i: group(items[i]), jobs)
+    groups: Dict[Hashable, List[int]] = {}
+    for index in missing:
+        key = group(items[index]) if group is not None else index
+        groups.setdefault(key, []).append(index)
+    if force_pool or (jobs > 1 and len(groups) > 1):
+        batches = _pack(list(groups.values()), jobs)
     else:
-        batches = [[index] for index in missing]
+        batches = [[members] for members in groups.values()]
     if stats is None:
         stats = PoolMapStats()
 
@@ -950,7 +1095,8 @@ def checkpointed_map(
         # Runs as each batch completes: checkpoint immediately so a
         # later crash cannot lose it.
         retried = stats.item_attempts.get(batch_pos, 0)
-        for index, result in zip(batches[batch_pos], timed):
+        indices = [i for members in batches[batch_pos] for i in members]
+        for index, result in zip(indices, timed):
             item = items[index]
             out[index] = result.value
             if cache is not None:
@@ -971,9 +1117,16 @@ def checkpointed_map(
                         )
             record(item, result.wall, result.worker, "miss", retried,
                    metrics=summary)
+        if manifest is not None:
+            manifest.sync()
 
     pool_map(
-        _run_batch, [[items[i] for i in batch] for batch in batches], jobs,
+        _run_batch,
+        [
+            [[items[i] for i in members] for members in batch]
+            for batch in batches
+        ],
+        jobs,
         retries=retries, stats=stats, on_result=consume,
         inline_fallback=inline_fallback, force_pool=force_pool,
     )
@@ -987,39 +1140,38 @@ def checkpointed_map(
     return out
 
 
-def _pack(
-    indices: List[int], key: Callable[[int], Hashable], jobs: int
-) -> List[List[int]]:
-    """Group ``indices`` by ``key`` and pack the groups, in first-seen
-    order, into batches of at least ``len(indices) / (4 * jobs)``."""
-    groups: Dict[Hashable, List[int]] = {}
-    for index in indices:
-        groups.setdefault(key(index), []).append(index)
-    per_batch = max(1, -(-len(indices) // (jobs * 4)))
-    batches: List[List[int]] = []
-    current: List[int] = []
-    for members in groups.values():
-        current.extend(members)
-        if len(current) >= per_batch:
+def _pack(groups: List[List[int]], jobs: int) -> List[List[List[int]]]:
+    """Pack ``groups``, in order, into batches of at least
+    ``(items in all groups) / (4 * jobs)`` items."""
+    per_batch = max(1, -(-sum(map(len, groups)) // (jobs * 4)))
+    batches: List[List[List[int]]] = []
+    current: List[List[int]] = []
+    size = 0
+    for members in groups:
+        current.append(members)
+        size += len(members)
+        if size >= per_batch:
             batches.append(current)
-            current = []
+            current, size = [], 0
     if current:
         batches.append(current)
     return batches
 
 
-def _compile_group(item: WorkItem) -> tuple:
-    """Cells with equal keys need exactly the same two compilations."""
-    spec = item.arg
+def _cell_group_key(spec: CellSpec) -> tuple:
+    """Cells with equal keys share one :class:`ProgramEvaluator`."""
     return (
         spec.program,
-        spec.system.optimistic_latency,
         spec.seed,
         spec.runs,
         spec.n_boot,
         spec.register_file,
         spec.alias_model,
     )
+
+
+def _cell_group(item: WorkItem) -> tuple:
+    return _cell_group_key(item.arg)
 
 
 def evaluate_cells(
@@ -1040,24 +1192,25 @@ def evaluate_cells(
     never from shared generator state -- so the output is bit-identical
     for any ``jobs``; parallelism only changes wall-clock time.
 
-    Pooled cells are batched by compile-sharing group: all cells with
-    the same (program, optimistic latency, compile settings) run in
-    one worker, so no traditional compilation ever runs twice anywhere
-    (the cheap balanced compilation is duplicated at most once per
-    worker per program).  The scheduling service passes
+    The misses of one program (and compile and sampling settings) are
+    one group, evaluated together by :meth:`ProgramEvaluator.cells`:
+    one process compiles each of its binaries once and samples each
+    compiled block once per processor, for every cell of the group.
+    Each cell still gets its own result, cache entry and manifest
+    record.  The scheduling service passes
     ``inline_fallback=False`` (and its own retry budget) so pool death
     raises :class:`PoolBrokenError` instead of running cells in the
     serving process.
     """
     items = [
         WorkItem(
-            _evaluate_cell, spec, cell_key(spec), spec.program,
+            _evaluate_cells, spec, cell_key(spec), spec.program,
             spec.system.label, spec.processor.name, spec.trace_ids,
         )
         for spec in specs
     ]
     return checkpointed_map(
-        items, jobs, group=_compile_group, cache=cache, manifest=manifest,
+        items, jobs, group=_cell_group, cache=cache, manifest=manifest,
         resume=resume, retries=retries, inline_fallback=inline_fallback,
         stats=stats, force_pool=force_pool,
     )

@@ -80,14 +80,21 @@ def git_describe() -> str:
 
 
 class ManifestWriter:
-    """Appends run records; each record is flushed to disk immediately
-    so a crash never loses what already ran."""
+    """Appends run records.
+
+    Each record is written and flushed to the operating system as it
+    is appended, so a crash of this process never loses what already
+    ran.  :meth:`sync` (called once per checkpointed batch, and by
+    :meth:`end_run`) fsyncs what was appended since the last sync, so
+    a machine crash loses at most the records of the batch in flight.
+    """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
         self._run_id: Optional[str] = None
         self._experiment: Optional[str] = None
         self._counts: Dict[str, int] = {}
+        self._unsynced = False
         # The service appends from the event loop, the CPU executor
         # and the batcher concurrently; one lock keeps records whole.
         self._lock = threading.Lock()
@@ -98,8 +105,19 @@ class ManifestWriter:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            self._unsynced = True
+
+    def sync(self) -> None:
+        """fsync the records appended since the last sync (if any)."""
+        with self._lock:
+            if not self._unsynced:
+                return
+            fd = os.open(self.path, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            self._unsynced = False
 
     # ------------------------------------------------------------------
     def start_run(self, experiment: str, **fields) -> str:
@@ -212,6 +230,7 @@ class ManifestWriter:
                 **self._counts,
             }
         )
+        self.sync()
         self._run_id = None
         self._experiment = None
 

@@ -26,7 +26,7 @@ from typing import Dict, List
 from ..simulate.rng import DEFAULT_SEED
 from ..workloads.perfect import load_program, program_names
 from .cache import object_key
-from .common import ProgramEvaluator, WorkItem, checkpointed_map
+from .common import PerItem, ProgramEvaluator, WorkItem, checkpointed_map
 
 #: The paper's Table 4 column set.
 OPTIMISTIC_LATENCIES = (2, 2.15, 2.4, 2.6, 3, 3.6, 5, 7.6, 30)
@@ -116,7 +116,7 @@ def run_table4(seed: int = DEFAULT_SEED, jobs: int = 1) -> Table4Result:
     """
     items = [
         WorkItem(
-            _spill_row, (name, seed),
+            PerItem(_spill_row), (name, seed),
             object_key("table4-row", name, seed, list(OPTIMISTIC_LATENCIES)),
             name, "table4-row", "-",
         )

@@ -251,21 +251,37 @@ def attribution_skip_reason(processor: ProcessorModel) -> Optional[str]:
     return None
 
 
+def batch_kernel(processor: ProcessorModel) -> str:
+    """The kernel that times ``processor`` (the ``sim.batch_kernel``
+    label): a nonzero delay-tracking table, else by issue width."""
+    if processor.load_delay_tracking:
+        return "delaytrack"
+    if processor.issue_width > 1:
+        return "superscalar"
+    return "single-issue"
+
+
 def simulate_block_batch(
     instructions: Sequence[Instruction],
     latencies: np.ndarray,
     processor: ProcessorModel = UNLIMITED,
     attribute: bool = False,
+    count_runs: bool = True,
 ) -> BatchSimResult:
     """Simulate ``runs`` executions of a straight-line sequence at once.
 
     ``latencies`` has shape ``(runs, n_loads)``: row ``r`` holds the
     sampled latency of each load, in program order, for run ``r`` --
     exactly the per-run argument of the scalar ``simulate_block``.
+    Runs are independent columns, so row-stacking several callers'
+    latencies into one call returns each caller's columns unchanged.
 
     ``attribute=True`` also records each step's stall and its cause
     (``BatchSimResult.stalls`` / ``causes``); it raises ``ValueError``
-    for a model :func:`attribution_skip_reason` excludes.
+    for a model :func:`attribution_skip_reason` excludes.  Under an
+    active recorder the runs are counted under ``sim.batch_kernel``,
+    unless ``count_runs=False``: a caller that stacked several parts'
+    rows counts each part in its own registry.
     """
     latencies = np.asarray(latencies, dtype=np.int64)
     if latencies.ndim != 2:
@@ -297,19 +313,14 @@ def simulate_block_batch(
         empty = np.zeros(0, dtype=np.int64)
         return BatchSimResult(empty, len(executed), empty.copy())
 
-    if processor.load_delay_tracking:
-        kernel = "delaytrack"
-    elif processor.issue_width > 1:
-        kernel = "superscalar"
-    else:
-        kernel = "single-issue"
+    kernel = batch_kernel(processor)
     if attribute and attribution_skip_reason(processor) is not None:
         raise ValueError(
             f"stall attribution models in-order, single-issue, "
             f"non-blocking processors only, not {processor.name}"
         )
     rec = _obs.get()
-    if rec is not None:
+    if rec is not None and count_runs:
         rec.metrics.inc("sim.batch_kernel", runs, kernel=kernel)
 
     steps, n_regs = _index_steps(executed)

@@ -6,12 +6,22 @@ scales block results by profiled execution frequency and sums.  This
 module produces those per-block sample matrices and the derived
 program-level series; the bootstrap machinery lives in
 :mod:`repro.simulate.stats`.
+
+:func:`simulate_programs` samples many programs at once and makes one
+kernel call per (block, processor) they share: the table cells of one
+program share its balanced binary across every row, and its
+traditional binary across rows with the same optimistic latency.
+:func:`simulate_program` is its one-program case.
 """
 
 from __future__ import annotations
 
+import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import (
+    Callable, ContextManager, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -22,7 +32,9 @@ from ..obs import recorder as _obs
 from .batch import (
     CAUSE_FREEZE,
     CAUSE_SLOT,
+    BatchSimResult,
     attribution_skip_reason,
+    batch_kernel,
     simulate_block_batch,
     use_writers,
 )
@@ -55,6 +67,9 @@ class ProgramRuns:
 
     name: str
     blocks: List[BlockSamples] = field(default_factory=list)
+    #: Seconds of sampling work attributed to this program (see
+    #: :func:`simulate_programs`).
+    shared_s: float = 0.0
 
     @property
     def runs(self) -> int:
@@ -91,6 +106,30 @@ class ProgramRuns:
         return float(self.weighted_cycles().mean())
 
 
+@dataclass(frozen=True)
+class SimulationJob:
+    """One program to sample: every block of ``blocks``, ``runs`` times,
+    on ``processor``, with latencies drawn from ``memory`` through
+    ``rng`` (block by block, in order -- the deterministic draw order).
+
+    ``labels`` are the ``program``/``policy``/``system`` labels of the
+    job's ``sim.*`` metrics; ``None`` takes them from the recorder's
+    ambient span context.  ``scope`` is entered around everything done
+    for this job alone while other jobs' rows share a kernel call: its
+    metric recording, and the re-run that names a failing job.  A table
+    cell uses it to record into its own child registry.
+    """
+
+    blocks: Sequence[BasicBlock]
+    processor: ProcessorModel
+    memory: MemorySystem
+    rng: np.random.Generator
+    runs: int = DEFAULT_RUNS
+    name: str = "program"
+    labels: Optional[Mapping[str, object]] = None
+    scope: Callable[[], ContextManager] = nullcontext
+
+
 def sample_block(
     block: BasicBlock,
     processor: ProcessorModel,
@@ -98,48 +137,140 @@ def sample_block(
     rng: np.random.Generator,
     runs: int = DEFAULT_RUNS,
 ) -> BlockSamples:
-    """Simulate ``block`` ``runs`` times with fresh latency draws.
+    """Simulate ``block`` ``runs`` times with fresh latency draws."""
+    return simulate_program([block], processor, memory, rng, runs).blocks[0]
 
-    Under an active recorder the same batch simulation also returns
-    each run's per-step stall attribution (on the models it covers),
-    which :func:`_record_simulation_metrics` turns into metrics; with
-    observation off the kernel is asked for cycles and interlocks only.
+
+def simulate_program(
+    blocks: Sequence[BasicBlock],
+    processor: ProcessorModel,
+    memory: MemorySystem,
+    rng: np.random.Generator,
+    runs: int = DEFAULT_RUNS,
+    name: str = "program",
+) -> ProgramRuns:
+    """Sample every block of a compiled program (the one-job case of
+    :func:`simulate_programs`)."""
+    job = SimulationJob(blocks, processor, memory, rng, runs, name)
+    return simulate_programs([job])[0]
+
+
+def simulate_programs(jobs: Sequence[SimulationJob]) -> List[ProgramRuns]:
+    """Sample many programs, one kernel call per (block, processor).
+
+    Block position by block position, each job draws its latency rows
+    from its own stream, exactly as if it ran alone; the rows of every
+    job that runs the same block object on the same processor are
+    stacked into one :func:`simulate_block_batch` call, and the result
+    columns are split back per job.  Kernel columns are independent
+    runs, so the samples are bit-identical to one call per job -- only
+    the kernel's fixed per-call cost is shared.  Only one block
+    position's latency rows are alive at a time.
+
+    Each job's :attr:`ProgramRuns.shared_s` is its share of that work:
+    its own draws plus, of each kernel call it took part in, the
+    fraction of the call's runs that were its own.  Under an active
+    recorder each job's ``sim.*`` metrics (``sim.batch_kernel``
+    included) are recorded for its own columns, inside its ``scope``.
     """
-    n_loads = sum(1 for i in block.instructions if i.is_load)
     rec = _obs.get()
-    if rec is None:
-        # One vectorised draw covers every run (the draw order is part
-        # of the deterministic artefact contract -- do not reorder it).
-        all_latencies = memory.sample_many(
-            rng, n_loads * runs
-        ).reshape(runs, n_loads)
-        result = simulate_block_batch(
-            block.instructions, all_latencies, processor
-        )
-        return BlockSamples(
-            block=block, cycles=result.cycles, interlocks=result.interlocks
-        )
+    out = [ProgramRuns(name=job.name) for job in jobs]
+    labels: List[Dict[str, object]] = []
+    if rec is not None:
+        ctx = rec.context()
+        ambient = {
+            k: ctx[k] for k in ("program", "policy", "system") if k in ctx
+        }
+        labels = [
+            ambient if job.labels is None else dict(job.labels)
+            for job in jobs
+        ]
+    clock = time.perf_counter
+    depth = max((len(job.blocks) for job in jobs), default=0)
+    for position in range(depth):
+        # (block, processor) -> [(job index, latency rows)], first seen first.
+        stacks: Dict[tuple, List[Tuple[int, np.ndarray]]] = {}
+        for j, job in enumerate(jobs):
+            if position >= len(job.blocks):
+                continue
+            start = clock()
+            block = job.blocks[position]
+            n_loads = sum(1 for i in block.instructions if i.is_load)
+            # One vectorised draw covers every run (the draw order is
+            # part of the deterministic artefact contract -- do not
+            # reorder it).
+            rows = job.memory.sample_many(
+                job.rng, n_loads * job.runs
+            ).reshape(job.runs, n_loads)
+            stacks.setdefault((id(block), job.processor), []).append((j, rows))
+            out[j].shared_s += clock() - start
+        for parts in stacks.values():
+            first = jobs[parts[0][0]]
+            _simulate_stack(
+                rec, jobs, out, labels, first.blocks[position],
+                first.processor, parts,
+            )
+    return out
 
-    with rec.span("simulate", block=block.name):
-        all_latencies = memory.sample_many(
-            rng, n_loads * runs
-        ).reshape(runs, n_loads)
-        result = simulate_block_batch(
-            block.instructions,
-            all_latencies,
-            processor,
-            attribute=attribution_skip_reason(processor) is None,
-        )
-        _record_simulation_metrics(
-            rec, block, processor, all_latencies, result
-        )
-    return BlockSamples(
-        block=block, cycles=result.cycles, interlocks=result.interlocks
+
+def _simulate_stack(rec, jobs, out, labels, block, processor, parts) -> None:
+    """One kernel call on the row-stacked ``parts``, split back per job."""
+    clock = time.perf_counter
+    start = clock()
+    if len(parts) == 1:
+        latencies = parts[0][1]
+    else:
+        latencies = np.concatenate([rows for _, rows in parts])
+    attribute = rec is not None and attribution_skip_reason(processor) is None
+    span = _obs.span(
+        "simulate", block=block.name, processor=processor.name,
+        runs=int(latencies.shape[0]),
     )
+    with span:
+        try:
+            result = simulate_block_batch(
+                block.instructions, latencies, processor,
+                attribute=attribute, count_runs=False,
+            )
+        except Exception:
+            # Name the failing job: its rows fail on their own too,
+            # inside its scope.
+            for j, rows in parts:
+                with jobs[j].scope():
+                    simulate_block_batch(
+                        block.instructions, rows, processor,
+                        attribute=attribute, count_runs=False,
+                    )
+            raise
+        elapsed = clock() - start
+        total = max(int(latencies.shape[0]), 1)
+        stall_table = _stall_table(block) if attribute else None
+        lo = 0
+        for j, rows in parts:
+            hi = lo + rows.shape[0]
+            cycles = result.cycles[lo:hi]
+            interlocks = result.interlocks[lo:hi]
+            out[j].blocks.append(
+                BlockSamples(block=block, cycles=cycles, interlocks=interlocks)
+            )
+            out[j].shared_s += elapsed * rows.shape[0] / total
+            if rec is not None:
+                part = BatchSimResult(
+                    cycles, result.instructions, interlocks,
+                    None if result.stalls is None else result.stalls[:, lo:hi],
+                    None if result.causes is None else result.causes[:, lo:hi],
+                )
+                with jobs[j].scope():
+                    _record_simulation_metrics(
+                        rec.metrics, labels[j], block, processor, rows,
+                        part, stall_table,
+                    )
+            lo = hi
 
 
 def _record_simulation_metrics(
-    rec, block, processor, all_latencies, result
+    metrics, labels, block, processor, all_latencies, result,
+    stall_table=None,
 ) -> None:
     """Metrics + per-load stall attribution for one sampled block.
 
@@ -153,16 +284,14 @@ def _record_simulation_metrics(
     Per run, the attributed stalls must sum to the batch interlocks,
     so an attribution that disagrees with the reported numbers is an
     error, never a silent skew.  On other models the skip is counted,
-    not hidden.
+    not hidden.  ``labels`` are the job's program/policy/system labels;
+    ``stall_table`` is the block's :func:`_stall_table`, when already
+    built.
     """
-    metrics = rec.metrics
-    ctx = rec.context()
-    labels = {"block": block.name}
-    for key in ("program", "policy", "system"):
-        if key in ctx:
-            labels[key] = ctx[key]
-
+    labels = {"block": block.name, **labels}
     runs = int(all_latencies.shape[0])
+    if runs:
+        metrics.inc("sim.batch_kernel", runs, kernel=batch_kernel(processor))
     executed = sum(
         1 for inst in block.instructions if inst.opcode.name != "NOP"
     )
@@ -193,17 +322,17 @@ def _record_simulation_metrics(
             processor=processor.name, reason=reason, **labels,
         )
         return
-    _record_stall_attribution(metrics, block, result, labels)
+    _record_stall_attribution(metrics, block, result, labels, stall_table)
 
 
-def _record_stall_attribution(metrics, block, result, labels) -> None:
-    """Count the kernel's per-step stall causes into the
-    ``sim.load_stall_cycles{load=...}`` and
-    ``sim.other_stall_cycles{source=...}`` histograms."""
-    # series[i] is one histogram's (name, extra label); table[k, c + 2]
-    # the series of step k's stalls with cause code c (CAUSE_FREEZE is
-    # -2, CAUSE_SLOT -1, an operand position c >= 0).  -1 marks no
-    # series, which a correct kernel never reports.
+def _stall_table(block) -> Tuple[List[tuple], np.ndarray]:
+    """``(series, table)`` mapping a step's stall cause to a histogram.
+
+    ``series[i]`` is one histogram's (name, extra label); ``table[k, c
+    + 2]`` the series of step k's stalls with cause code c
+    (CAUSE_FREEZE is -2, CAUSE_SLOT -1, an operand position c >= 0).
+    -1 marks no series, which a correct kernel never reports.
+    """
     instructions = block.instructions
     series = [
         ("sim.other_stall_cycles", ("source", "freeze")),
@@ -230,7 +359,16 @@ def _record_stall_attribution(metrics, block, result, labels) -> None:
             else:
                 sid = operand
             table[k, position + 2] = sid
+    return series, table
 
+
+def _record_stall_attribution(
+    metrics, block, result, labels, stall_table=None
+) -> None:
+    """Count the kernel's per-step stall causes into the
+    ``sim.load_stall_cycles{load=...}`` and
+    ``sim.other_stall_cycles{source=...}`` histograms."""
+    series, table = stall_table or _stall_table(block)
     stalls = result.stalls
     stalled = stalls > 0
     steps, runs = np.nonzero(stalled)
@@ -266,18 +404,3 @@ def _record_stall_attribution(metrics, block, result, labels) -> None:
             **{label: value},
             **labels,
         )
-
-
-def simulate_program(
-    blocks: Sequence[BasicBlock],
-    processor: ProcessorModel,
-    memory: MemorySystem,
-    rng: np.random.Generator,
-    runs: int = DEFAULT_RUNS,
-    name: str = "program",
-) -> ProgramRuns:
-    """Sample every block of a compiled program."""
-    out = ProgramRuns(name=name)
-    for block in blocks:
-        out.blocks.append(sample_block(block, processor, memory, rng, runs))
-    return out

@@ -7,6 +7,8 @@ what that must preserve (every cell summary of a reference run, the
 inline path's per-cell checkpoints) and what it fixes: pooled Table 4
 rows and ablations bring their metrics back, and writes made through a
 reference to the parent registry stay out of a cell's summary.
+Evaluation functions take a group: ``fn(args, scope)``, where
+``scope(i)`` is the context of item ``i``'s own work.
 """
 
 from __future__ import annotations
@@ -80,28 +82,34 @@ class TestCellSummaries:
         ]
         assert got == json.loads(GOLDEN.read_text())
 
-    def test_inline_path_checkpoints_each_cell(self, tmp_path, monkeypatch):
-        """Inline, every cell is its own checkpoint: an interrupt during
-        the third cell leaves the first two cached and recorded."""
-        real = common._evaluate_cell
+    def test_inline_path_checkpoints_each_group(self, tmp_path, monkeypatch):
+        """Inline, every group (one program's cells) is its own
+        checkpoint: an interrupt during the second group leaves the
+        first group's cells cached and recorded."""
+        real = common._evaluate_cells
         calls = []
 
-        def evaluate(spec):
-            calls.append(spec)
-            if len(calls) == 3:
+        def evaluate(specs, scope):
+            calls.append(specs)
+            if len(calls) == 2:
                 raise KeyboardInterrupt
-            return real(spec)
+            return real(specs, scope)
 
-        monkeypatch.setattr(common, "_evaluate_cell", evaluate)
+        monkeypatch.setattr(common, "_evaluate_cells", evaluate)
+        specs = _specs()[:2] + [
+            CellSpec("MDG", system_row("N(2,5)", 2), processor=UNLIMITED,
+                     runs=2, n_boot=25)
+        ]
         cache = ResultCache(tmp_path / "cache")
         manifest = ManifestWriter(tmp_path / "m.jsonl")
         manifest.start_run("inline", seed=0, runs=2, jobs=1, resume=True)
         with pytest.raises(KeyboardInterrupt):
-            evaluate_cells(_specs(), jobs=1, cache=cache, manifest=manifest)
+            evaluate_cells(specs, jobs=1, cache=cache, manifest=manifest)
+        assert [len(group) for group in calls] == [2, 1]
         assert len(cache) == 2
         (run,) = read_runs(manifest.path)
         assert [c["system"] for c in run.cells] == [
-            spec.system.label for spec in _specs()[:2]
+            spec.system.label for spec in specs[:2]
         ]
 
 
@@ -112,19 +120,20 @@ class TestChildRegistry:
         """The service's request accounting holds its own reference to
         the recorder's registry and may write while a cell runs on the
         CPU thread; the cell's summary must not pick those writes up."""
-        real = common._evaluate_cell
+        real = common._evaluate_cells
         manifest = ManifestWriter(tmp_path / "m.jsonl")
         manifest.start_run("leak", seed=0, runs=2, jobs=1, resume=True)
         with obs.recording() as rec:
             parent = rec.metrics
 
-            def evaluate(spec):
-                parent.inc("service.requests", endpoint="simulate",
-                           status="200")
-                parent.observe("service.request_ms", 1.5)
-                return real(spec)
+            def evaluate(specs, scope):
+                with scope(0):
+                    parent.inc("service.requests", endpoint="simulate",
+                               status="200")
+                    parent.observe("service.request_ms", 1.5)
+                return real(specs, scope)
 
-            monkeypatch.setattr(common, "_evaluate_cell", evaluate)
+            monkeypatch.setattr(common, "_evaluate_cells", evaluate)
             evaluate_cells(_specs()[:1], jobs=1, manifest=manifest)
         (run,) = read_runs(manifest.path)
         (cell,) = run.cells
@@ -147,11 +156,12 @@ class TestChildRegistry:
         recorder (a legality violation must be counted), and the parent
         registry is back in place afterwards."""
 
-        def evaluate(spec):
-            obs.get().metrics.inc("verify.violations", 2)
-            raise exc
+        def evaluate(specs, scope):
+            with scope(0):
+                obs.get().metrics.inc("verify.violations", 2)
+                raise exc
 
-        monkeypatch.setattr(common, "_evaluate_cell", evaluate)
+        monkeypatch.setattr(common, "_evaluate_cells", evaluate)
         with obs.recording() as rec:
             parent = rec.metrics
             with pytest.raises(raised):

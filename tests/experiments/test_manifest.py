@@ -95,6 +95,58 @@ class TestWriter:
         assert [r.run_id for r in runs] == [first, second]
 
 
+class TestDurability:
+    def _count_fsyncs(self, monkeypatch):
+        from repro.experiments import manifest as manifest_mod
+
+        calls = []
+        real = manifest_mod.os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(manifest_mod.os, "fsync", counting)
+        return calls
+
+    def test_records_are_flushed_at_once_and_fsynced_on_sync(
+        self, tmp_path, monkeypatch
+    ):
+        """A record is readable as soon as it is appended (a crash of
+        the process loses nothing written); ``sync`` fsyncs what was
+        appended since the last one, and nothing twice."""
+        calls = self._count_fsyncs(monkeypatch)
+        path = tmp_path / "m.jsonl"
+        writer = ManifestWriter(path)
+        writer.start_run("table2", seed=0)
+        writer.record_request(kind="simulate", status=200, wall_s=0.1)
+        assert len(path.read_text().splitlines()) == 2
+        assert calls == []
+        writer.sync()
+        writer.sync()
+        assert len(calls) == 1
+        writer.end_run(wall_s=1.0)
+        assert len(calls) == 2
+
+    def test_one_fsync_per_checkpoint_group(self, tmp_path, monkeypatch):
+        from repro.experiments.common import CellSpec, evaluate_cells
+        from repro.machine import system_row
+
+        calls = self._count_fsyncs(monkeypatch)
+        writer = ManifestWriter(tmp_path / "m.jsonl")
+        writer.start_run("table2", seed=0)
+        specs = [
+            CellSpec(program, system_row(label, 2), runs=2, n_boot=10)
+            for program in ("ADM", "MDG")
+            for label in ("L80(2,5)", "N(2,5)")
+        ]
+        evaluate_cells(specs, jobs=1, manifest=writer)
+        assert len(calls) == 2  # two programs: two groups
+        writer.end_run(wall_s=1.0)
+        (run,) = read_runs(writer.path)
+        assert len(run.cells) == 4 and len(calls) == 3
+
+
 class TestReader:
     def test_reassembles_cells_and_status(self, tmp_path):
         path = tmp_path / "m.jsonl"

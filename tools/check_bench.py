@@ -14,6 +14,8 @@ baselines were recorded on:
   ``overhead_pct``) are machine-independent by construction -- both
   sides of the ratio ran on the same machine -- so they get the tight
   tolerance (default 0.35: fresh may drop at most 35% below baseline).
+  So do call counts (``*_calls``, lower is better), which do not
+  depend on the machine at all.
   The observation-overhead ratios (``*_over_disabled``: time with
   observability on over time with it off) are the exception: they
   swing far more from run to run (``decisions_over_disabled`` moves
@@ -29,7 +31,8 @@ baselines were recorded on:
 Every comparison is normalised so that >= 1.0 means "fresh is no worse
 than baseline": ``fresh/base`` for higher-is-better metrics,
 ``base/fresh`` for lower-is-better ones (seconds, ms, ns, overhead
-percentages and ``*_over_disabled`` overhead ratios).
+percentages, ``*_over_disabled`` overhead ratios and ``*_calls``
+counts).
 ``meta`` sections, nested lists (e.g. the superscalar per-block rows)
 and non-positive values are skipped; so are metrics present on only
 one side (schema drift is not a regression).  A baseline identical to
@@ -59,11 +62,14 @@ from typing import Dict, Iterator, List, Optional, Tuple
 #: Metric-name suffixes where a *smaller* value is better.
 LOWER_IS_BETTER = (
     "seconds", "_ms", "ns_per_call", "overhead_pct", "_over_disabled",
+    "_calls",
 )
 
 #: Metric names (by suffix/prefix) that are ratios of two measurements
 #: taken on the same machine -- comparable across hosts.
-RELATIVE_MARKERS = ("speedup", "_ratio", "_over_disabled", "overhead_pct")
+RELATIVE_MARKERS = (
+    "speedup", "_ratio", "_over_disabled", "overhead_pct", "_calls",
+)
 
 #: Observation-overhead ratios: relative, lower is better, and noisy.
 OVERHEAD_MARKER = "_over_disabled"
