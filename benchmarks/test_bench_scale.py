@@ -1,4 +1,4 @@
-"""Throughput benchmarks for the batch simulator and parallel engine.
+"""Throughput benchmarks for the batch simulator and the cell engine.
 
 Each test measures one leg of the PR-1 throughput layer on large
 generated workloads and records the numbers in ``BENCH_scale.json``
@@ -8,10 +8,6 @@ generated workloads and records the numbers in ``BENCH_scale.json``
   (vectorised) versus the seed's scalar per-run loop, per processor
   model.  The acceptance floor is 5x on the UNLIMITED model.
 * List-scheduler throughput on 512- and 2048-instruction DAGs.
-* ``balanced-sched run all --quick`` wall-clock at ``--jobs 1`` versus
-  ``--jobs 4`` (the CLI clamps to usable cores, so on a single-core
-  machine both legs are expected to tie; the JSON records the core
-  count so readers can interpret the ratio).
 * Table 2's cells in one process, as one-cell ``evaluate_cells`` calls
   versus one call that groups each program's cells and stacks their
   kernel calls (``table2_grouped``).
@@ -22,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import subprocess
 import sys
 import time
 
@@ -141,63 +136,6 @@ def test_bench_schedule_large_dag(benchmark, size):
         "seconds": elapsed,
         "instructions_per_second": round(size / elapsed),
     }
-
-
-def _run_all_quick(jobs: int, tmp_path) -> float:
-    """Wall time of one cold ``run all --quick``: no result cache (a
-    cache filled by the other leg would be replayed instead of
-    computed) and a throwaway manifest."""
-    env = dict(os.environ)
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "repro.experiments.runner",
-            "run",
-            "all",
-            "--quick",
-            "--jobs",
-            str(jobs),
-            "--no-cache",
-            "--manifest",
-            str(tmp_path / f"manifest-{jobs}.jsonl"),
-        ],
-        capture_output=True,
-        env=env,
-    )
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
-    return elapsed
-
-
-def test_bench_run_all_quick_jobs(tmp_path):
-    """CLI wall-clock: the full --quick regeneration, serial vs parallel."""
-    serial = _run_all_quick(1, tmp_path)
-    parallel = _run_all_quick(4, tmp_path)
-    cores = (
-        len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else os.cpu_count() or 1
-    )
-    _RECORD["run_all_quick"] = {
-        "jobs_1_seconds": round(serial, 2),
-        "jobs_4_seconds": round(parallel, 2),
-        "speedup": round(serial / parallel, 2),
-        "usable_cores": cores,
-    }
-    if cores >= 2:
-        assert parallel < serial, (
-            f"--jobs 4 ({parallel:.2f}s) should beat --jobs 1 "
-            f"({serial:.2f}s) on a {cores}-core machine"
-        )
-    else:
-        # Single core: the CLI clamps --jobs to 1, so the legs must tie
-        # (no parallel-path regression), within generous noise.
-        assert parallel < serial * 1.35
 
 
 def test_bench_table2_grouped(monkeypatch):

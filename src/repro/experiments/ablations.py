@@ -362,8 +362,7 @@ end
 
 
 #: Every ablation, in report order.  Each runs with its default
-#: program and shares nothing with the others, so `run_all_ablations`
-#: can fan them out over the experiment process pool.
+#: program, and `run_all_ablations` checkpoints each one's table.
 ALL_ABLATIONS = (
     ("non-blocking loads (Section 1 motivation)", run_blocking_ablation),
     ("average-weight variant (Section 3)", run_average_weight_ablation),
@@ -378,11 +377,11 @@ ALL_ABLATIONS = (
 
 
 def _run_one_ablation(index: int) -> Dict[str, float]:
-    """Worker entry point (indexed so only an int crosses the pipe)."""
+    """The ablation at ``index`` (a work item's argument)."""
     return ALL_ABLATIONS[index][1]()
 
 
-def run_all_ablations(jobs: int = 1) -> AblationResult:
+def run_all_ablations() -> AblationResult:
     """Run every ablation with its default program.
 
     Each ablation's whole table is one checkpoint unit (they are
@@ -397,7 +396,7 @@ def run_all_ablations(jobs: int = 1) -> AblationResult:
         )
         for index, (label, _fn) in enumerate(ALL_ABLATIONS)
     ]
-    tables = checkpointed_map(items, jobs)
+    tables = checkpointed_map(items)
     result = AblationResult()
     for (label, _fn), table in zip(ALL_ABLATIONS, tables):
         result.tables[label] = table

@@ -3,7 +3,7 @@
 A table cell's value is a pure function of its :class:`~repro.
 experiments.common.CellSpec` (see docs/performance.md), so a completed
 :class:`~repro.experiments.common.CellResult` can be persisted and
-replayed verbatim: a re-run after a crash, a Ctrl-C, or a worker death
+replayed verbatim: a re-run after a crash, a Ctrl-C or a kill
 recomputes only the cells that never finished.  The store is what
 backs ``balanced-sched run --resume`` (the default; ``--fresh``
 recomputes everything).

@@ -20,33 +20,27 @@ schedules, allocation) with every other through one
 
 Cells are independent by construction -- every random stream is derived
 from string keys via :func:`repro.simulate.rng.spawn`, never from
-shared mutable generator state -- so :func:`evaluate_cells` can fan a
-list of :class:`CellSpec` out over a ``concurrent.futures`` process
-pool and return bit-identical results in spec order regardless of
-worker count or completion order (see docs/performance.md).
+shared mutable generator state -- so a cell's result does not depend on
+which other cells :func:`evaluate_cells` is asked for, or in which
+order.
 
 One loop, :func:`checkpointed_map`, runs table cells, Table 4 rows and
-ablation tables alike, and makes them crash-safe and observable:
-finished items are checkpointed to an on-disk :class:`~repro.
-experiments.cache.ResultCache` as they complete (so an interrupted run
-resumes where it died), a dead worker breaks only its in-flight
-batches -- which are retried on a rebuilt pool and, past the retry
-budget, degraded to inline execution -- and every item is logged to a
-run manifest (``results/manifest.jsonl``).  Each item records its
-metrics into a child registry of its own, which the parent merges into
-the recorder's registry and summarises onto the item's manifest
+ablation tables alike, in the calling process, and makes them
+crash-safe and observable: finished items are checkpointed to an
+on-disk :class:`~repro.experiments.cache.ResultCache` as they complete
+(so an interrupted run resumes where it died), and every item is
+logged to a run manifest (``results/manifest.jsonl``).  Each item
+records its metrics into a child registry of its own, which is merged
+into the recorder's registry and summarised onto the item's manifest
 record.  See the "Crash safety and resume" section of
 docs/performance.md.
 """
 
 from __future__ import annotations
 
-import atexit
 import functools
-import logging
 import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
@@ -80,8 +74,6 @@ from ..simulate.stats import (
 from ..workloads.perfect import load_program
 from .cache import ResultCache, cell_key
 from .manifest import ManifestWriter
-
-logger = logging.getLogger("repro.experiments")
 
 
 class CompilationCache:
@@ -374,16 +366,16 @@ class ProgramEvaluator:
 
 
 # ----------------------------------------------------------------------
-# Parallel cell evaluation
+# Cell evaluation
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CellSpec:
-    """One table cell as a picklable work item.
+    """One table cell as a value.
 
-    The program is referenced by suite name (workers reload it from the
-    process-local cache) and everything else is a frozen value object,
-    so a spec can cross a process boundary and still evaluate to the
-    exact cell the serial path would produce.
+    The program is referenced by suite name and everything else is a
+    frozen value object, so a spec is hashable, keys the result cache
+    (:func:`~repro.experiments.cache.cell_key`) and evaluates to the
+    same cell wherever it is built -- a table, the service, a test.
     """
 
     program: str
@@ -394,60 +386,33 @@ class CellSpec:
     n_boot: int = DEFAULT_BOOTSTRAP
     register_file: Optional[RegisterFile] = DEFAULT_REGISTER_FILE
     alias_model: AliasModel = AliasModel.FORTRAN
-    #: Trace ids of the service requests waiting on this cell, threaded
-    #: through the pool so workers can report span fragments under the
-    #: right request (see :mod:`repro.obs.requesttrace`).  Excluded from
-    #: equality/repr, and deliberately invisible to ``spec_token`` --
-    #: tracing never perturbs cache keys or results.
+    #: Trace ids of the service requests waiting on this cell, so the
+    #: engine can report span fragments under the right request (see
+    #: :mod:`repro.obs.requesttrace`).  Excluded from equality/repr, and
+    #: deliberately invisible to ``spec_token`` -- tracing never
+    #: perturbs cache keys or results.
     trace_ids: Tuple[str, ...] = field(default=(), compare=False, repr=False)
 
 
-#: Per-process evaluators, keyed by everything but (system, processor):
-#: a worker handed many cells of one program reuses one evaluator (and,
-#: through COMPILATION_CACHE, every compilation it has already done).
+#: Evaluators, keyed by everything but (system, processor): every cell
+#: of one program reuses one evaluator (and, through COMPILATION_CACHE,
+#: every compilation already done).
 _EVALUATORS: Dict[tuple, ProgramEvaluator] = {}
 
 
-class PoolBrokenError(RuntimeError):
-    """The process pool kept breaking and inline fallback was declined.
-
-    Raised by :func:`pool_map` (and everything layered on it) only when
-    called with ``inline_fallback=False`` -- the scheduling service uses
-    that mode so a dying pool surfaces as a retriable 503 instead of
-    silently absorbing the work into the serving process.  ``items`` is
-    how many work items were still undelivered when the budget ran out;
-    ``cause`` is the repr of the last pool-breaking exception.
-    """
-
-    def __init__(self, items: int, cause: Optional[str] = None) -> None:
-        super().__init__(
-            f"process pool broke past its retry budget with {items} "
-            f"item(s) undelivered" + (f" (cause: {cause})" if cause else "")
-        )
-        self.items = items
-        self.cause = cause
-
-
 class CellEvaluationError(RuntimeError):
-    """A cell failed deterministically; names the offending spec.
+    """A work item failed; names the offending item.
 
-    Raised (in place of losing the context across the process
-    boundary) when evaluating one work item throws a real exception --
-    as opposed to the pool itself breaking, which is transient and
-    retried.  The original exception is chained as ``__cause__`` and
-    kept on ``.cause``.
+    Raised when evaluating a group of work items throws an exception:
+    ``item`` is the argument (for cells, the :class:`CellSpec`) of the
+    item whose scope the exception escaped.  The original exception is
+    chained as ``__cause__`` and kept on ``.cause``.
     """
 
     def __init__(self, item, cause: Optional[BaseException] = None) -> None:
         super().__init__(f"evaluating {item!r} failed: {cause!r}")
         self.item = item
         self.cause = cause
-
-    def __reduce__(self):
-        # Default exception pickling replays ``args`` (the formatted
-        # message) into ``__init__``; rebuild from the real fields so
-        # the error survives the worker->parent pipe intact.
-        return (CellEvaluationError, (self.item, self.cause))
 
 
 # ----------------------------------------------------------------------
@@ -492,48 +457,10 @@ def engine_session(
         _SESSION = previous
 
 
-# ----------------------------------------------------------------------
-# Fault injection (tests and the CI crash drill only)
-# ----------------------------------------------------------------------
-#: Name a program here and the first worker to evaluate one of its
-#: cells dies hard (``os._exit``), simulating an OOM-killed or
-#: segfaulted worker.
-FAULT_PROGRAM_ENV = "BALANCED_SCHED_FAULT_PROGRAM"
-#: Sentinel file path making the crash one-shot: created atomically by
-#: the dying worker, so rebuilt pools (which see the same environment)
-#: do not crash again and the retry can succeed.
-FAULT_ONCE_ENV = "BALANCED_SCHED_FAULT_ONCE_FILE"
-
-#: Pid of the process that imported this module.  Fault injection only
-#: ever fires in *forked pool workers* (pid differs), never in the
-#: parent -- the inline fast path and the degraded-to-inline path run
-#: worker entry points in the parent process, and killing it would
-#: defeat the crash drill the hook exists for.
-_MAIN_PID = os.getpid()
-
-
-def _maybe_inject_fault(spec: CellSpec) -> None:
-    if os.getpid() == _MAIN_PID:
-        return
-    target = os.environ.get(FAULT_PROGRAM_ENV)
-    if not target or spec.program != target:
-        return
-    sentinel = os.environ.get(FAULT_ONCE_ENV)
-    if not sentinel:
-        return
-    try:
-        fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return  # already crashed once; behave normally
-    os.close(fd)
-    os._exit(1)
-
-
 def _evaluate_cells(specs: Sequence[CellSpec], scope: "ItemScopes"):
     """Evaluate one group of cells (equal :func:`_cell_group` keys) in
-    this process, through one :meth:`ProgramEvaluator.cells` call."""
+    one :meth:`ProgramEvaluator.cells` call."""
     first = specs[0]
-    _maybe_inject_fault(first)
     key = _cell_group_key(first)
     evaluator = _EVALUATORS.get(key)
     if evaluator is None:
@@ -556,9 +483,8 @@ class WorkItem:
 
     ``fn(args, scope)`` computes the values of a group of items that
     share ``fn`` (one value per arg, in order); ``scope`` is the
-    group's :class:`ItemScopes`.  ``fn`` is a module-level callable so
-    the item pickles across the pool boundary; :class:`PerItem` adapts
-    a one-argument function.  ``key`` is the value's result-cache key,
+    group's :class:`ItemScopes`; :class:`PerItem` adapts a one-argument
+    function.  ``key`` is the value's result-cache key,
     computed once by the caller; ``program``/``system``/``processor``
     label the manifest ``cell`` record, and ``trace_ids`` names the
     service requests waiting on the item.
@@ -657,11 +583,11 @@ class ItemScopes:
 
 
 class _Timed(NamedTuple):
-    """One evaluated item as it crosses back from a worker."""
+    """One evaluated item, with what :func:`checkpointed_map` records
+    for it."""
 
     value: object
     wall: float
-    worker: int
     #: The item's child registry (``None`` with observability off).
     metrics: Optional[MetricsRegistry]
     #: Span fragments for the item's traced requests.
@@ -695,8 +621,8 @@ def _trace_fragments(
     cycles this evaluation attributed, and whether a decision log was
     captured.  Top-level recorder spans (compile / simulate_program /
     bootstrap) become child fragments, remapped from the recorder's
-    monotonic clock onto the epoch timeline so multi-process traces
-    line up.
+    monotonic clock onto the epoch timeline the service's own
+    fragments use.
     """
     args = {
         "cell_key": item.key,
@@ -759,16 +685,16 @@ def _run_group(items: Sequence[WorkItem]) -> List[_Timed]:
     """Evaluate one group of items together, each timed, with its
     metrics in a child registry of its own.
 
-    The one wrapper every group runs through, inline and in a pool
-    worker alike: one ``fn(args, scope)`` call, where ``scope`` is an
-    :class:`ItemScopes` that keeps each item's metrics, wall clock and
-    spans apart.  The parent process folds a returned child into its
-    registry in :func:`checkpointed_map`; a group that raises
-    (including ``KeyboardInterrupt``) has every child folded in here
-    before the exception propagates, so a failing or interrupted item's
-    metrics (e.g. ``verify.violations``) still reach the recorder.  A
-    deterministic failure is wrapped in :class:`CellEvaluationError`
-    naming the item whose scope it escaped.
+    The one wrapper every group runs through: one ``fn(args, scope)``
+    call, where ``scope`` is an :class:`ItemScopes` that keeps each
+    item's metrics, wall clock and spans apart.  A returned child is
+    folded into the recorder's registry in :func:`checkpointed_map`; a
+    group that raises (including ``KeyboardInterrupt``) has every child
+    folded in here before the exception propagates, so a failing or
+    interrupted item's metrics (e.g. ``verify.violations``) still reach
+    the recorder.  An ``Exception`` is wrapped in
+    :class:`CellEvaluationError` naming the item whose scope it
+    escaped.
     """
     rec = _obs.get()
     scope = ItemScopes(len(items), rec)
@@ -785,7 +711,6 @@ def _run_group(items: Sequence[WorkItem]) -> List[_Timed]:
             failed = items[scope.failed or 0]
             raise CellEvaluationError(failed.arg, exc) from exc
         raise
-    worker = os.getpid()
     timed = []
     for index, (item, value) in enumerate(zip(items, values)):
         wall = scope.walls[index]
@@ -799,230 +724,40 @@ def _run_group(items: Sequence[WorkItem]) -> List[_Timed]:
             if item.trace_ids
             else []
         )
-        timed.append(_Timed(value, wall, worker, child, fragments))
+        timed.append(_Timed(value, wall, child, fragments))
     return timed
-
-
-def _run_batch(groups: Sequence[Sequence[WorkItem]]) -> List[_Timed]:
-    """Worker entry point: evaluate a batch of groups in this process.
-
-    (Workers inherit the enabled recorder by forking; spans recorded in
-    workers stay worker-local, but items carrying ``trace_ids`` export
-    their top-level spans as epoch-timestamped fragments.)
-    """
-    return [timed for group in groups for timed in _run_group(group)]
-
-
-#: Lazily created, reused across evaluate_cells calls (so `run all`
-#: forks once and the workers' compilation caches persist from one
-#: table to the next -- the compile cost is paid once per process, not
-#: once per table).
-_POOL: Optional[ProcessPoolExecutor] = None
-_POOL_JOBS = 0
-
-#: How many times a broken pool is rebuilt before the failed items
-#: degrade to inline (in-process) execution.
-MAX_POOL_RETRIES = 2
-
-
-def _pool(jobs: int) -> ProcessPoolExecutor:
-    global _POOL, _POOL_JOBS
-    if _POOL is None or _POOL_JOBS != jobs:
-        # Drain the old executor completely before replacing it so a
-        # jobs change never strands its workers.
-        shutdown_pool(wait=True)
-        _POOL = ProcessPoolExecutor(max_workers=jobs)
-        _POOL_JOBS = jobs
-    return _POOL
-
-
-def shutdown_pool(wait: bool = True) -> None:
-    """Shut down the shared experiment pool (idempotent).
-
-    Registered via ``atexit`` so the CLI and test runs never strand
-    orphaned worker processes; also the way tests force a cold pool.
-    """
-    global _POOL
-    pool, _POOL = _POOL, None
-    if pool is not None:
-        pool.shutdown(wait=wait, cancel_futures=True)
-
-
-atexit.register(shutdown_pool)
-
-
-@dataclass
-class PoolMapStats:
-    """What :func:`pool_map` had to do beyond plain dispatch.
-
-    ``pool_rebuilds`` counts pool breakages survived; ``inline_items``
-    counts items that exhausted the retry budget and ran in-process;
-    ``item_attempts[i]`` is how many times item ``i`` was re-dispatched
-    after a breakage (0 for items that succeeded first try);
-    ``last_error`` is the repr of the most recent pool-breaking
-    exception, so a manifest ``pool_downgrade`` record can say *why*
-    the pool was abandoned.
-    """
-
-    pool_rebuilds: int = 0
-    inline_items: int = 0
-    item_attempts: Dict[int, int] = field(default_factory=dict)
-    last_error: Optional[str] = None
-
-
-def pool_map(
-    fn: Callable,
-    items: Sequence,
-    jobs: int = 1,
-    retries: int = MAX_POOL_RETRIES,
-    stats: Optional[PoolMapStats] = None,
-    on_result: Optional[Callable[[int, object], None]] = None,
-    inline_fallback: bool = True,
-    force_pool: bool = False,
-) -> List:
-    """Map a picklable function over items through the shared pool.
-
-    Order-preserving.  ``jobs == 1`` (or a single item) runs inline;
-    otherwise the persistent experiment pool is used, so repeated calls
-    within one process reuse warm workers (and their compilation
-    caches).
-
-    Fault tolerance separates the two failure modes:
-
-    * **The pool broke** (a worker died: OOM kill, segfault, hard
-      exit).  All undelivered items are re-dispatched on a freshly
-      built pool, up to ``retries`` times; items that still cannot be
-      delivered degrade to inline execution in this process, with the
-      downgrade logged.  ``pool_map`` itself never fails because of a
-      dead worker.
-    * **The item is poison** (a deterministic exception from ``fn``,
-      e.g. an unpicklable argument or a bad spec).  The healthy pool
-      is kept -- warm workers and their compilation caches survive --
-      and the exception propagates immediately, wrapped in
-      :class:`CellEvaluationError` naming the offending item (unless
-      the worker already named it).
-
-    ``on_result`` fires as each item completes (in completion order),
-    which is what lets :func:`checkpointed_map` checkpoint results while
-    later items are still running.  ``stats`` collects retry counts
-    for the run manifest.  ``inline_fallback=False`` replaces the
-    degrade-to-inline step with :class:`PoolBrokenError` -- the
-    scheduling service declines inline execution so a dying pool
-    becomes a 503 for the affected requests instead of CPU work on the
-    serving process (delivered items keep their results either way).
-    ``force_pool=True`` disables the single-item inline shortcut: even
-    a lone item is dispatched to a real worker process.  The service
-    uses it (with ``jobs > 1``) so every request's work runs off the
-    serving process -- which is also what lets a traced request collect
-    span fragments from a genuine pool worker.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    items = list(items)
-    if stats is None:
-        stats = PoolMapStats()
-    results: List = [None] * len(items)
-    if not force_pool and (jobs == 1 or len(items) <= 1):
-        for index, item in enumerate(items):
-            results[index] = fn(item)
-            if on_result is not None:
-                on_result(index, results[index])
-        return results
-
-    pending = list(range(len(items)))
-    while pending:
-        executor = _pool(jobs)
-        futures = {executor.submit(fn, items[i]): i for i in pending}
-        broken: List[int] = []
-        for future in as_completed(futures):
-            index = futures[future]
-            try:
-                results[index] = future.result()
-            except BrokenExecutor as exc:
-                broken.append(index)
-                stats.last_error = repr(exc)
-            except Exception as exc:
-                # Deterministic failure: the pool is healthy, keep it.
-                if isinstance(exc, CellEvaluationError):
-                    raise
-                raise CellEvaluationError(items[index], exc) from exc
-            else:
-                if on_result is not None:
-                    on_result(index, results[index])
-        if not broken:
-            return results
-        broken.sort()
-        shutdown_pool(wait=False)  # the pool is dead; don't block on it
-        stats.pool_rebuilds += 1
-        for index in broken:
-            stats.item_attempts[index] = stats.item_attempts.get(index, 0) + 1
-        if stats.pool_rebuilds > retries:
-            if not inline_fallback:
-                raise PoolBrokenError(len(broken), stats.last_error)
-            logger.warning(
-                "process pool broke %d times (retry budget %d); running "
-                "%d item(s) inline in this process",
-                stats.pool_rebuilds, retries, len(broken),
-            )
-            for index in broken:
-                results[index] = fn(items[index])
-                stats.inline_items += 1
-                if on_result is not None:
-                    on_result(index, results[index])
-            return results
-        logger.warning(
-            "process pool broke (a worker died); rebuilding and retrying "
-            "%d item(s) [attempt %d/%d]",
-            len(broken), stats.pool_rebuilds, retries,
-        )
-        pending = broken
-    return results
 
 
 def checkpointed_map(
     items: Sequence[WorkItem],
-    jobs: int = 1,
     group: Optional[Callable[[WorkItem], Hashable]] = None,
     cache: Optional[ResultCache] = None,
     manifest: Optional[ManifestWriter] = None,
     resume: Optional[bool] = None,
-    retries: int = MAX_POOL_RETRIES,
-    inline_fallback: bool = True,
-    stats: Optional[PoolMapStats] = None,
-    force_pool: bool = False,
 ) -> List:
     """Evaluate work items with cache replay, checkpointing and logging.
 
     The one loop behind table cells, Table 4 rows and ablation tables.
     ``cache``/``manifest``/``resume`` default to the ambient
     :func:`engine_session`.  Items whose key is in the cache are
-    replayed (unless ``resume`` is false) and recorded as hits; the
-    rest go through :func:`pool_map`, and as each result arrives it is
-    persisted with ``put_object``, its child registry is merged into
-    the recorder's, and its manifest ``cell`` record is written -- so a
-    crash or Ctrl-C loses at most the in-flight work, and the next run
+    replayed (unless ``resume`` is false) and recorded as hits.  The
+    misses with equal ``group`` keys (every miss on its own without
+    one) form a group, evaluated together by one ``fn`` call (for
+    cells, one program's: they share its binaries and kernel calls);
+    the groups run one after another, in item order, in this process.
+    As each group finishes, every value is persisted with
+    ``put_object``, its child registry is merged into the recorder's
+    and its manifest ``cell`` record is written -- so a crash or
+    Ctrl-C loses at most the group in flight, and the next run
     recomputes only what is missing.  Replayed values are pickle
     round-trips of the originals, so cached, resumed and fresh runs are
-    byte-identical for any ``jobs``.  Results come back in item order.
+    byte-identical.  Results come back in item order.
 
-    Misses with equal ``group`` keys (every miss on its own without
-    one) form a group, evaluated together by one ``fn`` call (for
-    cells, one program's: they share its binaries and kernel calls).
-    Inline, every group is its own checkpoint, recorded in item order;
-    to a pool, the groups are packed into a few batches per worker --
-    enough for load balancing, few enough that task round-trips stay
-    off the critical path.  The manifest is fsynced once per consumed
-    batch (and once after a run of cache hits): a record is flushed as
-    it is written, so a crashed process loses none, and only a machine
-    crash can lose the records of the batch in flight.
-
-    ``retries`` / ``inline_fallback`` / ``stats`` / ``force_pool`` are
-    forwarded to :func:`pool_map`; with ``inline_fallback=False`` pool
-    death raises :class:`PoolBrokenError`, and already-delivered items
-    are still cached and recorded, so a retry replays them for free.
+    The manifest is fsynced once per group (and once after a run of
+    cache hits): a record is flushed as it is written, so a crashed
+    process loses none, and only a machine crash can lose the records
+    of the group in flight.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     session = _SESSION
     if cache is None:
         cache = session.cache
@@ -1033,8 +768,8 @@ def checkpointed_map(
     items = list(items)
     out: List = [None] * len(items)
 
-    def record(item: WorkItem, wall: float, worker: int, status: str,
-               retried: int, metrics: Optional[dict] = None) -> None:
+    def record(item: WorkItem, wall: float, status: str,
+               metrics: Optional[dict] = None) -> None:
         if manifest is not None:
             manifest.record_cell(
                 key=item.key,
@@ -1042,9 +777,8 @@ def checkpointed_map(
                 system=item.system,
                 processor=item.processor,
                 wall_s=wall,
-                worker=worker,
+                worker=os.getpid(),
                 cache=status,
-                retries=retried,
                 metrics=metrics,
             )
 
@@ -1061,7 +795,7 @@ def checkpointed_map(
         out[index] = cached
         if item.trace_ids:
             # A traced request served from cache still gets an engine
-            # fragment, so its span tree explains the missing pool work.
+            # fragment, so its span tree explains the missing work.
             now = time.time_ns()
             _reqtrace.record_fragments(
                 _reqtrace.fragment(
@@ -1074,7 +808,7 @@ def checkpointed_map(
                 )
                 for trace_id in item.trace_ids
             )
-        record(item, 0.0, os.getpid(), "hit", 0)
+        record(item, 0.0, "hit")
     if not missing:
         if manifest is not None:
             manifest.sync()
@@ -1084,19 +818,10 @@ def checkpointed_map(
     for index in missing:
         key = group(items[index]) if group is not None else index
         groups.setdefault(key, []).append(index)
-    if force_pool or (jobs > 1 and len(groups) > 1):
-        batches = _pack(list(groups.values()), jobs)
-    else:
-        batches = [[members] for members in groups.values()]
-    if stats is None:
-        stats = PoolMapStats()
-
-    def consume(batch_pos: int, timed: List[_Timed]) -> None:
-        # Runs as each batch completes: checkpoint immediately so a
-        # later crash cannot lose it.
-        retried = stats.item_attempts.get(batch_pos, 0)
-        indices = [i for members in batches[batch_pos] for i in members]
-        for index, result in zip(indices, timed):
+    for members in groups.values():
+        timed = _run_group([items[i] for i in members])
+        # Checkpoint at once, so a later failure cannot lose the group.
+        for index, result in zip(members, timed):
             item = items[index]
             out[index] = result.value
             if cache is not None:
@@ -1113,49 +838,12 @@ def checkpointed_map(
                 if store is not None:
                     for trace_id in item.trace_ids:
                         store.note_timing(
-                            trace_id, "pool", result.wall * 1000.0
+                            trace_id, "engine", result.wall * 1000.0
                         )
-            record(item, result.wall, result.worker, "miss", retried,
-                   metrics=summary)
+            record(item, result.wall, "miss", metrics=summary)
         if manifest is not None:
             manifest.sync()
-
-    pool_map(
-        _run_batch,
-        [
-            [[items[i] for i in members] for members in batch]
-            for batch in batches
-        ],
-        jobs,
-        retries=retries, stats=stats, on_result=consume,
-        inline_fallback=inline_fallback, force_pool=force_pool,
-    )
-    if stats.inline_items and manifest is not None:
-        manifest.record_pool_downgrade(
-            stats.inline_items, cause=stats.last_error,
-            trace_ids=sorted(
-                {t for i in missing for t in items[i].trace_ids}
-            ) or None,
-        )
     return out
-
-
-def _pack(groups: List[List[int]], jobs: int) -> List[List[List[int]]]:
-    """Pack ``groups``, in order, into batches of at least
-    ``(items in all groups) / (4 * jobs)`` items."""
-    per_batch = max(1, -(-sum(map(len, groups)) // (jobs * 4)))
-    batches: List[List[List[int]]] = []
-    current: List[List[int]] = []
-    size = 0
-    for members in groups:
-        current.append(members)
-        size += len(members)
-        if size >= per_batch:
-            batches.append(current)
-            current, size = [], 0
-    if current:
-        batches.append(current)
-    return batches
 
 
 def _cell_group_key(spec: CellSpec) -> tuple:
@@ -1180,28 +868,29 @@ def evaluate_cells(
     cache: Optional[ResultCache] = None,
     manifest: Optional[ManifestWriter] = None,
     resume: Optional[bool] = None,
-    retries: int = MAX_POOL_RETRIES,
-    inline_fallback: bool = True,
-    stats: Optional[PoolMapStats] = None,
-    force_pool: bool = False,
 ) -> List[CellResult]:
     """Evaluate cells through :func:`checkpointed_map`, in spec order.
 
     Every random stream a cell uses is derived from string keys
     (program, memory, latency, processor, policy) plus the seed --
-    never from shared generator state -- so the output is bit-identical
-    for any ``jobs``; parallelism only changes wall-clock time.
+    never from shared generator state -- so a cell's result does not
+    depend on the other specs in the call.
 
     The misses of one program (and compile and sampling settings) are
     one group, evaluated together by :meth:`ProgramEvaluator.cells`:
-    one process compiles each of its binaries once and samples each
-    compiled block once per processor, for every cell of the group.
-    Each cell still gets its own result, cache entry and manifest
-    record.  The scheduling service passes
-    ``inline_fallback=False`` (and its own retry budget) so pool death
-    raises :class:`PoolBrokenError` instead of running cells in the
-    serving process.
+    each of its binaries is compiled once and each compiled block
+    sampled once per processor, for every cell of the group.  Each cell
+    still gets its own result, cache entry and manifest record.
+
+    Cells are evaluated in this process.  ``jobs`` is kept only so
+    callers written when cells could fan out over worker processes
+    (``jobs=1``) keep working; any other value raises ``ValueError``.
     """
+    if jobs != 1:
+        raise ValueError(
+            f"jobs must be 1 (cells are evaluated in this process), "
+            f"got {jobs}"
+        )
     items = [
         WorkItem(
             _evaluate_cells, spec, cell_key(spec), spec.program,
@@ -1210,7 +899,6 @@ def evaluate_cells(
         for spec in specs
     ]
     return checkpointed_map(
-        items, jobs, group=_cell_group, cache=cache, manifest=manifest,
-        resume=resume, retries=retries, inline_fallback=inline_fallback,
-        stats=stats, force_pool=force_pool,
+        items, group=_cell_group, cache=cache, manifest=manifest,
+        resume=resume,
     )

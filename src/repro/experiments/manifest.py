@@ -4,26 +4,22 @@ Every ``balanced-sched run <exp>`` appends one ``run_start`` record,
 one ``cell`` record per evaluated (or cache-replayed) cell, and one
 ``run_end`` record to ``results/manifest.jsonl``.  The log is the
 run's flight recorder: it names the code version (``git describe``),
-the seed/runs/jobs configuration, each cell's wall-clock time, which
-worker process computed it, whether it was a cache hit, and how many
-times its batch was retried after a pool breakage -- so a died run can
-be diagnosed and a published table can point at the exact run that
+the seed/runs configuration, each cell's wall-clock time, which
+process computed it and whether it was a cache hit -- so a died run
+can be diagnosed and a published table can point at the exact run that
 produced it (see EXPERIMENTS.md).
 
 Record schema (one JSON object per line; fields beyond these may be
 added, readers must ignore unknown keys):
 
 ``run_start``
-    ``run_id, experiment, git, seed, runs, jobs, resume, started``
+    ``run_id, experiment, git, seed, runs, resume, started``
 ``cell``
-    ``run_id, key, program, system, processor, wall_s, worker,
-    cache ("hit"|"miss"), retries`` -- plus, when the run was made
-    with ``--obs``, a ``metrics`` object (compact per-cell counter /
-    histogram summary from :func:`repro.obs.metrics.summarize_delta`)
-``pool_downgrade``
-    ``run_id, items`` -- plus ``cause`` (repr of the pool-breaking
-    exception) when known, and ``trace_ids`` naming the traced service
-    requests that were in flight when the pool broke
+    ``run_id, key, program, system, processor, wall_s, worker`` (the
+    pid of the process that computed it), ``cache ("hit"|"miss")`` --
+    plus, when the run was made with ``--obs``, a ``metrics`` object
+    (compact per-cell counter / histogram summary from
+    :func:`repro.obs.metrics.summarize_delta`)
 ``request``
     ``run_id, kind ("compile"|"schedule"|"simulate"|"explain"),
     status (HTTP status code), wall_s`` -- one per request served by
@@ -31,10 +27,14 @@ added, readers must ignore unknown keys):
     also carry their ``trace_id``
 ``run_end``
     ``run_id, experiment, status ("ok"|"interrupted"|"failed"),
-    wall_s, cells, hits, misses, retries, inline``
+    wall_s, cells, hits, misses``
+
+Manifests written by older versions carry fields and events this
+version no longer writes (a ``jobs`` setting, retry counts); readers
+ignore unknown keys and events.
 
 ``balanced-sched manifest`` summarises the most recent run(s):
-hit rate, retry count, total wall-clock and the slowest cells.
+hit rate, total wall-clock and the slowest cells.
 """
 
 from __future__ import annotations
@@ -124,8 +124,7 @@ class ManifestWriter:
         """Open a run; returns its id (also stamped on cell records)."""
         self._run_id = f"{experiment}-{uuid.uuid4().hex[:8]}"
         self._experiment = experiment
-        self._counts = {"cells": 0, "hits": 0, "misses": 0, "retries": 0,
-                        "inline": 0}
+        self._counts = {"cells": 0, "hits": 0, "misses": 0}
         self._append(
             {
                 "event": "run_start",
@@ -148,13 +147,11 @@ class ManifestWriter:
         wall_s: float,
         worker: int,
         cache: str,
-        retries: int = 0,
         metrics: Optional[dict] = None,
     ) -> None:
         self._counts["cells"] = self._counts.get("cells", 0) + 1
         bucket = "hits" if cache == "hit" else "misses"
         self._counts[bucket] = self._counts.get(bucket, 0) + 1
-        self._counts["retries"] = self._counts.get("retries", 0) + retries
         record = {
             "event": "cell",
             "run_id": self._run_id,
@@ -165,39 +162,11 @@ class ManifestWriter:
             "wall_s": round(wall_s, 6),
             "worker": worker,
             "cache": cache,
-            "retries": retries,
         }
         # Only present on --obs runs, so obs-off manifests are
         # byte-compatible with earlier versions.
         if metrics is not None:
             record["metrics"] = metrics
-        self._append(record)
-
-    def record_pool_downgrade(
-        self,
-        items: int,
-        cause: Optional[str] = None,
-        trace_ids: Optional[List[str]] = None,
-    ) -> None:
-        """A batch exhausted its pool retries and ran inline (or, under
-        the service's ``inline_fallback=False``, was failed with a 503).
-
-        ``cause`` is the repr of the exception that broke the pool
-        (when known), so the manifest can answer *why* the downgrade
-        happened; ``trace_ids`` names the traced requests that were in
-        flight, so the downgrade can be correlated with the requests it
-        hurt (``GET /debug/trace/<id>``).
-        """
-        self._counts["inline"] = self._counts.get("inline", 0) + items
-        record = {
-            "event": "pool_downgrade",
-            "run_id": self._run_id,
-            "items": items,
-        }
-        if cause is not None:
-            record["cause"] = cause
-        if trace_ids:
-            record["trace_ids"] = sorted(trace_ids)
         self._append(record)
 
     def record_request(
@@ -251,7 +220,6 @@ class RunSummary:
     start: dict
     cells: List[dict] = field(default_factory=list)
     end: Optional[dict] = None
-    downgrades: int = 0
     request_records: List[dict] = field(default_factory=list)
 
     @property
@@ -273,10 +241,6 @@ class RunSummary:
     @property
     def misses(self) -> int:
         return len(self.cells) - self.hits
-
-    @property
-    def retries(self) -> int:
-        return sum(int(c.get("retries", 0)) for c in self.cells)
 
     @property
     def status(self) -> str:
@@ -318,7 +282,7 @@ class RunSummary:
             f"run {self.run_id} ({self.experiment})",
             f"  git {self.start.get('git', '?')}  seed "
             f"{self.start.get('seed', '?')}  runs "
-            f"{self.start.get('runs', '?')}  jobs {self.start.get('jobs', '?')}",
+            f"{self.start.get('runs', '?')}",
             f"  status: {self.status}"
             + (
                 f"  wall {self.end['wall_s']:.1f}s"
@@ -338,8 +302,7 @@ class RunSummary:
             rate = 100.0 * self.hits / len(self.cells)
             lines.append(
                 f"  cells: {len(self.cells)}  cache hits: {self.hits} "
-                f"({rate:.0f}%)  retries: {self.retries}"
-                + (f"  inline downgrades: {self.downgrades}" if self.downgrades else "")
+                f"({rate:.0f}%)"
             )
             slow = [c for c in self.slowest(top) if c.get("cache") != "hit"]
             if slow:
@@ -349,11 +312,6 @@ class RunSummary:
                         f"    {c.get('wall_s', 0.0):8.3f}s  "
                         f"{c.get('program', '?'):8s} {c.get('system', '?'):22s} "
                         f"{c.get('processor', '?'):10s} worker {c.get('worker', '?')}"
-                        + (
-                            f"  (retried x{c['retries']})"
-                            if c.get("retries")
-                            else ""
-                        )
                     )
         else:
             lines.append("  cells: 0")
@@ -399,8 +357,6 @@ def read_runs(path) -> List[RunSummary]:
                 by_id[run_id].cells.append(record)
             elif event == "run_end":
                 by_id[run_id].end = record
-            elif event == "pool_downgrade":
-                by_id[run_id].downgrades += int(record.get("items", 0))
             elif event == "request":
                 by_id[run_id].request_records.append(record)
     return runs

@@ -126,7 +126,6 @@ def _dispatch(
     name: str,
     seed: int,
     runs: int,
-    jobs: int = 1,
     programs: Optional[List[str]] = None,
 ):
     if name == "figure2":
@@ -136,15 +135,15 @@ def _dispatch(
     if name == "table1":
         return run_table1()
     if name == "table2":
-        return run_table2(seed=seed, runs=runs, jobs=jobs, programs=programs)
+        return run_table2(seed=seed, runs=runs, programs=programs)
     if name == "table3":
-        return run_table3(seed=seed, runs=runs, jobs=jobs)
+        return run_table3(seed=seed, runs=runs)
     if name == "table4":
-        return run_table4(seed=seed, jobs=jobs)
+        return run_table4(seed=seed)
     if name == "table5":
-        return run_table5(seed=seed, runs=runs, jobs=jobs)
+        return run_table5(seed=seed, runs=runs)
     if name == "ablations":
-        return run_all_ablations(jobs=jobs)
+        return run_all_ablations()
     raise KeyError(name)
 
 
@@ -192,11 +191,14 @@ def _configure_logging(verbose: int, quiet: int) -> None:
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+def _warn_jobs(jobs: int) -> None:
+    """``--jobs`` is validated (>= 1 at parse time) and kept so existing
+    scripts run, but every cell is evaluated in this process."""
+    if jobs > 1:
+        logger.warning(
+            "--jobs %d clamped to 1: cells are evaluated in one process",
+            jobs,
+        )
 
 
 def _program_list(text: Optional[str]) -> Optional[List[str]]:
@@ -256,20 +258,11 @@ def _finish_obs(rec, args: argparse.Namespace) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     runs = 3 if args.quick else args.runs
-    jobs = args.jobs
-    cores = _usable_cores()
-    if jobs > cores:
-        # Worker processes timeshare cores; oversubscribing a small
-        # machine only adds fork/pickle overhead.  Results do not
-        # depend on the worker count, so clamping is safe.
-        logger.warning("--jobs %d clamped to %d usable core(s)", jobs, cores)
-        jobs = cores
+    _warn_jobs(args.jobs)
     programs = _parse_programs(args)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     manifest = ManifestWriter(args.manifest)
     names = EXPERIMENTS if args.experiment == "all" else [args.experiment]
-    # Enable *before* any work so lazily-forked pool workers inherit
-    # the recorder (their metrics come back as per-item child registries).
     rec = _obs.enable() if _wants_obs(args) else None
     verify_hook = None
     if args.verify:
@@ -281,9 +274,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "compilation and would go unchecked"
             )
             args.resume = False
-        # Same fork-inheritance rule as the recorder: enable before
-        # any pool exists.  A violation raises LegalityError inside
-        # the compiling process and fails the run loudly.
+        # A violation raises LegalityError while compiling and fails
+        # the run loudly.
         verify_hook = _verify_hooks.enable()
     timings = []
     try:
@@ -291,11 +283,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             for name in names:
                 start = time.time()
                 manifest.start_run(
-                    name, seed=args.seed, runs=runs, jobs=jobs,
-                    resume=args.resume,
+                    name, seed=args.seed, runs=runs, resume=args.resume,
                 )
                 try:
-                    result = _dispatch(name, args.seed, runs, jobs, programs)
+                    result = _dispatch(name, args.seed, runs, programs)
                 except KeyboardInterrupt:
                     elapsed = time.time() - start
                     manifest.end_run(wall_s=elapsed, status="interrupted")
@@ -304,13 +295,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                         "are checkpointed -- re-run the same command to "
                         "resume", name, elapsed,
                     )
-                    # Tear down the pool eagerly: atexit hooks may
-                    # never run if the signal arrives again, and a
-                    # half-dead pool would leak workers past the 130
-                    # exit.
-                    from .common import shutdown_pool
-
-                    shutdown_pool(wait=False)
                     return 130
                 except BaseException:
                     manifest.end_run(
@@ -327,7 +311,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 print(f"\n  [{name} regenerated in {elapsed:.1f}s]\n")
         if len(names) > 1:
             total = sum(elapsed for _, elapsed in timings)
-            logger.info("timing summary (--jobs %d):", jobs)
+            logger.info("timing summary:")
             for name, elapsed in timings:
                 logger.info("  %-10s %6.1fs", name, elapsed)
             logger.info("  %-10s %6.1fs", "total", total)
@@ -335,30 +319,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     finally:
         if verify_hook is not None:
             _verify_hooks.disable()
-            _print_verify_summary(verify_hook, rec, jobs)
+            _print_verify_summary(verify_hook, rec)
         if rec is not None:
             _obs.disable()
             _finish_obs(rec, args)
 
 
-def _print_verify_summary(hook, rec, jobs: int) -> None:
-    """One line accounting for what the pipeline hook checked.
-
-    Worker processes keep their own hook counters; their numbers come
-    back to the parent only as per-item child metric registries, so the
-    recorder is the authoritative count when it exists.
-    """
+def _print_verify_summary(hook, rec) -> None:
+    """One line accounting for what the pipeline hook checked."""
     checked = hook.blocks_checked
     violations = hook.violations
-    note = ""
     if rec is not None:
         checked = int(counter_total(rec.metrics.counters, "verify.blocks_checked"))
         violations = int(counter_total(rec.metrics.counters, "verify.violations"))
-    elif jobs > 1:
-        note = " (parent process only; add --obs for cross-worker counts)"
     print(
         f"\n  [verify: {checked} block(s) oracle-checked, "
-        f"{violations} violation(s){note}]"
+        f"{violations} violation(s)]"
     )
 
 
@@ -417,7 +393,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     try:
         with engine_session(cache=None, manifest=None, resume=False):
             start = time.time()
-            _dispatch(args.experiment, args.seed, runs, args.jobs, programs)
+            _dispatch(args.experiment, args.seed, runs, programs)
             elapsed = time.time() - start
     finally:
         _obs.disable()
@@ -616,20 +592,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # no batch command needs.
     from ..service import SchedulingService
 
-    jobs = args.jobs
-    cores = _usable_cores()
-    if jobs > cores:
-        logger.warning("--jobs %d clamped to %d usable core(s)", jobs, cores)
-        jobs = cores
+    _warn_jobs(args.jobs)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     manifest = ManifestWriter(args.manifest)
     service = SchedulingService(
-        jobs=jobs,
         cache=cache,
         manifest=manifest,
         max_queue=args.max_queue,
         deadline_s=args.deadline if args.deadline > 0 else None,
-        pool_retries=args.pool_retries,
         batch_window_s=args.batch_window,
         trace_requests=not args.no_tracing,
         trace_capacity=args.trace_capacity,
@@ -945,8 +915,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker processes for the table experiments (results are "
-        "bit-identical for any value)",
+        help="accepted for compatibility: cells are evaluated in one "
+        "process, and values above 1 are clamped to 1",
     )
     run.add_argument(
         "--programs",
@@ -1063,14 +1033,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--runs", type=_positive_int, default=30)
     profile.add_argument(
         "--quick", action="store_true", help="3-run smoke pass"
-    )
-    profile.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="worker processes (note: spans recorded in workers stay "
-        "worker-local; profile with --jobs 1 for complete phase "
-        "timings -- metrics come back for any value)",
     )
     profile.add_argument(
         "--programs",
@@ -1266,7 +1228,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="process-pool workers for simulation batches",
+        help="accepted for compatibility: simulation batches run in the "
+        "daemon's process, and values above 1 are clamped to 1",
     )
     serve.add_argument(
         "--cache-dir",
@@ -1292,12 +1255,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         help="default per-request deadline in seconds (0 disables)",
-    )
-    serve.add_argument(
-        "--pool-retries",
-        type=int,
-        default=2,
-        help="pool rebuilds before a batch fails with 503",
     )
     serve.add_argument(
         "--batch-window",
@@ -1328,9 +1285,9 @@ def _install_sigterm_handler() -> None:
     """Convert SIGTERM into KeyboardInterrupt for the batch commands.
 
     `kill <pid>` then unwinds through the same except/finally chain as
-    Ctrl-C: the manifest records ``interrupted``, checkpoints land,
-    obs exports finish (atomically), and the pool is torn down --
-    instead of the default handler killing the process mid-write.
+    Ctrl-C: the manifest records ``interrupted``, checkpoints land and
+    obs exports finish (atomically) -- instead of the default handler
+    killing the process mid-write.
     ``serve`` replaces this with its own asyncio handler.  Signals can
     only be installed from the main thread; embedders calling
     :func:`main` elsewhere keep their own handling.

@@ -136,20 +136,17 @@ def run_table2(
     seed: int = DEFAULT_SEED,
     runs: int = 30,
     programs: Optional[List[str]] = None,
-    jobs: int = 1,
 ) -> Table2Result:
     """Evaluate the full Table 2 grid (or a subset of programs).
 
-    ``jobs`` fans the cells out over a process pool; results are
-    bit-identical for any value (all random streams are string-keyed).
     The ambient engine session checkpoints and logs the run; a resumed
     run replays finished cells from the store and is byte-identical to
     an uninterrupted one.
     """
     names = programs if programs is not None else program_names()
     systems = paper_system_rows()
-    # Program-major order: workers see long runs of one program, so
-    # each compiles it (at most) once.
+    # Program-major order: each program's cells form one group, which
+    # compiles its binaries once and stacks its kernel calls.
     specs = [
         CellSpec(
             program=name, system=system, processor=processor,
@@ -158,7 +155,7 @@ def run_table2(
         for name in names
         for system in systems
     ]
-    results = evaluate_cells(specs, jobs=jobs)
+    results = evaluate_cells(specs)
     by_key = {
         (spec.program, spec.system.label): cell
         for spec, cell in zip(specs, results)

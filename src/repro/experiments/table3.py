@@ -24,7 +24,7 @@ from ..machine.processor import LEN_8, MAX_8, PAPER_PROCESSORS, ProcessorModel, 
 from ..simulate.rng import DEFAULT_SEED
 from .common import CellResult, CellSpec, evaluate_cells
 
-DEFAULT_PROGRAM = "MDG"
+DETAIL_PROGRAM = "MDG"
 
 
 @dataclass
@@ -99,10 +99,9 @@ class Table3Result:
 
 
 def run_table3(
-    program: str = DEFAULT_PROGRAM,
+    program: str = DETAIL_PROGRAM,
     seed: int = DEFAULT_SEED,
     runs: int = 30,
-    jobs: int = 1,
 ) -> Table3Result:
     """Evaluate the detail table for one program (MDG by default).
 
@@ -117,7 +116,7 @@ def run_table3(
         for system in paper_system_rows()
         for processor in PAPER_PROCESSORS
     ]
-    results = evaluate_cells(specs, jobs=jobs)
+    results = evaluate_cells(specs)
     cells: Dict[Tuple[str, str], CellResult] = {
         (spec.system.label, spec.processor.name): cell
         for spec, cell in zip(specs, results)

@@ -106,7 +106,7 @@ def _spill_row(task) -> Table4Row:
     )
 
 
-def run_table4(seed: int = DEFAULT_SEED, jobs: int = 1) -> Table4Result:
+def run_table4(seed: int = DEFAULT_SEED) -> Table4Result:
     """Compile every program under every policy and count spills.
 
     The unit of checkpointing is one program's whole row (this table
@@ -122,4 +122,4 @@ def run_table4(seed: int = DEFAULT_SEED, jobs: int = 1) -> Table4Result:
         )
         for name in program_names()
     ]
-    return Table4Result(rows=checkpointed_map(items, jobs))
+    return Table4Result(rows=checkpointed_map(items))

@@ -84,7 +84,6 @@ class Table5Result:
 def run_table5(
     seed: int = DEFAULT_SEED,
     runs: int = 30,
-    jobs: int = 1,
 ) -> Table5Result:
     """Evaluate N(30,5) for every program and processor model.
 
@@ -100,7 +99,7 @@ def run_table5(
         for name in program_names()
         for processor in PAPER_PROCESSORS
     ]
-    results = evaluate_cells(specs, jobs=jobs)
+    results = evaluate_cells(specs)
     cells: Dict[Tuple[str, str], CellResult] = {
         (spec.program, spec.processor.name): cell
         for spec, cell in zip(specs, results)

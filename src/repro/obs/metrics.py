@@ -17,8 +17,7 @@ Three instrument kinds:
   property the observability acceptance tests rely on.
 
 Each unit of experiment work records into a child registry of its own,
-swapped onto the recorder for the duration of the item, in a pool
-worker or inline alike.  The child is pickled back to the parent,
+swapped onto the recorder for the duration of the item.  The child is
 folded into the parent's registry with :meth:`MetricsRegistry.merge`,
 and summarised onto the item's run-manifest record with
 :func:`summarize_delta` (see ``repro.experiments.common``).
@@ -170,7 +169,7 @@ class MetricsRegistry:
         return sum(hist.values())
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry (e.g. a child from a worker process)
+        """Fold another registry (e.g. a work item's child registry)
         into this one: counters and histogram bins add, gauges and
         exemplars overwrite."""
         for key, value in other.counters.items():

@@ -2,11 +2,10 @@
 
 The scheduling service tags every request with a W3C-style
 ``traceparent`` id (caller-supplied or generated) and threads that
-trace context through the batcher and the experiment engine all the
-way into pool workers.  Each hop records *span fragments* -- flat,
-picklable dicts carrying the trace id, a real process id and epoch
-timestamps -- which flow back to the serving process and are
-reassembled here into a per-request span tree.
+trace context through the batcher into the experiment engine.  Each
+hop records *span fragments* -- flat dicts carrying the trace id, the
+process id and epoch timestamps -- which are reassembled here into a
+per-request span tree.
 
 Two pieces:
 
@@ -19,14 +18,14 @@ Two pieces:
   JSON (``GET /debug/trace/<id>``).
 
 The store is installed as a module-global sink (:func:`install`) so
-the engine can forward worker fragments without the service threading
+the engine can forward its fragments without the service threading
 a handle through ``evaluate_cells``; with no sink installed every hook
 is a no-op, which is what keeps the batch CLI byte-identical to a
 tracing-off daemon.
 
 Fragments use wall-clock epoch nanoseconds (``time.time_ns``), not the
-recorder's monotonic clock, so spans from different processes line up
-on one timeline.
+recorder's monotonic clock, so the service's spans and the engine's
+remapped recorder spans line up on one timeline.
 """
 
 from __future__ import annotations
@@ -125,17 +124,16 @@ def fragment(
     start_ns: int,
     dur_ns: int,
     cat: str = "service",
-    pid: Optional[int] = None,
     tid: int = 1,
     args: Optional[dict] = None,
 ) -> dict:
-    """One span fragment: a flat dict that pickles across the pool
-    boundary and maps 1:1 onto a Chrome ``"ph": "X"`` event."""
+    """One span fragment: a flat dict that maps 1:1 onto a Chrome
+    ``"ph": "X"`` event."""
     return {
         "trace_id": trace_id,
         "name": name,
         "cat": cat,
-        "pid": os.getpid() if pid is None else pid,
+        "pid": os.getpid(),
         "tid": tid,
         "start_ns": int(start_ns),
         "dur_ns": max(0, int(dur_ns)),
@@ -197,7 +195,7 @@ class RequestTraceStore:
                     record["fragments"].append(frag)
 
     def note_timing(self, trace_id: str, phase: str, ms: float) -> None:
-        """Accumulate one phase timing (queue/batch/pool/render ...)."""
+        """Accumulate one phase timing (queue/batch/engine/render ...)."""
         with self._lock:
             record = self._records.get(trace_id)
             if record is not None:
@@ -209,13 +207,6 @@ class RequestTraceStore:
             record = self._records.get(trace_id)
             if record is not None and cell_key not in record["cell_keys"]:
                 record["cell_keys"].append(cell_key)
-
-    def mark(self, trace_id: str, key: str, value) -> None:
-        """Attach an annotation (e.g. ``pool_downgrade``) to a record."""
-        with self._lock:
-            record = self._records.get(trace_id)
-            if record is not None:
-                record[key] = value
 
     def finish(self, trace_id: str, status: int, duration_ms: float) -> None:
         with self._lock:
@@ -243,9 +234,8 @@ class RequestTraceStore:
         """One request's span tree as Chrome ``trace_event`` JSON
         (``GET /debug/trace/<id>``), or ``None`` for an unknown id.
 
-        Events from every process that touched the request appear under
-        their real pid, with per-pid ``process_name`` metadata so
-        Perfetto labels the server and pool-worker tracks.
+        Every fragment is recorded in this process; ``process_name``
+        metadata labels its track in Perfetto.
         """
         with self._lock:
             record = self._records.get(trace_id)
@@ -254,26 +244,18 @@ class RequestTraceStore:
             fragments = list(record["fragments"])
             route = record["route"]
             started_ns = record["started_ns"]
-        server_pid = os.getpid()
         base_ns = min(
             [started_ns] + [f["start_ns"] for f in fragments]
         )
-        events: List[dict] = []
-        for pid in sorted({f["pid"] for f in fragments} | {server_pid}):
-            name = (
-                "balanced-sched server"
-                if pid == server_pid
-                else "balanced-sched pool worker"
-            )
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 1,
-                    "args": {"name": name},
-                }
-            )
+        events: List[dict] = [
+            {
+                "name": "process_name",
+                "ph": "M",
+                "pid": os.getpid(),
+                "tid": 1,
+                "args": {"name": "balanced-sched server"},
+            }
+        ]
         for frag in sorted(fragments, key=lambda f: f["start_ns"]):
             events.append(
                 {
@@ -298,7 +280,7 @@ class RequestTraceStore:
 # The module-global sink
 # ----------------------------------------------------------------------
 #: The active store, if a service installed one.  The engine forwards
-#: worker span fragments here; with no store every hook is a no-op, so
+#: its span fragments here; with no store every hook is a no-op, so
 #: batch runs and tracing-off daemons record nothing.
 _ACTIVE: Optional[RequestTraceStore] = None
 

@@ -6,8 +6,7 @@ pipeline as an online system -- compile / schedule / simulate /
 explain requests arriving continuously over HTTP, sharing one
 process-wide :class:`~repro.experiments.common.CompilationCache` and
 one on-disk result cache, coalescing compatible simulation requests
-into single calls to the vectorized batch kernels, and sharding
-CPU-bound work across the experiment process pool.  Responses are
+into single calls to the vectorized batch kernels.  Responses are
 byte-identical to the batch CLI for identical specs; see
 docs/service.md.
 

@@ -7,8 +7,8 @@ short window (``window_s``), then flushes everything queued as ONE
 call into the vectorized batch engine -- so concurrent requests for
 different cells share compile work (compile-sharing groups), requests
 for the *same* cell collapse into a single evaluation whose result
-fans back out to every waiter, and the process pool sees large batches
-instead of singletons.
+fans back out to every waiter, and the engine stacks the kernel calls
+of a batch's cells instead of running singletons.
 
 Admission is bounded: once ``max_queue`` requests are queued or in
 flight, new submissions fail fast with :class:`AdmissionError`
@@ -74,8 +74,8 @@ class SimulationBatcher:
     wraps :func:`~repro.experiments.common.evaluate_cells` in the CPU
     executor).  One flush task drains the queue; a failure of the
     runner fails every request in that flush -- later flushes start
-    clean, which is what lets the daemon keep serving after a pool
-    breakage.
+    clean, which is what lets the daemon keep serving after a failed
+    batch.
     """
 
     def __init__(
@@ -142,7 +142,7 @@ class SimulationBatcher:
         Raises :class:`AdmissionError` immediately when the queue is
         full, :class:`DeadlineExceeded` when ``deadline_s`` elapses
         first, and re-raises whatever the engine raised (e.g.
-        ``PoolBrokenError``) for every request in a failed flush.
+        ``CellEvaluationError``) for every request in a failed flush.
         """
         if self._task is None or self._stopping:
             raise RuntimeError("batcher is not running")
@@ -225,7 +225,7 @@ class SimulationBatcher:
     def _merged_spec(waiters: List[_Pending]) -> CellSpec:
         """The one spec a coalesced group evaluates, carrying the union
         of the waiters' trace ids so every traced request in the group
-        still gets its worker span fragments."""
+        still gets its engine span fragments."""
         spec = waiters[0].spec
         traced = tuple(
             dict.fromkeys(

@@ -3,7 +3,7 @@
 One connection per call (``Connection: close``), JSON in / JSON out.
 Non-2xx responses raise :class:`ServiceError` carrying the HTTP status
 and the decoded error payload, so callers branch on ``exc.status``
-(429 retry-later, 503 pool-broken, 504 deadline) instead of parsing
+(429 retry-later, 504 deadline) instead of parsing
 messages.
 """
 

@@ -366,7 +366,7 @@ def to_cell_spec(
     (identical spec => identical cache key => identical payload).
 
     ``trace_id`` piggybacks the request's trace context onto the spec
-    (a compare/repr-excluded field), so pool workers can report span
+    (a compare/repr-excluded field), so the engine can report span
     fragments under the right request without a second wire format.
     The cache key and the result are unaffected.
     """

@@ -10,23 +10,17 @@ One process, three layers:
   and the obs registry;
 * the :class:`~repro.service.batcher.SimulationBatcher`, which
   coalesces concurrent ``/simulate`` requests into single
-  :func:`~repro.experiments.common.evaluate_cells` calls that fan out
-  over the experiment process pool (``--jobs``); each cell travels to
-  its worker as a :class:`~repro.experiments.common.CellSpec` that
-  names its program, so workers compile from their own cache.
+  :func:`~repro.experiments.common.evaluate_cells` calls, run on the
+  CPU executor like every other engine call.
 
-Pool death is *surfaced*, not absorbed: the engine runs with
-``inline_fallback=False``, so a pool that breaks past its retry budget
-raises ``PoolBrokenError`` -> HTTP 503 plus a ``pool_downgrade``
-manifest record and a ``service.pool_downgrade`` metric -- and the
-daemon keeps serving, because the next batch builds a fresh pool.
-Already-delivered cells were checkpointed to the result cache, so a
-client retry replays them for free.
+A batch that fails fails only its own requests; the next batch starts
+clean.  Cells finished before a failure were checkpointed to the
+result cache, so a client retry replays them for free.
 
 Every request is traced (unless ``--no-tracing``): the daemon accepts
 or generates a W3C-style ``traceparent``, threads the trace context
-through the batcher and the engine into pool workers, and reassembles
-the returned span fragments in a bounded
+through the batcher into the engine, and reassembles the span
+fragments in a bounded
 :class:`~repro.obs.requesttrace.RequestTraceStore`.  Tracing only adds
 a response header, debug routes and log lines -- response *bodies* are
 byte-identical with tracing on, off, or absent (the CLI).
@@ -52,15 +46,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..experiments.common import (
-    CellResult,
-    CellSpec,
-    MAX_POOL_RETRIES,
-    PoolBrokenError,
-    PoolMapStats,
-    evaluate_cells,
-    shutdown_pool,
-)
+from ..experiments.common import CellResult, CellSpec, evaluate_cells
 from ..obs import recorder as _obs
 from ..obs import requesttrace as _reqtrace
 from ..obs.export import prometheus_text
@@ -93,7 +79,6 @@ _REASONS = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
-    503: "Service Unavailable",
     504: "Gateway Timeout",
 }
 
@@ -109,24 +94,20 @@ class SchedulingService:
     def __init__(
         self,
         *,
-        jobs: int = 1,
         cache=None,
         manifest=None,
         resume: bool = True,
         max_queue: int = 64,
         deadline_s: Optional[float] = 30.0,
-        pool_retries: int = MAX_POOL_RETRIES,
         batch_window_s: float = 0.01,
         trace_requests: bool = True,
         trace_capacity: int = 256,
     ) -> None:
-        self.jobs = jobs
         self.cache = cache
         self.manifest = manifest
         self.resume = resume
         self.max_queue = max_queue
         self.deadline_s = deadline_s
-        self.pool_retries = pool_retries
         self.batch_window_s = batch_window_s
         self.trace_requests = trace_requests
         self.trace_capacity = trace_capacity
@@ -156,9 +137,7 @@ class SchedulingService:
                 RequestTraceStore(capacity=self.trace_capacity)
             )
         if self.manifest is not None:
-            self.manifest.start_run(
-                "serve", jobs=self.jobs, max_queue=self.max_queue
-            )
+            self.manifest.start_run("serve", max_queue=self.max_queue)
         # One CPU thread: renders, engine batches and /metrics scrapes
         # all serialise here, so the compilation cache and the metrics
         # registry are never mutated from two threads at once.
@@ -197,7 +176,6 @@ class SchedulingService:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        shutdown_pool(wait=False)
         if self.manifest is not None:
             self.manifest.end_run(
                 wall_s=time.monotonic() - self._started_at, status=status
@@ -271,37 +249,12 @@ class SchedulingService:
     def _evaluate_batch_sync(
         self, specs: List[CellSpec]
     ) -> List[CellResult]:
-        stats = PoolMapStats()
-        try:
-            return evaluate_cells(
-                specs,
-                jobs=self.jobs,
-                cache=self.cache,
-                manifest=self.manifest,
-                resume=self.resume,
-                retries=self.pool_retries,
-                inline_fallback=False,
-                stats=stats,
-                # With jobs > 1, even a single-cell batch goes to a real
-                # pool worker: request CPU work stays off the serving
-                # process, and traced requests collect worker fragments.
-                force_pool=self.jobs > 1,
-            )
-        except PoolBrokenError as exc:
-            trace_ids = sorted(
-                {t for spec in specs for t in spec.trace_ids}
-            )
-            if self.manifest is not None:
-                self.manifest.record_pool_downgrade(
-                    exc.items, exc.cause, trace_ids=trace_ids or None
-                )
-            if self._metrics is not None:
-                self._metrics.inc("service.pool_downgrade")
-            if self._trace_store is not None:
-                for trace_id in trace_ids:
-                    self._trace_store.mark(trace_id, "pool_downgrade", True)
-            logger.warning("pool broke serving a batch: %s", exc)
-            raise
+        return evaluate_cells(
+            specs,
+            cache=self.cache,
+            manifest=self.manifest,
+            resume=self.resume,
+        )
 
     # ------------------------------------------------------------------
     # HTTP front end
@@ -479,8 +432,6 @@ class SchedulingService:
             status, payload = 404, {"error": str(exc.args[0])}
         except AdmissionError as exc:
             status, payload = 429, {"error": str(exc)}
-        except PoolBrokenError as exc:
-            status, payload = 503, {"error": str(exc)}
         except DeadlineExceeded as exc:
             status, payload = 504, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 -- the 500 boundary

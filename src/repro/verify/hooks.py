@@ -11,12 +11,9 @@ or are only counted (``raise_on_violation=False``).
 Counters are kept on the hook object and mirrored into the obs metrics
 registry (``verify.blocks_checked`` / ``verify.violations``) when a
 recorder is active, so ``run --verify --obs --metrics-out`` leaves an
-auditable artifact that ``tools/check_verify.py`` can gate on.  With a
-parallel engine (``--jobs N``) the hook is inherited by forked workers;
-worker-side counters travel back only through the obs per-item child
-metric registries, but a violation always fails the run -- the raised
-:class:`LegalityError` propagates through the cell-evaluation error
-path regardless of worker count.
+auditable artifact that ``tools/check_verify.py`` can gate on.  A
+violation always fails the run: the raised :class:`LegalityError`
+propagates through the cell-evaluation error path.
 """
 
 from __future__ import annotations

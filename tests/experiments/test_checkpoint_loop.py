@@ -2,11 +2,11 @@
 ablation tables (``repro.experiments.common.checkpointed_map``).
 
 Each item records its metrics into a child registry of its own, merged
-into the recorder's registry in the parent process.  These tests pin
-what that must preserve (every cell summary of a reference run, the
-inline path's per-cell checkpoints) and what it fixes: pooled Table 4
-rows and ablations bring their metrics back, and writes made through a
-reference to the parent registry stay out of a cell's summary.
+into the recorder's registry.  These tests pin what that must preserve
+(every cell summary of a reference run, the per-group checkpoints) and
+what it guarantees: writes made through a reference to the parent
+registry stay out of a cell's summary, and obs-off runs write no
+metrics.
 Evaluation functions take a group: ``fn(args, scope)``, where
 ``scope(i)`` is the context of item ``i``'s own work.
 """
@@ -83,8 +83,8 @@ class TestCellSummaries:
         assert got == json.loads(GOLDEN.read_text())
 
     def test_inline_path_checkpoints_each_group(self, tmp_path, monkeypatch):
-        """Inline, every group (one program's cells) is its own
-        checkpoint: an interrupt during the second group leaves the
+        """Every group (one program's cells) is its own checkpoint: an
+        interrupt during the second group leaves the
         first group's cells cached and recorded."""
         real = common._evaluate_cells
         calls = []
@@ -102,7 +102,7 @@ class TestCellSummaries:
         ]
         cache = ResultCache(tmp_path / "cache")
         manifest = ManifestWriter(tmp_path / "m.jsonl")
-        manifest.start_run("inline", seed=0, runs=2, jobs=1, resume=True)
+        manifest.start_run("inline", seed=0, runs=2, resume=True)
         with pytest.raises(KeyboardInterrupt):
             evaluate_cells(specs, jobs=1, cache=cache, manifest=manifest)
         assert [len(group) for group in calls] == [2, 1]
@@ -122,7 +122,7 @@ class TestChildRegistry:
         CPU thread; the cell's summary must not pick those writes up."""
         real = common._evaluate_cells
         manifest = ManifestWriter(tmp_path / "m.jsonl")
-        manifest.start_run("leak", seed=0, runs=2, jobs=1, resume=True)
+        manifest.start_run("leak", seed=0, runs=2, resume=True)
         with obs.recording() as rec:
             parent = rec.metrics
 
@@ -170,63 +170,7 @@ class TestChildRegistry:
         assert parent.counters["verify.violations"] == 2
 
 
-class TestPooledMetrics:
-    def test_table4_metrics_are_the_same_for_any_jobs(self, tmp_path):
-        # Every program row compiles exactly once, in whichever process
-        # runs it, so the registries must match exactly.
-        serial, rows = run_with_obs(
-            tmp_path, "t4-j1", ["run", "table4", "--jobs", "1"]
-        )
-        pooled, _ = run_with_obs(
-            tmp_path, "t4-j2", ["run", "table4", "--jobs", "2"]
-        )
-        assert serial["counters"] and serial["histograms"]
-        assert pooled == serial
-        assert all(row["metrics"]["counters"] for row in rows)
-
-    def test_pooled_ablations_record_metrics(self, tmp_path):
-        serial, _ = run_with_obs(
-            tmp_path, "abl-j1", ["run", "ablations", "--jobs", "1"]
-        )
-        pooled, tables = run_with_obs(
-            tmp_path, "abl-j2", ["run", "ablations", "--jobs", "2"]
-        )
-        assert pooled["counters"] and pooled["histograms"]
-        assert pooled["counters"] == serial["counters"]
-        assert pooled["histograms"] == serial["histograms"]
-        assert all("metrics" in table for table in tables)
-
-    def test_sim_series_are_the_same_for_any_jobs(self, tmp_path):
-        """The simulator's series match exactly across --jobs; the
-        sched.*/regalloc.* series legitimately differ, because each
-        worker repeats the balanced compile."""
-        argv = ["run", "table2", "--quick", "--programs", "ADM,MDG"]
-        serial, serial_cells = run_with_obs(
-            tmp_path, "j1", argv + ["--jobs", "1"]
-        )
-        pooled, pooled_cells = run_with_obs(
-            tmp_path, "j2", argv + ["--jobs", "2"]
-        )
-
-        def sim(section):
-            return {k: v for k, v in section.items() if k.startswith("sim.")}
-
-        for kind in ("counters", "gauges", "histograms"):
-            assert sim(pooled[kind]) == sim(serial[kind])
-        assert sim(serial["counters"])
-
-        def by_cell(cells):
-            return {
-                (c["program"], c["system"], c["processor"]): {
-                    kind: sim(c["metrics"].get(kind, {}))
-                    for kind in ("counters", "histograms")
-                }
-                for c in cells
-            }
-
-        assert len(serial_cells) == len(pooled_cells) == 34
-        assert by_cell(pooled_cells) == by_cell(serial_cells)
-
+class TestManifestMetrics:
     def test_obs_off_records_carry_no_metrics(self, tmp_path):
         manifest = tmp_path / "m.jsonl"
         run_cli([

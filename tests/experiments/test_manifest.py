@@ -11,7 +11,7 @@ from repro.experiments.manifest import (
 
 def _write_run(path, experiment="table2", cells=3, hits=1, status="ok"):
     writer = ManifestWriter(path)
-    run_id = writer.start_run(experiment, seed=42, runs=3, jobs=2, resume=True)
+    run_id = writer.start_run(experiment, seed=42, runs=3, resume=True)
     for index in range(cells):
         writer.record_cell(
             key=f"k{index}",
@@ -21,7 +21,6 @@ def _write_run(path, experiment="table2", cells=3, hits=1, status="ok"):
             wall_s=0.5 * (index + 1),
             worker=1000 + index,
             cache="hit" if index < hits else "miss",
-            retries=index,
         )
     writer.end_run(wall_s=9.5, status=status)
     return run_id
@@ -51,14 +50,14 @@ class TestWriter:
         assert end["cells"] == 4
         assert end["hits"] == 1
         assert end["misses"] == 3
-        assert end["retries"] == 0 + 1 + 2 + 3
+        assert "retries" not in end
 
     def test_cell_metrics_present_only_when_given(self, tmp_path):
         """Obs-off manifests stay byte-compatible: the ``metrics`` key
         appears only on cells recorded with a metrics summary."""
         path = tmp_path / "m.jsonl"
         writer = ManifestWriter(path)
-        writer.start_run("table2", seed=42, runs=3, jobs=1, resume=True)
+        writer.start_run("table2", seed=42, runs=3, resume=True)
         writer.record_cell(
             key="bare", program="ADM", system="s", processor="p",
             wall_s=1.0, worker=1, cache="miss",
@@ -161,7 +160,7 @@ class TestReader:
     def test_missing_run_end_reads_as_incomplete(self, tmp_path):
         path = tmp_path / "m.jsonl"
         writer = ManifestWriter(path)
-        writer.start_run("table5", seed=1, runs=3, jobs=1, resume=True)
+        writer.start_run("table5", seed=1, runs=3, resume=True)
         writer.record_cell(
             key="k", program="MDG", system="s", processor="p",
             wall_s=1.0, worker=1, cache="miss",
@@ -236,7 +235,7 @@ class TestReader:
 
     def test_request_events_are_counted(self, tmp_path):
         writer = ManifestWriter(tmp_path / "m.jsonl")
-        writer.start_run("serve", jobs=1)
+        writer.start_run("serve")
         writer.record_request(kind="simulate", status=200, wall_s=0.5)
         writer.record_request(kind="compile", status=400, wall_s=0.01)
         writer.end_run(wall_s=1.0)
@@ -249,7 +248,7 @@ class TestReader:
         the record verbatim, and the reader keeps them."""
         path = tmp_path / "m.jsonl"
         writer = ManifestWriter(path)
-        writer.start_run("serve", jobs=1)
+        writer.start_run("serve")
         writer.record_request(
             kind="simulate", status=200, wall_s=0.5, trace_id="ab" * 16
         )
@@ -257,33 +256,38 @@ class TestReader:
         (run,) = read_runs(path)
         assert run.request_records[0]["trace_id"] == "ab" * 16
 
-    def test_pool_downgrade_record_carries_trace_ids(self, tmp_path):
+    def test_records_of_older_versions_still_read(self, tmp_path):
+        """Manifests written while cells could run in worker processes
+        carry a ``jobs`` setting, retry counts and ``pool_downgrade``
+        events; the reader ignores them."""
         path = tmp_path / "m.jsonl"
-        writer = ManifestWriter(path)
-        writer.start_run("serve", jobs=2)
-        writer.record_pool_downgrade(
-            2, cause="Boom('worker died')",
-            trace_ids=["bb" * 16, "aa" * 16],
-        )
-        writer.record_pool_downgrade(1)  # untraced batch: no key at all
-        writer.end_run(wall_s=1.0)
-        traced, untraced = [
-            json.loads(line)
-            for line in path.read_text().splitlines()
-            if json.loads(line)["event"] == "pool_downgrade"
+        records = [
+            {"event": "run_start", "run_id": "r1", "experiment": "table2",
+             "jobs": 2, "seed": 1, "runs": 3},
+            {"event": "cell", "run_id": "r1", "key": "k0", "program": "ADM",
+             "system": "L80(2,5) @ 2", "processor": "UNLIMITED",
+             "wall_s": 0.5, "worker": 7, "cache": "miss", "retries": 1},
+            {"event": "pool_downgrade", "run_id": "r1", "items": 1},
+            {"event": "run_end", "run_id": "r1", "experiment": "table2",
+             "status": "ok", "wall_s": 1.0, "cells": 1, "hits": 0,
+             "misses": 1, "retries": 1, "inline": 1},
         ]
-        assert traced["trace_ids"] == ["aa" * 16, "bb" * 16]
-        assert traced["cause"] == "Boom('worker died')"
-        assert "trace_ids" not in untraced
+        path.write_text(
+            "".join(json.dumps(r) + "\n" for r in records)
+        )
         (run,) = read_runs(path)
-        assert run.downgrades == 3
+        assert [c["program"] for c in run.cells] == ["ADM"]
+        assert run.status == "ok"
+        text = run.format()
+        assert "cells: 1  cache hits: 0 (0%)" in text
+        assert "retries" not in text and "jobs" not in text
 
     def test_route_latency_stats_golden(self, tmp_path):
         """Per-route p50/p99 over the request records -- nearest-rank,
         so the percentiles are exact observed values."""
         path = tmp_path / "m.jsonl"
         writer = ManifestWriter(path)
-        writer.start_run("serve", jobs=1)
+        writer.start_run("serve")
         for wall in (0.040, 0.010, 0.030, 0.020):
             writer.record_request(kind="simulate", status=200, wall_s=wall)
         writer.record_request(kind="compile", status=200, wall_s=0.005)
@@ -299,7 +303,7 @@ class TestReader:
         """Golden output for `balanced-sched manifest` on a serve run."""
         path = tmp_path / "m.jsonl"
         writer = ManifestWriter(path)
-        writer.start_run("serve", jobs=1)
+        writer.start_run("serve")
         for wall in (0.040, 0.010, 0.030, 0.020):
             writer.record_request(kind="simulate", status=200, wall_s=wall)
         writer.record_request(kind="compile", status=200, wall_s=0.005)

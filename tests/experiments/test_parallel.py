@@ -1,10 +1,9 @@
-"""Tests for the parallel cell engine and the shared compilation cache.
+"""Tests for the cell engine and the shared compilation cache.
 
 The determinism contract: a cell's value is a pure function of its
-:class:`CellSpec` (all random streams are string-keyed), so worker
-count, completion order, and process boundaries must never change a
-result.  jobs=2 genuinely exercises the ProcessPoolExecutor path even
-on a single-core machine -- slower there, but bit-identical.
+:class:`CellSpec` (all random streams are string-keyed), so evaluating
+it through :func:`evaluate_cells` or directly must give the same
+result.
 """
 
 import pytest
@@ -14,7 +13,6 @@ from repro.experiments.common import (
     CellSpec,
     ProgramEvaluator,
     evaluate_cells,
-    pool_map,
 )
 from repro.machine import MAX_8, UNLIMITED, system_row
 from repro.workloads import load_program
@@ -41,32 +39,11 @@ class TestEvaluateCells:
         assert cells[0].imp_pct == direct.imp_pct
         assert cells[0].improvement.ci_low == direct.improvement.ci_low
 
-    def test_parallel_bit_identical_to_serial(self):
-        specs = _specs()
-        serial = evaluate_cells(specs, jobs=1)
-        parallel = evaluate_cells(specs, jobs=2)
-        for a, b in zip(serial, parallel):
-            assert a.program == b.program
-            assert a.imp_pct == b.imp_pct
-            assert a.improvement.ci_low == b.improvement.ci_low
-            assert a.traditional_interlock_pct == b.traditional_interlock_pct
-            assert a.balanced_instructions == b.balanced_instructions
-
     def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError, match="jobs"):
-            evaluate_cells(_specs(), jobs=0)
-
-
-class TestPoolMap:
-    def test_order_preserved(self):
-        assert pool_map(abs, [-3, 1, -2], jobs=2) == [3, 1, 2]
-
-    def test_inline_when_single_job(self):
-        assert pool_map(abs, [-1], jobs=1) == [1]
-
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError, match="jobs"):
-            pool_map(abs, [1], jobs=-1)
+        """``jobs`` is kept for old callers; only 1 is accepted."""
+        for jobs in (0, 2):
+            with pytest.raises(ValueError, match="jobs"):
+                evaluate_cells(_specs(), jobs=jobs)
 
 
 class TestCompilationCache:

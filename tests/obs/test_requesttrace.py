@@ -7,6 +7,8 @@ failing the request.  The store half is the bounded ring behind
 ``GET /debug/requests`` and ``GET /debug/trace/<id>``.
 """
 
+import os
+
 import pytest
 
 from repro.obs import requesttrace
@@ -102,11 +104,10 @@ class TestRingBuffer:
         store.add_fragments(
             [fragment(ctx.trace_id, "cell", start_ns=10, dur_ns=5)]
         )
-        store.note_timing(ctx.trace_id, "pool", 1.25)
-        store.note_timing(ctx.trace_id, "pool", 0.25)
+        store.note_timing(ctx.trace_id, "engine", 1.25)
+        store.note_timing(ctx.trace_id, "engine", 0.25)
         store.note_cell(ctx.trace_id, "k1")
         store.note_cell(ctx.trace_id, "k1")  # deduplicated
-        store.mark(ctx.trace_id, "pool_downgrade", True)
         store.finish(ctx.trace_id, 200, 12.3456)
         newest, oldest = store.recent()
         assert [r["route"] for r in (newest, oldest)] == [
@@ -114,32 +115,32 @@ class TestRingBuffer:
         ]
         assert "fragments" not in newest
         assert newest["spans"] == 1
-        assert newest["timings_ms"] == {"pool": 1.5}
+        assert newest["timings_ms"] == {"engine": 1.5}
         assert newest["cell_keys"] == ["k1"]
-        assert newest["pool_downgrade"] is True
         assert newest["status"] == 200
         assert newest["duration_ms"] == 12.346
 
 
 class TestTraceAssembly:
-    def test_multi_process_chrome_trace(self):
+    def test_chrome_trace_puts_fragments_on_one_timeline(self):
         store = RequestTraceStore()
         ctx = TraceContext(trace_id="ab" * 16, span_id="cd" * 8)
         store.begin(ctx, "simulate")
         base = 1_000_000_000
         store.add_fragments([
             fragment(ctx.trace_id, "evaluate_cell ADM",
-                     start_ns=base + 2000, dur_ns=1000, pid=4242),
+                     start_ns=base + 2000, dur_ns=1000, cat="engine"),
             fragment(ctx.trace_id, "request /simulate",
-                     start_ns=base, dur_ns=5000, pid=1111),
+                     start_ns=base, dur_ns=5000),
         ])
         trace = store.trace(ctx.trace_id)
         assert validate_chrome_trace(trace) == []
         events = trace["traceEvents"]
-        meta = [e for e in events if e["ph"] == "M"]
+        (meta,) = [e for e in events if e["ph"] == "M"]
         spans = [e for e in events if e["ph"] == "X"]
-        names = {e["pid"]: e["args"]["name"] for e in meta}
-        assert names[4242] == "balanced-sched pool worker"
+        assert meta["pid"] == os.getpid()
+        assert meta["args"]["name"] == "balanced-sched server"
+        assert {e["pid"] for e in spans} == {os.getpid()}
         # Spans come back sorted by start time, on a shared timeline.
         assert [e["name"] for e in spans] == [
             "request /simulate", "evaluate_cell ADM",

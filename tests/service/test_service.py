@@ -7,9 +7,7 @@ The headline invariants:
   simulate payloads come from the same engine cells);
 * concurrent requests share the compilation and result caches and
   coalesce into engine batches;
-* a pool worker dying mid-request surfaces as HTTP 503 plus a
-  ``pool_downgrade`` manifest record and metric -- and the daemon
-  keeps serving;
+* a traced request's span tree holds the engine's fragments;
 * ``/metrics`` is valid Prometheus text exposition.
 """
 
@@ -21,13 +19,8 @@ import threading
 import pytest
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.common import (
-    FAULT_ONCE_ENV,
-    FAULT_PROGRAM_ENV,
-    evaluate_cells,
-    shutdown_pool,
-)
-from repro.experiments.manifest import ManifestWriter, read_runs
+from repro.experiments.common import evaluate_cells
+from repro.experiments.manifest import ManifestWriter
 from repro.experiments.runner import main as cli_main
 from repro.obs.export import (
     validate_chrome_trace,
@@ -224,172 +217,17 @@ class TestConcurrency:
         assert excinfo.value.status == 504
 
 
-class TestPoolKillDrill:
-    @pytest.fixture(autouse=True)
-    def cold_pool(self):
-        """Fork fresh workers after the crash-hook env is in place and
-        never leak them into later tests."""
-        shutdown_pool()
-        yield
-        shutdown_pool()
-
-    def test_503_then_keeps_serving(self, tmp_path, monkeypatch):
-        """A worker killed mid-batch surfaces as 503 (plus manifest
-        record and metric) and the daemon survives to serve the retry."""
-        sentinel = tmp_path / "worker-died"
-        monkeypatch.setenv(FAULT_PROGRAM_ENV, "TRACK")
-        monkeypatch.setenv(FAULT_ONCE_ENV, str(sentinel))
-        manifest_path = tmp_path / "manifest.jsonl"
-        service = SchedulingService(
-            jobs=2,
-            cache=ResultCache(tmp_path / "cache"),
-            manifest=ManifestWriter(manifest_path),
-            pool_retries=0,  # first breakage is final: deterministic 503
-            batch_window_s=0.25,
-        )
-        with ServiceThread(service) as thread:
-            client = ServiceClient(port=thread.port)
-            statuses = []
-            lock = threading.Lock()
-
-            def worker(latency):
-                # Two different optimistic latencies land in different
-                # compile-sharing groups, so the flush dispatches two
-                # pool items -- a single item would run inline in the
-                # parent, where the crash hook deliberately never fires.
-                try:
-                    client.simulate(
-                        program="TRACK", memory="N(2,5)",
-                        optimistic_latency=latency, runs=3, n_boot=10,
-                    )
-                    with lock:
-                        statuses.append(200)
-                except ServiceError as exc:
-                    with lock:
-                        statuses.append(exc.status)
-
-            threads = [
-                threading.Thread(target=worker, args=(lat,))
-                for lat in (2, 3)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-
-            assert sentinel.exists(), "the worker never died"
-            assert statuses == [503, 503], statuses
-
-            # The daemon is still alive; the sentinel makes the crash
-            # one-shot, so a retry on the rebuilt pool succeeds.
-            assert client.healthz() == {"status": "ok"}
-            retry = client.simulate(
-                program="TRACK", memory="N(2,5)", runs=3, n_boot=10
-            )
-            assert retry["program"] == "TRACK"
-
-            metrics_text = client.metrics()
-            assert "service_pool_downgrade" in metrics_text
-            assert 'status="503"' in metrics_text
-
-        (run,) = read_runs(manifest_path)
-        assert run.downgrades > 0, "manifest must record the downgrade"
-
-    def test_downgrade_is_stamped_with_trace_ids_and_traces_survive(
-        self, tmp_path, monkeypatch
-    ):
-        """Reproducer: a pool worker dying under a *traced* request
-        used to leave the ``pool_downgrade`` manifest record and the
-        request record without the active trace ids, so the 503 could
-        not be correlated with the trace that hit it.  Both must carry
-        the caller's trace id -- and tracing must survive the rebuild:
-        a traced retry on the fresh pool still collects worker spans.
-        """
-        sentinel = tmp_path / "worker-died"
-        monkeypatch.setenv(FAULT_PROGRAM_ENV, "TRACK")
-        monkeypatch.setenv(FAULT_ONCE_ENV, str(sentinel))
-        manifest_path = tmp_path / "manifest.jsonl"
-        service = SchedulingService(
-            jobs=2,
-            cache=ResultCache(tmp_path / "cache"),
-            manifest=ManifestWriter(manifest_path),
-            pool_retries=0,
-            batch_window_s=0.0,
-        )
-        caller_trace = "feedfacefeedfacefeedfacefeedface"
-        retry_trace = "deadbeefdeadbeefdeadbeefdeadbeef"
-        with ServiceThread(service) as thread:
-            client = ServiceClient(port=thread.port)
-            # jobs=2 forces even this lone cell onto a pool worker,
-            # where the crash hook kills it -> 503.
-            with pytest.raises(ServiceError) as excinfo:
-                client.simulate_traced(
-                    traceparent=f"00-{caller_trace}-{'12' * 8}-01",
-                    program="TRACK", memory="N(2,5)", runs=3, n_boot=10,
-                )
-            assert excinfo.value.status == 503
-            assert sentinel.exists(), "the worker never died"
-
-            # The recent-requests ring marks the downgraded request.
-            (record,) = [
-                r
-                for r in client.debug_requests()
-                if r["trace_id"] == caller_trace
-            ]
-            assert record["pool_downgrade"] is True
-            assert record["status"] == 503
-
-            # Pool rebuild: the traced retry succeeds and its trace
-            # still carries spans from the *new* worker process.
-            payload, trace_id = client.simulate_traced(
-                traceparent=f"00-{retry_trace}-{'34' * 8}-01",
-                program="TRACK", memory="N(2,5)", runs=3, n_boot=10,
-            )
-            assert trace_id == retry_trace
-            assert payload["program"] == "TRACK"
-            trace = client.debug_trace(retry_trace)
-            assert validate_chrome_trace(trace) == []
-            spans = [
-                e for e in trace["traceEvents"] if e.get("ph") == "X"
-            ]
-            assert len({e["pid"] for e in spans}) >= 2
-
-        records = [
-            json.loads(line)
-            for line in manifest_path.read_text().splitlines()
-        ]
-        (downgrade,) = [
-            r for r in records if r["event"] == "pool_downgrade"
-        ]
-        assert downgrade["trace_ids"] == [caller_trace]
-        failed = [
-            r
-            for r in records
-            if r["event"] == "request" and r["status"] == 503
-        ]
-        assert failed and failed[0]["trace_id"] == caller_trace
-
-
 class TestTracing:
-    """Request-scoped tracing: traceparent round trips, worker span
+    """Request-scoped tracing: traceparent round trips, engine span
     fragments reassemble into a Perfetto-loadable trace, and the debug
     routes expose the recent-requests ring."""
 
     CALLER_TRACE = "0af7651916cd43dd8448eb211c80319c"
     CALLER_SPAN = "b7ad6b7169203331"
 
-    @pytest.fixture(autouse=True)
-    def cold_pool(self):
-        """jobs=2 forks real workers; never leak them across tests."""
-        shutdown_pool()
-        yield
-        shutdown_pool()
-
     @pytest.fixture
     def traced(self, tmp_path):
-        """A jobs=2 service, so traced cells run in real pool workers."""
         service = SchedulingService(
-            jobs=2,
             cache=ResultCache(tmp_path / "cache"),
             manifest=ManifestWriter(tmp_path / "manifest.jsonl"),
             batch_window_s=0.0,
@@ -415,7 +253,11 @@ class TestTracing:
         assert trace_id != self.CALLER_TRACE
         int(trace_id, 16)  # well-formed hex
 
-    def test_debug_trace_spans_server_and_worker(self, traced):
+    def test_debug_trace_spans_server_and_engine(self, traced):
+        """One daemon process serves the request and evaluates its
+        cell: the trace holds the server's request span and the
+        engine's ``evaluate_cell`` fragment with its phase children,
+        all on the daemon's track."""
         _, client = traced
         client.simulate_traced(
             traceparent=self._traceparent(), **SIM_PAYLOAD
@@ -427,9 +269,17 @@ class TestTracing:
         ]
         names = {e["name"] for e in spans}
         assert "request /simulate" in names
-        assert any(n.startswith("evaluate_cell") for n in names)
-        # The engine cell ran in a pool worker: spans from >= 2 pids.
-        assert len({e["pid"] for e in spans}) >= 2
+        assert "evaluate_cell TRACK" in names
+        assert {"compile", "simulate_program", "bootstrap"} <= names
+        engine = [e for e in spans if e["cat"] == "engine"]
+        assert {e["name"] for e in engine} >= {
+            "evaluate_cell TRACK", "compile", "simulate_program",
+            "bootstrap",
+        }
+        (pid,) = {e["pid"] for e in trace["traceEvents"]}
+        (meta,) = [e for e in trace["traceEvents"] if e["ph"] == "M"]
+        assert meta["pid"] == pid
+        assert meta["args"]["name"] == "balanced-sched server"
         assert trace["otherData"]["trace_id"] == self.CALLER_TRACE
 
     def test_debug_requests_lists_the_request(self, traced):
@@ -447,7 +297,7 @@ class TestTracing:
         assert record["parent_id"] == self.CALLER_SPAN
         assert record["spans"] > 0
         assert record["cell_keys"], "the evaluated cell key is noted"
-        assert "pool" in record["timings_ms"]
+        assert "engine" in record["timings_ms"]
 
     def test_trace_id_lands_on_the_manifest_request_record(
         self, traced, tmp_path

@@ -14,9 +14,8 @@ port, temp cache + manifest), then checks that
 3. a malformed request is a 400 with a JSON error body, not a crash;
 4. a caller-supplied ``traceparent`` round-trips: the response echoes
    the caller's trace id, ``GET /debug/trace/<id>`` is a valid Chrome
-   trace containing spans from at least two processes (the daemon runs
-   with ``--jobs 2``; on a single-core host the daemon clamps to one
-   worker and the two-process requirement is relaxed), and
+   trace containing the engine's ``evaluate_cell`` fragment and its
+   ``compile`` / ``simulate_program`` / ``bootstrap`` children, and
    ``GET /debug/requests`` lists the request;
 5. ``/metrics`` scrapes as valid Prometheus text exposition, shows the
    requests just served, and carries a trace-id exemplar on the
@@ -88,7 +87,6 @@ def main() -> int:
         [
             sys.executable, "-m", "repro.experiments.runner", "serve",
             "--port", "0",
-            "--jobs", "2",
             "--cache-dir", str(cache_dir),
             "--manifest", str(manifest),
         ],
@@ -97,25 +95,15 @@ def main() -> int:
         text=True,
     )
     try:
-        # Skip warning lines (e.g. the --jobs clamp on small machines)
-        # until the "serving on" banner; remember whether the pool was
-        # clamped to one worker, which relaxes the two-process trace
-        # check below.
-        clamped = False
-        while True:
-            line = proc.stderr.readline().strip()
-            if not line:
-                problems.append("daemon exited before the serving banner")
-                return report(problems)
-            if "clamped to 1" in line:
-                clamped = True
-                continue
-            if line.startswith("serving on "):
-                break
+        line = proc.stderr.readline().strip()
+        if not line:
+            problems.append("daemon exited before the serving banner")
+            return report(problems)
+        if not line.startswith("serving on "):
             problems.append(f"unexpected startup line: {line!r}")
             return report(problems)
         port = int(line.rsplit(":", 1)[-1])
-        print(f"daemon up on port {port}" + (" (jobs clamped)" if clamped else ""))
+        print(f"daemon up on port {port}")
 
         status, body = get(port, "/healthz")
         if status != 200 or json.loads(body) != {"status": "ok"}:
@@ -158,8 +146,8 @@ def main() -> int:
         # The traced request goes last so its trace id is the exemplar
         # the /metrics scrape below sees (exemplars are last-write-wins
         # per label set), and uses a fresh spec so the engine actually
-        # evaluates it (a cache hit would short-circuit the pool and
-        # leave no worker spans in the trace).
+        # evaluates it (a cache hit would short-circuit the engine and
+        # leave no evaluate_cell span in the trace).
         caller_trace = "0af7651916cd43dd8448eb211c80319c"
         traceparent = f"00-{caller_trace}-b7ad6b7169203331-01"
         traced_sim = dict(sim, program="ADM")
@@ -176,9 +164,7 @@ def main() -> int:
                     f"traceparent did not round-trip: sent trace id "
                     f"{caller_trace}, response header {echoed!r}"
                 )
-            problems += check_debug(
-                port, caller_trace, expect_workers=not clamped
-            )
+            problems += check_debug(port, caller_trace)
 
         status, body = get(port, "/metrics")
         text = body.decode("utf-8")
@@ -228,12 +214,12 @@ def main() -> int:
     return report(problems)
 
 
-def check_debug(port: int, trace_id: str, expect_workers: bool = True):
-    """Validate the live-introspection routes for one traced request.
+#: The engine spans a traced, freshly evaluated cell must contribute.
+ENGINE_SPANS = ("compile", "simulate_program", "bootstrap")
 
-    ``expect_workers=False`` (the daemon's pool was clamped to one
-    worker on a single-core machine) drops the two-process requirement
-    -- engine spans then come from the serving process itself."""
+
+def check_debug(port: int, trace_id: str):
+    """Validate the live-introspection routes for one traced request."""
     problems = []
     status, body = get(port, "/debug/requests")
     if status != 200:
@@ -256,16 +242,16 @@ def check_debug(port: int, trace_id: str, expect_workers: bool = True):
     trace = json.loads(body)
     problems += validate_chrome_trace(trace)
     spans = [e for e in trace.get("traceEvents", []) if e.get("ph") == "X"]
-    pids = {e["pid"] for e in spans}
-    if expect_workers and len(pids) < 2:
-        problems.append(
-            f"/debug/trace/{trace_id} has spans from {len(pids)} "
-            f"process(es); expected server + pool worker"
-        )
-    names = {e["name"] for e in spans}
+    names = {e["name"] for e in spans if e.get("cat") == "engine"}
     if not any(name.startswith("evaluate_cell") for name in names):
         problems.append(
-            f"/debug/trace/{trace_id} lacks a worker evaluate_cell span "
+            f"/debug/trace/{trace_id} lacks the engine's evaluate_cell "
+            f"span (got {sorted(names)})"
+        )
+    missing = [name for name in ENGINE_SPANS if name not in names]
+    if missing:
+        problems.append(
+            f"/debug/trace/{trace_id} lacks engine spans {missing} "
             f"(got {sorted(names)})"
         )
     return problems
