@@ -8,7 +8,7 @@ generator (to target specific instruction-level-parallelism regimes).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Union
+from typing import List, Union
 
 from .dag import CodeDAG
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..ir.block import BasicBlock
 from ..ir.instructions import Instruction
 
 Weight = Union[int, Fraction]

@@ -19,10 +19,9 @@ register allocation" the paper discusses in Section 4.1.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..ir.block import BasicBlock
-from ..ir.instructions import Instruction
 from ..ir.operands import Register
 from .alias import AliasModel, may_alias
 from .dag import CodeDAG, DepKind

@@ -42,8 +42,8 @@ available to users as :func:`assert_equivalent`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.instructions import Instruction, Opcode

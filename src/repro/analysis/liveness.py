@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from ..ir.block import BasicBlock
 from ..ir.instructions import Instruction
 from ..ir.operands import RegClass, Register
 

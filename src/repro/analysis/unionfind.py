@@ -13,7 +13,7 @@ adds the paper's min/max level bookkeeping.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional
+from typing import Dict, Hashable, Iterable, List
 
 
 class DisjointSets:

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-import numpy as np
-
 from ..analysis.alias import AliasModel
 from ..core.balanced import AverageWeightScheduler, BalancedScheduler
 from ..core.scheduler import Direction
@@ -31,10 +29,9 @@ from ..machine.processor import BLOCKING, UNLIMITED, superscalar
 from ..regalloc.target import (
     DEFAULT_REGISTER_FILE,
     UNIMPROVED_REGISTER_FILE,
-    RegisterFile,
 )
 from ..simulate.program import simulate_program
-from ..simulate.rng import DEFAULT_SEED, spawn
+from ..simulate.rng import spawn
 from ..simulate.stats import percentage_improvement, program_bootstrap_runtimes
 from ..workloads.perfect import load_program
 from .cache import object_key

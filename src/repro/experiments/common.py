@@ -42,7 +42,7 @@ import functools
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable, ContextManager, Dict, Hashable, Iterator, List, NamedTuple,
     Optional, Sequence, Tuple,
@@ -57,8 +57,7 @@ from ..ir.block import Program
 from ..machine.config import SystemRow
 from ..machine.processor import ProcessorModel, UNLIMITED
 from ..obs import recorder as _obs
-from ..obs import requesttrace as _reqtrace
-from ..obs.metrics import MetricsRegistry, split_series_key, summarize_delta
+from ..obs.metrics import MetricsRegistry, summarize_delta
 from ..obs.recorder import span as _span
 from ..regalloc.target import DEFAULT_REGISTER_FILE, RegisterFile
 from ..simulate.program import (
@@ -386,12 +385,6 @@ class CellSpec:
     n_boot: int = DEFAULT_BOOTSTRAP
     register_file: Optional[RegisterFile] = DEFAULT_REGISTER_FILE
     alias_model: AliasModel = AliasModel.FORTRAN
-    #: Trace ids of the service requests waiting on this cell, so the
-    #: engine can report span fragments under the right request (see
-    #: :mod:`repro.obs.requesttrace`).  Excluded from equality/repr, and
-    #: deliberately invisible to ``spec_token`` -- tracing never
-    #: perturbs cache keys or results.
-    trace_ids: Tuple[str, ...] = field(default=(), compare=False, repr=False)
 
 
 #: Evaluators, keyed by everything but (system, processor): every cell
@@ -486,8 +479,7 @@ class WorkItem:
     group's :class:`ItemScopes`; :class:`PerItem` adapts a one-argument
     function.  ``key`` is the value's result-cache key,
     computed once by the caller; ``program``/``system``/``processor``
-    label the manifest ``cell`` record, and ``trace_ids`` names the
-    service requests waiting on the item.
+    label the manifest ``cell`` record.
     """
 
     fn: Callable
@@ -496,7 +488,6 @@ class WorkItem:
     program: str
     system: str
     processor: str
-    trace_ids: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -590,98 +581,24 @@ class _Timed(NamedTuple):
     wall: float
     #: The item's child registry (``None`` with observability off).
     metrics: Optional[MetricsRegistry]
-    #: Span fragments for the item's traced requests.
-    fragments: List[dict]
+    #: The item's own spans (:meth:`ItemScopes.spans`), when asked for.
+    spans: Sequence[_obs.SpanEvent]
 
 
-def _stall_cycles(metrics: Optional[MetricsRegistry]) -> float:
-    """Total load-stall cycles attributed inside one child registry."""
-    if metrics is None:
-        return 0.0
-    return sum(
-        MetricsRegistry.histogram_total(hist)
-        for key, hist in metrics.histograms.items()
-        if split_series_key(key)[0] == "sim.load_stall_cycles"
-    )
+#: ``on_item(item, status, wall, metrics, spans)``: told of each item
+#: :func:`checkpointed_map` finishes, once it is checkpointed.
+#: ``status`` is ``"hit"`` (replayed: wall 0, no metrics, no spans) or
+#: ``"miss"``.
+OnItem = Callable[
+    [WorkItem, str, float, Optional[MetricsRegistry],
+     Sequence[_obs.SpanEvent]],
+    None,
+]
 
 
-def _trace_fragments(
-    item: WorkItem,
-    wall: float,
-    t0_wall_ns: int,
-    t0_clock_ns: int,
-    rec: Optional[_obs.Recorder],
-    new_spans: Sequence[_obs.SpanEvent],
-    metrics: Optional[MetricsRegistry],
-) -> List[dict]:
-    """Span fragments for one evaluated item, one set per waiting trace.
-
-    The root ``evaluate_cell`` fragment carries the cell key (joins the
-    trace to its manifest record and cache entry), the load-stall
-    cycles this evaluation attributed, and whether a decision log was
-    captured.  Top-level recorder spans (compile / simulate_program /
-    bootstrap) become child fragments, remapped from the recorder's
-    monotonic clock onto the epoch timeline the service's own
-    fragments use.
-    """
-    args = {
-        "cell_key": item.key,
-        "program": item.program,
-        "system": item.system,
-        "processor": item.processor,
-        "stall_cycles": _stall_cycles(metrics),
-        "decision_log": (
-            "recorded"
-            if rec is not None and rec.decisions is not None
-            else "off"
-        ),
-    }
-    fragments: List[dict] = []
-    children: List[Tuple[str, int, int, dict]] = []
-    if (
-        rec is not None
-        and new_spans
-        and rec._clock is time.perf_counter_ns  # mappable to epoch time
-    ):
-        min_depth = min(span.depth for span in new_spans)
-        for span in new_spans:
-            if span.depth > min_depth + 1:
-                continue
-            raw_start = span.start_ns + rec.epoch_ns
-            children.append(
-                (
-                    span.name,
-                    t0_wall_ns + (raw_start - t0_clock_ns),
-                    span.duration_ns,
-                    span.args_dict,
-                )
-            )
-    for trace_id in item.trace_ids:
-        fragments.append(
-            _reqtrace.fragment(
-                trace_id,
-                f"evaluate_cell {item.program}",
-                cat="engine",
-                start_ns=t0_wall_ns,
-                dur_ns=int(wall * 1e9),
-                args=args,
-            )
-        )
-        for name, start_ns, dur_ns, span_args in children:
-            fragments.append(
-                _reqtrace.fragment(
-                    trace_id,
-                    name,
-                    cat="engine",
-                    start_ns=start_ns,
-                    dur_ns=dur_ns,
-                    args=span_args,
-                )
-            )
-    return fragments
-
-
-def _run_group(items: Sequence[WorkItem]) -> List[_Timed]:
+def _run_group(
+    items: Sequence[WorkItem], spans: bool = False
+) -> List[_Timed]:
     """Evaluate one group of items together, each timed, with its
     metrics in a child registry of its own.
 
@@ -694,13 +611,11 @@ def _run_group(items: Sequence[WorkItem]) -> List[_Timed]:
     interrupted item's metrics (e.g. ``verify.violations``) still reach
     the recorder.  An ``Exception`` is wrapped in
     :class:`CellEvaluationError` naming the item whose scope it
-    escaped.
+    escaped.  With ``spans``, each item's own spans are kept too.
     """
     rec = _obs.get()
     scope = ItemScopes(len(items), rec)
     spans_mark = len(rec.spans) if rec is not None else 0
-    t0_wall = time.time_ns()
-    t0_clock = time.perf_counter_ns()
     try:
         values = items[0].fn([item.arg for item in items], scope)
     except BaseException as exc:
@@ -711,21 +626,14 @@ def _run_group(items: Sequence[WorkItem]) -> List[_Timed]:
             failed = items[scope.failed or 0]
             raise CellEvaluationError(failed.arg, exc) from exc
         raise
-    timed = []
-    for index, (item, value) in enumerate(zip(items, values)):
-        wall = scope.walls[index]
-        child = scope.children[index]
-        fragments = (
-            _trace_fragments(
-                item, wall, t0_wall, t0_clock, rec,
-                scope.spans(index, spans_mark) if rec is not None else (),
-                child,
-            )
-            if item.trace_ids
-            else []
+    return [
+        _Timed(
+            value, scope.walls[index], scope.children[index],
+            scope.spans(index, spans_mark)
+            if spans and rec is not None else (),
         )
-        timed.append(_Timed(value, wall, child, fragments))
-    return timed
+        for index, value in enumerate(values)
+    ]
 
 
 def checkpointed_map(
@@ -734,6 +642,7 @@ def checkpointed_map(
     cache: Optional[ResultCache] = None,
     manifest: Optional[ManifestWriter] = None,
     resume: Optional[bool] = None,
+    on_item: Optional[OnItem] = None,
 ) -> List:
     """Evaluate work items with cache replay, checkpointing and logging.
 
@@ -757,6 +666,9 @@ def checkpointed_map(
     cache hits): a record is flushed as it is written, so a crashed
     process loses none, and only a machine crash can lose the records
     of the group in flight.
+
+    ``on_item`` (see :data:`OnItem`) is called for every item, hit or
+    miss, right after it is checkpointed.
     """
     session = _SESSION
     if cache is None:
@@ -793,22 +705,9 @@ def checkpointed_map(
             missing.append(index)
             continue
         out[index] = cached
-        if item.trace_ids:
-            # A traced request served from cache still gets an engine
-            # fragment, so its span tree explains the missing work.
-            now = time.time_ns()
-            _reqtrace.record_fragments(
-                _reqtrace.fragment(
-                    trace_id,
-                    f"cache_hit {item.program}",
-                    cat="engine",
-                    start_ns=now,
-                    dur_ns=0,
-                    args={"cell_key": item.key},
-                )
-                for trace_id in item.trace_ids
-            )
         record(item, 0.0, "hit")
+        if on_item is not None:
+            on_item(item, "hit", 0.0, None, ())
     if not missing:
         if manifest is not None:
             manifest.sync()
@@ -819,7 +718,9 @@ def checkpointed_map(
         key = group(items[index]) if group is not None else index
         groups.setdefault(key, []).append(index)
     for members in groups.values():
-        timed = _run_group([items[i] for i in members])
+        timed = _run_group(
+            [items[i] for i in members], spans=on_item is not None
+        )
         # Checkpoint at once, so a later failure cannot lose the group.
         for index, result in zip(members, timed):
             item = items[index]
@@ -832,15 +733,11 @@ def checkpointed_map(
                 if rec is not None:
                     rec.metrics.merge(result.metrics)
                 summary = summarize_delta(result.metrics) or None
-            if result.fragments:
-                _reqtrace.record_fragments(result.fragments)
-                store = _reqtrace.active()
-                if store is not None:
-                    for trace_id in item.trace_ids:
-                        store.note_timing(
-                            trace_id, "engine", result.wall * 1000.0
-                        )
             record(item, result.wall, "miss", metrics=summary)
+            if on_item is not None:
+                on_item(
+                    item, "miss", result.wall, result.metrics, result.spans
+                )
         if manifest is not None:
             manifest.sync()
     return out
@@ -868,6 +765,7 @@ def evaluate_cells(
     cache: Optional[ResultCache] = None,
     manifest: Optional[ManifestWriter] = None,
     resume: Optional[bool] = None,
+    on_item: Optional[OnItem] = None,
 ) -> List[CellResult]:
     """Evaluate cells through :func:`checkpointed_map`, in spec order.
 
@@ -881,6 +779,8 @@ def evaluate_cells(
     each of its binaries is compiled once and each compiled block
     sampled once per processor, for every cell of the group.  Each cell
     still gets its own result, cache entry and manifest record.
+    ``on_item`` is passed to :func:`checkpointed_map`; an item's ``arg``
+    is its spec and its ``key`` the spec's cache key.
 
     Cells are evaluated in this process.  ``jobs`` is kept only so
     callers written when cells could fan out over worker processes
@@ -894,11 +794,11 @@ def evaluate_cells(
     items = [
         WorkItem(
             _evaluate_cells, spec, cell_key(spec), spec.program,
-            spec.system.label, spec.processor.name, spec.trace_ids,
+            spec.system.label, spec.processor.name,
         )
         for spec in specs
     ]
     return checkpointed_map(
         items, group=_cell_group, cache=cache, manifest=manifest,
-        resume=resume,
+        resume=resume, on_item=on_item,
     )

@@ -12,7 +12,7 @@ report interlock counts; the claim above is checked structurally by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..core.balanced import BalancedScheduler

@@ -22,7 +22,7 @@ report is byte-stable across machines and committed under
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.dependence import build_dag
 from ..core.balanced import BalancedScheduler

@@ -649,8 +649,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
-    from fractions import Fraction
-
     from ..analysis.dependence import build_dag
     from ..core.weights import balanced_weights, contribution_matrix
 

@@ -16,7 +16,7 @@ test suite):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..machine.config import SystemRow, paper_system_rows

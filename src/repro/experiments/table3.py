@@ -17,10 +17,10 @@ checked by :meth:`Table3Result.shape_report`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from ..machine.config import SystemRow, paper_system_rows
-from ..machine.processor import LEN_8, MAX_8, PAPER_PROCESSORS, ProcessorModel, UNLIMITED
+from ..machine.config import paper_system_rows
+from ..machine.processor import PAPER_PROCESSORS, ProcessorModel
 from ..simulate.rng import DEFAULT_SEED
 from .common import CellResult, CellSpec, evaluate_cells
 

@@ -90,7 +90,8 @@ class Table4Result:
 
 
 def _spill_row(task) -> Table4Row:
-    """Worker entry point: all compilations for one program's row."""
+    """One program's Table 4 row: every compilation's spill percentage
+    (one work item of :func:`run_table4`)."""
     name, seed = task
     evaluator = ProgramEvaluator(load_program(name), seed=seed)
     balanced = evaluator.balanced()

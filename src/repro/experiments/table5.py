@@ -13,7 +13,7 @@ mixed sign, and spill-heavy programs can lose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..machine.config import system_row
 from ..machine.processor import PAPER_PROCESSORS, ProcessorModel

@@ -17,13 +17,12 @@ is pinned to the hit latency.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional
 
 from ..analysis.dag import CodeDAG
 from ..core.policy import SchedulingPolicy
 from ..core.scheduler import Direction, Weight
 from ..core.weights import balanced_weights
-from ..ir.instructions import Instruction
 
 #: Oracle: (dag, node) -> known latency in cycles, or None.
 LatencyOracle = Callable[[CodeDAG, int], Optional[int]]

@@ -37,10 +37,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..analysis.critical_path import priorities as compute_priorities
-from ..analysis.dag import CodeDAG, DepKind
+from ..analysis.dag import CodeDAG
 from ..analysis.dependence import build_dag
 from ..core.policy import SchedulingPolicy
 from ..extensions.unrolling import infer_carried

@@ -9,7 +9,7 @@ how balanced scheduling's advantage evolves with issue width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..core.balanced import BalancedScheduler
 from ..core.pipeline import compile_program

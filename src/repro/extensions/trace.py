@@ -29,7 +29,7 @@ argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.alias import AliasModel
 from ..analysis.dag import CodeDAG, DepKind
@@ -38,7 +38,6 @@ from ..core.policy import SchedulingPolicy
 from ..core.scheduler import ScheduleResult
 from ..ir.block import BasicBlock
 from ..ir.cfg import CFG
-from ..ir.instructions import Instruction
 
 
 class TraceError(ValueError):

@@ -10,7 +10,7 @@ paper performed unrolling by hand, Section 4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Union
 
 
 @dataclass(frozen=True)

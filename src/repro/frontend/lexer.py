@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from .errors import LexError
 

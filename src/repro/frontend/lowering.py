@@ -22,11 +22,11 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List
 
 from ..ir.block import BasicBlock, Function, Program
-from ..ir.instructions import Instruction, Opcode, alu, li, load, store
-from ..ir.operands import MemRef, RegClass, Register, VirtualReg
+from ..ir.instructions import Opcode, alu, li, load, store
+from ..ir.operands import MemRef, RegClass, Register
 from ..obs.recorder import span as _span
 from .ast import (
     ArrayRef,

@@ -12,7 +12,7 @@ execution frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List
 
 from .instructions import Instruction, Opcode
 from .operands import Register, RegClass, VirtualReg

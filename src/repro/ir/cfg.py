@@ -15,10 +15,9 @@ back edge raises at validation time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List
 
 from .block import BasicBlock
-from .instructions import Opcode
 
 
 class CFGError(ValueError):

@@ -25,7 +25,7 @@ most optimistic figure and the effective mean for cache/mixed models).
 from __future__ import annotations
 
 import abc
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -1,31 +1,20 @@
-"""Request-scoped trace context and span-fragment assembly.
+"""Request-scoped trace context and the per-request trace store.
 
 The scheduling service tags every request with a W3C-style
-``traceparent`` id (caller-supplied or generated) and threads that
-trace context through the batcher into the experiment engine.  Each
-hop records *span fragments* -- flat dicts carrying the trace id, the
-process id and epoch timestamps -- which are reassembled here into a
-per-request span tree.
+``traceparent`` id (caller-supplied or generated) and records the
+request's spans -- its own, the batcher's and the engine's for the
+cell it waited on -- under that id, all on the recorder's clock
+(:func:`time.perf_counter_ns`), so they line up on one timeline.
 
 Two pieces:
 
 * :func:`parse_traceparent` / :class:`TraceContext` -- the wire
   format (``00-<32 hex trace id>-<16 hex span id>-<2 hex flags>``);
 * :class:`RequestTraceStore` -- a bounded ring buffer of recent
-  requests (id, route, cell keys, phase timings, status, fragments)
+  requests (id, route, cell keys, phase timings, status, spans)
   behind ``GET /debug/requests``, with :meth:`RequestTraceStore.trace`
   rendering one request as Perfetto-loadable Chrome ``trace_event``
   JSON (``GET /debug/trace/<id>``).
-
-The store is installed as a module-global sink (:func:`install`) so
-the engine can forward its fragments without the service threading
-a handle through ``evaluate_cells``; with no sink installed every hook
-is a no-op, which is what keeps the batch CLI byte-identical to a
-tracing-off daemon.
-
-Fragments use wall-clock epoch nanoseconds (``time.time_ns``), not the
-recorder's monotonic clock, so the service's spans and the engine's
-remapped recorder spans line up on one timeline.
 """
 
 from __future__ import annotations
@@ -37,7 +26,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import List, Optional
 
 __all__ = [
     "TraceContext",
@@ -45,11 +34,6 @@ __all__ = [
     "parse_traceparent",
     "new_context",
     "new_span_id",
-    "install",
-    "uninstall",
-    "active",
-    "record_fragments",
-    "fragment",
 ]
 
 #: ``version-traceid-spanid-flags`` per the W3C Trace Context spec;
@@ -115,43 +99,15 @@ def parse_traceparent(header: Optional[str]) -> Optional[TraceContext]:
 
 
 # ----------------------------------------------------------------------
-# Span fragments
-# ----------------------------------------------------------------------
-def fragment(
-    trace_id: str,
-    name: str,
-    *,
-    start_ns: int,
-    dur_ns: int,
-    cat: str = "service",
-    tid: int = 1,
-    args: Optional[dict] = None,
-) -> dict:
-    """One span fragment: a flat dict that maps 1:1 onto a Chrome
-    ``"ph": "X"`` event."""
-    return {
-        "trace_id": trace_id,
-        "name": name,
-        "cat": cat,
-        "pid": os.getpid(),
-        "tid": tid,
-        "start_ns": int(start_ns),
-        "dur_ns": max(0, int(dur_ns)),
-        "args": dict(args or {}),
-    }
-
-
-# ----------------------------------------------------------------------
 # The recent-requests ring buffer
 # ----------------------------------------------------------------------
 class RequestTraceStore:
     """A bounded, thread-safe ring buffer of recent traced requests.
 
-    The service begins a record per request, every layer appends span
-    fragments and phase timings under the trace id, and the HTTP debug
-    endpoints read the assembled result.  Accessed concurrently from
-    the event loop, the CPU executor thread and the batcher's flush
-    task, so every method takes the lock.
+    The service begins a record per request, adds its spans and phase
+    timings under the trace id, and the HTTP debug endpoints read the
+    assembled result.  Accessed concurrently from the event loop and
+    the CPU executor thread, so every method takes the lock.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -179,20 +135,32 @@ class RequestTraceStore:
                 "duration_ms": None,
                 "cell_keys": [],
                 "timings_ms": {},
-                "fragments": [],
+                "events": [],
             }
             self._records.move_to_end(ctx.trace_id)
             while len(self._records) > self.capacity:
                 self._records.popitem(last=False)
 
-    def add_fragments(self, fragments: Iterable[dict]) -> None:
-        """File fragments under their own trace ids; fragments for
-        evicted (or never-seen) traces are dropped silently."""
+    def add(
+        self,
+        trace_id: str,
+        name: str,
+        *,
+        start_ns: int,
+        dur_ns: int,
+        cat: str = "service",
+        args: Optional[dict] = None,
+    ) -> None:
+        """Record one span of a request, timed on
+        :func:`time.perf_counter_ns`; spans of evicted (or never-seen)
+        traces are dropped silently."""
         with self._lock:
-            for frag in fragments:
-                record = self._records.get(frag.get("trace_id"))
-                if record is not None:
-                    record["fragments"].append(frag)
+            record = self._records.get(trace_id)
+            if record is not None:
+                record["events"].append(
+                    (int(start_ns), max(0, int(dur_ns)), name, cat,
+                     dict(args or {}))
+                )
 
     def note_timing(self, trace_id: str, phase: str, ms: float) -> None:
         """Accumulate one phase timing (queue/batch/engine/render ...)."""
@@ -218,15 +186,15 @@ class RequestTraceStore:
     # ------------------------------------------------------------------
     def recent(self) -> List[dict]:
         """Summaries of the buffered requests, newest first (the
-        ``GET /debug/requests`` payload -- fragments excluded)."""
+        ``GET /debug/requests`` payload -- spans counted, not listed)."""
         with self._lock:
             records = list(self._records.values())
         out = []
         for record in reversed(records):
             summary = {
-                k: v for k, v in record.items() if k != "fragments"
+                k: v for k, v in record.items() if k != "events"
             }
-            summary["spans"] = len(record["fragments"])
+            summary["spans"] = len(record["events"])
             out.append(summary)
         return out
 
@@ -234,39 +202,38 @@ class RequestTraceStore:
         """One request's span tree as Chrome ``trace_event`` JSON
         (``GET /debug/trace/<id>``), or ``None`` for an unknown id.
 
-        Every fragment is recorded in this process; ``process_name``
-        metadata labels its track in Perfetto.
+        Every span is recorded in this process; ``process_name``
+        metadata labels its track in Perfetto.  Spans are listed by
+        start time, the earliest at ``ts`` 0.
         """
         with self._lock:
             record = self._records.get(trace_id)
             if record is None:
                 return None
-            fragments = list(record["fragments"])
+            spans = sorted(record["events"], key=lambda e: e[0])
             route = record["route"]
-            started_ns = record["started_ns"]
-        base_ns = min(
-            [started_ns] + [f["start_ns"] for f in fragments]
-        )
+        pid = os.getpid()
+        base_ns = spans[0][0] if spans else 0
         events: List[dict] = [
             {
                 "name": "process_name",
                 "ph": "M",
-                "pid": os.getpid(),
+                "pid": pid,
                 "tid": 1,
                 "args": {"name": "balanced-sched server"},
             }
         ]
-        for frag in sorted(fragments, key=lambda f: f["start_ns"]):
+        for start_ns, dur_ns, name, cat, args in spans:
             events.append(
                 {
-                    "name": frag["name"],
-                    "cat": frag.get("cat", "service"),
+                    "name": name,
+                    "cat": cat,
                     "ph": "X",
-                    "ts": (frag["start_ns"] - base_ns) / 1000,
-                    "dur": frag["dur_ns"] / 1000,
-                    "pid": frag["pid"],
-                    "tid": frag.get("tid", 1),
-                    "args": frag.get("args", {}),
+                    "ts": (start_ns - base_ns) / 1000,
+                    "dur": dur_ns / 1000,
+                    "pid": pid,
+                    "tid": 1,
+                    "args": args,
                 }
             )
         return {
@@ -274,37 +241,3 @@ class RequestTraceStore:
             "displayTimeUnit": "ms",
             "otherData": {"trace_id": trace_id, "route": route},
         }
-
-
-# ----------------------------------------------------------------------
-# The module-global sink
-# ----------------------------------------------------------------------
-#: The active store, if a service installed one.  The engine forwards
-#: its span fragments here; with no store every hook is a no-op, so
-#: batch runs and tracing-off daemons record nothing.
-_ACTIVE: Optional[RequestTraceStore] = None
-
-
-def install(store: RequestTraceStore) -> RequestTraceStore:
-    global _ACTIVE
-    _ACTIVE = store
-    return store
-
-
-def uninstall(store: Optional[RequestTraceStore] = None) -> None:
-    """Remove the active store (only if it is ``store``, when given --
-    so shutting one service down never unhooks another's)."""
-    global _ACTIVE
-    if store is None or _ACTIVE is store:
-        _ACTIVE = None
-
-
-def active() -> Optional[RequestTraceStore]:
-    return _ACTIVE
-
-
-def record_fragments(fragments: Iterable[dict]) -> None:
-    """Forward fragments to the active store, if any."""
-    store = _ACTIVE
-    if store is not None:
-        store.add_fragments(fragments)

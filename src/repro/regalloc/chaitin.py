@@ -21,7 +21,7 @@ identical across allocators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..analysis.liveness import LiveInterval, live_intervals
 from ..ir.block import BasicBlock

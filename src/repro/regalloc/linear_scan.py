@@ -16,12 +16,12 @@ the more spill code appears (Tables 3-5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set
 
 from ..analysis.liveness import LiveInterval, live_intervals
 from ..ir.block import BasicBlock
-from ..ir.operands import PhysReg, RegClass, Register, VirtualReg
+from ..ir.operands import PhysReg, RegClass, VirtualReg
 from ..obs import recorder as _obs
 from .spill import SpillRewriter, SpillStats
 from .target import DEFAULT_REGISTER_FILE, RegisterFile

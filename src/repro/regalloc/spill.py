@@ -19,7 +19,7 @@ same register.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Set
 
 from ..analysis.alias import SPILL_REGION_PREFIX

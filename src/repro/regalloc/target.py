@@ -17,8 +17,8 @@ their effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import List
 
 from ..ir.operands import PhysReg, RegClass
 

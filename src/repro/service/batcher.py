@@ -16,17 +16,26 @@ flight, new submissions fail fast with :class:`AdmissionError`
 carry a deadline; a request whose deadline passes while it waits is
 dropped from the flush (:class:`DeadlineExceeded`, HTTP 504) without
 cancelling the batch it would have joined.
+
+With a :class:`~repro.obs.requesttrace.RequestTraceStore` attached,
+each traced request's record gets the batcher's spans (its wait in the
+queue, the batch it ran in) and the engine's for its cell
+(``evaluate_cell <program>`` with the recorder spans below it, or
+``cache_hit <program>``), built from what the engine reports as it
+finishes each cell.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, List, Optional, Sequence
 
-from ..experiments.common import CellResult, CellSpec, cell_key
-from ..obs import requesttrace as _reqtrace
+from ..experiments.common import CellResult, CellSpec, OnItem, cell_key
+from ..obs import recorder as _obs
+from ..obs.metrics import MetricsRegistry, split_series_key
+from ..obs.requesttrace import RequestTraceStore
 
 __all__ = ["AdmissionError", "DeadlineExceeded", "SimulationBatcher"]
 
@@ -61,18 +70,33 @@ class _Pending:
     future: "asyncio.Future[CellResult]"
     expires_at: Optional[float] = None
     coalesced: bool = field(default=False)
-    #: Epoch nanoseconds at submit time, so traced requests can report
+    #: The request's trace id, when it is traced.
+    trace_id: Optional[str] = None
+    #: ``perf_counter_ns`` at submit time, so traced requests can report
     #: how long they sat in the queue before their flush.
     enqueued_ns: int = 0
+
+
+def _stall_cycles(metrics: Optional[MetricsRegistry]) -> float:
+    """Total load-stall cycles attributed inside one child registry."""
+    if metrics is None:
+        return 0.0
+    return sum(
+        MetricsRegistry.histogram_total(hist)
+        for key, hist in metrics.histograms.items()
+        if split_series_key(key)[0] == "sim.load_stall_cycles"
+    )
 
 
 class SimulationBatcher:
     """Coalesces concurrent simulation requests into engine batches.
 
     ``runner`` is an async callable taking a list of :class:`CellSpec`
-    and returning the matching :class:`CellResult` list (the server
-    wraps :func:`~repro.experiments.common.evaluate_cells` in the CPU
-    executor).  One flush task drains the queue; a failure of the
+    and an ``on_item`` callback (or ``None``), and returning the
+    matching :class:`CellResult` list (the server wraps
+    :func:`~repro.experiments.common.evaluate_cells` in the CPU
+    executor).  ``trace_store``, when given, receives the spans of
+    traced requests.  One flush task drains the queue; a failure of the
     runner fails every request in that flush -- later flushes start
     clean, which is what lets the daemon keep serving after a failed
     batch.
@@ -80,14 +104,19 @@ class SimulationBatcher:
 
     def __init__(
         self,
-        runner: Callable[[Sequence[CellSpec]], Awaitable[List[CellResult]]],
+        runner: Callable[
+            [Sequence[CellSpec], Optional[OnItem]],
+            Awaitable[List[CellResult]],
+        ],
         *,
         max_queue: int = 64,
         window_s: float = 0.01,
         metrics=None,
+        trace_store: Optional[RequestTraceStore] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self._runner = runner
+        self._trace_store = trace_store
         self.max_queue = max_queue
         self.window_s = window_s
         self._metrics = metrics
@@ -135,9 +164,14 @@ class SimulationBatcher:
 
     # ------------------------------------------------------------------
     async def submit(
-        self, spec: CellSpec, deadline_s: Optional[float] = None
+        self,
+        spec: CellSpec,
+        deadline_s: Optional[float] = None,
+        trace_id: Optional[str] = None,
     ) -> CellResult:
         """Queue one cell and wait for its result.
+
+        ``trace_id`` names the request's record in the trace store.
 
         Raises :class:`AdmissionError` immediately when the queue is
         full, :class:`DeadlineExceeded` when ``deadline_s`` elapses
@@ -158,13 +192,11 @@ class SimulationBatcher:
             expires_at=(
                 self._clock() + deadline_s if deadline_s is not None else None
             ),
-            enqueued_ns=time.time_ns(),
+            trace_id=trace_id,
+            enqueued_ns=time.perf_counter_ns(),
         )
-        if spec.trace_ids:
-            store = _reqtrace.active()
-            if store is not None:
-                for trace_id in spec.trace_ids:
-                    store.note_cell(trace_id, pending.key)
+        if trace_id is not None and self._trace_store is not None:
+            self._trace_store.note_cell(trace_id, pending.key)
         self._queue.append(pending)
         if self._metrics is not None:
             self._metrics.set_gauge("service.queue_depth", float(self.depth))
@@ -221,29 +253,12 @@ class SimulationBatcher:
             return True
         return False
 
-    @staticmethod
-    def _merged_spec(waiters: List[_Pending]) -> CellSpec:
-        """The one spec a coalesced group evaluates, carrying the union
-        of the waiters' trace ids so every traced request in the group
-        still gets its engine span fragments."""
-        spec = waiters[0].spec
-        traced = tuple(
-            dict.fromkeys(
-                trace_id
-                for pending in waiters
-                for trace_id in pending.spec.trace_ids
-            )
-        )
-        if traced != spec.trace_ids:
-            spec = replace(spec, trace_ids=traced)
-        return spec
-
     async def _run_batch(self, batch: List[_Pending]) -> None:
         # Coalesce: identical cell keys evaluate once and fan out.
         by_key: Dict[str, List[_Pending]] = {}
         for pending in batch:
             by_key.setdefault(pending.key, []).append(pending)
-        unique = [self._merged_spec(waiters) for waiters in by_key.values()]
+        unique = [waiters[0].spec for waiters in by_key.values()]
         n_coalesced = len(batch) - len(unique)
         self.batches += 1
         self.coalesced += n_coalesced
@@ -252,30 +267,26 @@ class SimulationBatcher:
             self._metrics.observe("service.batch_size", float(len(unique)))
             if n_coalesced:
                 self._metrics.inc("service.coalesced", n_coalesced)
-        store = _reqtrace.active()
-        flush_ns = time.time_ns() if store is not None else 0
-        if store is not None:
-            fragments = []
-            for pending in batch:
-                if not pending.spec.trace_ids:
-                    continue
-                queue_ns = max(0, flush_ns - pending.enqueued_ns)
-                for trace_id in pending.spec.trace_ids:
-                    store.note_timing(trace_id, "queue", queue_ns / 1e6)
-                    fragments.append(
-                        _reqtrace.fragment(
-                            trace_id,
-                            "batcher.queue",
-                            start_ns=pending.enqueued_ns,
-                            dur_ns=queue_ns,
-                        )
-                    )
-            store.add_fragments(fragments)
+        store = self._trace_store
+        traced = [
+            pending for pending in batch
+            if store is not None and pending.trace_id is not None
+        ]
+        flush_ns = time.perf_counter_ns()
+        for pending in traced:
+            queue_ns = max(0, flush_ns - pending.enqueued_ns)
+            store.note_timing(pending.trace_id, "queue", queue_ns / 1e6)
+            store.add(
+                pending.trace_id, "batcher.queue",
+                start_ns=pending.enqueued_ns, dur_ns=queue_ns,
+            )
         self._inflight += len(batch)
         try:
             # evaluate_cells returns results in spec order, so zipping
             # against the (insertion-ordered) key groups is exact.
-            results = await self._runner(unique)
+            results = await self._runner(
+                unique, self._trace_cells(by_key) if traced else None
+            )
         except BaseException as exc:  # noqa: BLE001 -- fan the failure out
             for pending in batch:
                 if not pending.future.done():
@@ -287,25 +298,17 @@ class SimulationBatcher:
                 self._metrics.set_gauge(
                     "service.queue_depth", float(self.depth)
                 )
-            if store is not None:
-                batch_ns = max(0, time.time_ns() - flush_ns)
-                fragments = []
-                for pending in batch:
-                    for trace_id in pending.spec.trace_ids:
-                        store.note_timing(trace_id, "batch", batch_ns / 1e6)
-                        fragments.append(
-                            _reqtrace.fragment(
-                                trace_id,
-                                "batcher.run_batch",
-                                start_ns=flush_ns,
-                                dur_ns=batch_ns,
-                                args={
-                                    "batch_size": len(unique),
-                                    "coalesced": n_coalesced,
-                                },
-                            )
-                        )
-                store.add_fragments(fragments)
+            batch_ns = max(0, time.perf_counter_ns() - flush_ns)
+            for pending in traced:
+                store.note_timing(pending.trace_id, "batch", batch_ns / 1e6)
+                store.add(
+                    pending.trace_id, "batcher.run_batch",
+                    start_ns=flush_ns, dur_ns=batch_ns,
+                    args={
+                        "batch_size": len(unique),
+                        "coalesced": n_coalesced,
+                    },
+                )
         for waiters, result in zip(by_key.values(), results):
             for pending in waiters:
                 if pending.future.done():
@@ -319,3 +322,76 @@ class SimulationBatcher:
                     )
                 else:
                     pending.future.set_result(result)
+
+    def _trace_cells(self, by_key: Dict[str, List[_Pending]]) -> OnItem:
+        """The engine's ``on_item`` callback for one batch: records each
+        finished cell's spans under every traced request waiting on it.
+
+        A replayed cell is one zero-length ``cache_hit <program>`` span.
+        An evaluated one is ``evaluate_cell <program>`` -- its args join
+        the trace to the cell's manifest record and cache entry, and
+        give the load-stall cycles it attributed -- followed by the
+        cell's top two levels of recorder spans (``cell`` / ``compile``
+        / ``simulate_program`` / ``bootstrap`` ...).
+        """
+        store = self._trace_store
+        assert store is not None
+
+        def on_item(item, status, wall, metrics, spans) -> None:
+            waiting = [
+                pending.trace_id for pending in by_key.get(item.key, ())
+                if pending.trace_id is not None
+            ]
+            if not waiting:
+                return
+            if status == "hit":
+                now = time.perf_counter_ns()
+                for trace_id in waiting:
+                    store.add(
+                        trace_id, f"cache_hit {item.program}",
+                        start_ns=now, dur_ns=0, cat="engine",
+                        args={"cell_key": item.key},
+                    )
+                return
+            rec = _obs.get()
+            children = []
+            # Recorder spans share the store's clock unless a caller
+            # installed a recorder with a clock of its own.
+            if spans and rec._clock is time.perf_counter_ns:
+                top = min(span.depth for span in spans) + 1
+                children = [
+                    (span.name, span.start_ns + rec.epoch_ns,
+                     span.duration_ns, span.args_dict)
+                    for span in spans if span.depth <= top
+                ]
+            wall_ns = int(wall * 1e9)
+            start_ns = (
+                min(child[1] for child in children) if children
+                else time.perf_counter_ns() - wall_ns
+            )
+            args = {
+                "cell_key": item.key,
+                "program": item.program,
+                "system": item.system,
+                "processor": item.processor,
+                "stall_cycles": _stall_cycles(metrics),
+                "decision_log": (
+                    "recorded"
+                    if rec is not None and rec.decisions is not None
+                    else "off"
+                ),
+            }
+            for trace_id in waiting:
+                store.note_timing(trace_id, "engine", wall * 1000.0)
+                store.add(
+                    trace_id, f"evaluate_cell {item.program}",
+                    start_ns=start_ns, dur_ns=wall_ns, cat="engine",
+                    args=args,
+                )
+                for name, child_start, dur_ns, child_args in children:
+                    store.add(
+                        trace_id, name, start_ns=child_start,
+                        dur_ns=dur_ns, cat="engine", args=child_args,
+                    )
+
+        return on_item

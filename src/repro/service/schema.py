@@ -359,17 +359,9 @@ def load_request_program(source: Optional[str], program: Optional[str]):
 # ----------------------------------------------------------------------
 # Simulation payloads
 # ----------------------------------------------------------------------
-def to_cell_spec(
-    request: SimulateRequest, trace_id: Optional[str] = None
-) -> CellSpec:
+def to_cell_spec(request: SimulateRequest) -> CellSpec:
     """The exact work item the batch engine evaluates for this request
-    (identical spec => identical cache key => identical payload).
-
-    ``trace_id`` piggybacks the request's trace context onto the spec
-    (a compare/repr-excluded field), so the engine can report span
-    fragments under the right request without a second wire format.
-    The cache key and the result are unaffected.
-    """
+    (identical spec => identical cache key => identical payload)."""
     return CellSpec(
         program=request.program,
         system=system_row(request.memory, request.optimistic_latency),
@@ -377,7 +369,6 @@ def to_cell_spec(
         seed=request.seed,
         runs=request.runs,
         n_boot=request.n_boot,
-        trace_ids=(trace_id,) if trace_id else (),
     )
 
 

@@ -18,12 +18,11 @@ clean.  Cells finished before a failure were checkpointed to the
 result cache, so a client retry replays them for free.
 
 Every request is traced (unless ``--no-tracing``): the daemon accepts
-or generates a W3C-style ``traceparent``, threads the trace context
-through the batcher into the engine, and reassembles the span
-fragments in a bounded
-:class:`~repro.obs.requesttrace.RequestTraceStore`.  Tracing only adds
-a response header, debug routes and log lines -- response *bodies* are
-byte-identical with tracing on, off, or absent (the CLI).
+or generates a W3C-style ``traceparent`` and records the request's
+spans -- its own, the batcher's and the engine's for its cell -- in a
+bounded :class:`~repro.obs.requesttrace.RequestTraceStore`.  Tracing
+only adds a response header, debug routes and log lines -- response
+*bodies* are byte-identical with tracing on, off, or absent (the CLI).
 
 Routes: ``GET /healthz``, ``GET /metrics`` (Prometheus text format,
 with trace-id exemplars on ``service.request_ms`` buckets),
@@ -46,11 +45,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..experiments.common import CellResult, CellSpec, evaluate_cells
+from ..experiments.common import CellResult, CellSpec, OnItem, evaluate_cells
 from ..obs import recorder as _obs
-from ..obs import requesttrace as _reqtrace
 from ..obs.export import prometheus_text
-from ..obs.requesttrace import RequestTraceStore, TraceContext
+from ..obs.requesttrace import (
+    RequestTraceStore,
+    TraceContext,
+    new_context,
+    parse_traceparent,
+)
 from .batcher import AdmissionError, DeadlineExceeded, SimulationBatcher
 from .schema import (
     RequestError,
@@ -116,6 +119,7 @@ class SchedulingService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._owns_recorder = False
         self._started_at = 0.0
+        self._recorder: Optional[_obs.Recorder] = None
         self._metrics = None
         self._trace_store: Optional[RequestTraceStore] = None
 
@@ -127,14 +131,12 @@ class SchedulingService:
         if rec is None:
             rec = _obs.enable()
             self._owns_recorder = True
+        self._recorder = rec
         self._metrics = rec.metrics
         self._started_at = time.monotonic()
         if self.trace_requests:
-            # Installed as the module-global sink so the engine (and
-            # the batcher) can forward span fragments without a handle
-            # threaded through evaluate_cells.
-            self._trace_store = _reqtrace.install(
-                RequestTraceStore(capacity=self.trace_capacity)
+            self._trace_store = RequestTraceStore(
+                capacity=self.trace_capacity
             )
         if self.manifest is not None:
             self.manifest.start_run("serve", max_queue=self.max_queue)
@@ -149,6 +151,7 @@ class SchedulingService:
             max_queue=self.max_queue,
             window_s=self.batch_window_s,
             metrics=self._metrics,
+            trace_store=self._trace_store,
         )
         self._batcher.start()
 
@@ -180,9 +183,6 @@ class SchedulingService:
             self.manifest.end_run(
                 wall_s=time.monotonic() - self._started_at, status=status
             )
-        if self._trace_store is not None:
-            _reqtrace.uninstall(self._trace_store)
-            self._trace_store = None
         if self._owns_recorder:
             _obs.disable()
             self._owns_recorder = False
@@ -229,7 +229,7 @@ class SchedulingService:
         """
         loop = asyncio.get_running_loop()
         assert self._executor is not None
-        future = loop.run_in_executor(self._executor, fn)
+        future = loop.run_in_executor(self._executor, self._run_task, fn)
         if deadline_s is None:
             return await future
         try:
@@ -237,23 +237,28 @@ class SchedulingService:
         except asyncio.TimeoutError:
             raise DeadlineExceeded(deadline_s) from None
 
-    async def _evaluate_async(
-        self, specs: Sequence[CellSpec]
-    ) -> List[CellResult]:
-        loop = asyncio.get_running_loop()
-        assert self._executor is not None
-        return await loop.run_in_executor(
-            self._executor, self._evaluate_batch_sync, list(specs)
-        )
+    def _run_task(self, fn: Callable):
+        """Run one CPU-thread task.  A recorder the service enabled
+        itself then forgets the task's spans: the task's trace spans
+        are built by then, and nothing else reads them."""
+        try:
+            return fn()
+        finally:
+            if self._owns_recorder:
+                self._recorder.spans.clear()
 
-    def _evaluate_batch_sync(
-        self, specs: List[CellSpec]
+    async def _evaluate_async(
+        self, specs: Sequence[CellSpec], on_item: Optional[OnItem]
     ) -> List[CellResult]:
-        return evaluate_cells(
-            specs,
-            cache=self.cache,
-            manifest=self.manifest,
-            resume=self.resume,
+        return await self._cpu(
+            lambda: evaluate_cells(
+                specs,
+                cache=self.cache,
+                manifest=self.manifest,
+                resume=self.resume,
+                on_item=on_item,
+            ),
+            None,
         )
 
     # ------------------------------------------------------------------
@@ -389,8 +394,8 @@ class SchedulingService:
         ctx: Optional[TraceContext] = None
         if self._trace_store is not None:
             ctx = (
-                _reqtrace.parse_traceparent(headers.get("traceparent"))
-                or _reqtrace.new_context()
+                parse_traceparent(headers.get("traceparent"))
+                or new_context()
             )
             self._trace_store.begin(ctx, kind)
         status, payload = await self._timed(
@@ -422,7 +427,7 @@ class SchedulingService:
         """Run one request handler; map exceptions to statuses and
         record the obs + manifest + trace accounting every path shares."""
         start = time.monotonic()
-        start_wall_ns = time.time_ns()
+        start_ns = time.perf_counter_ns()
         try:
             payload = await handler()
             status = 200
@@ -457,20 +462,12 @@ class SchedulingService:
                 kind=kind, status=status, wall_s=wall, **extra
             )
         if ctx is not None and self._trace_store is not None:
-            # The request's root span, under the serving process's pid.
-            self._trace_store.add_fragments(
-                [
-                    _reqtrace.fragment(
-                        ctx.trace_id,
-                        f"request /{kind}",
-                        start_ns=start_wall_ns,
-                        dur_ns=int(wall * 1e9),
-                        args={
-                            "status": status,
-                            "parent_id": ctx.parent_id or "",
-                        },
-                    )
-                ]
+            self._trace_store.add(
+                ctx.trace_id,
+                f"request /{kind}",
+                start_ns=start_ns,
+                dur_ns=int(wall * 1e9),
+                args={"status": status, "parent_id": ctx.parent_id or ""},
             )
             self._trace_store.finish(ctx.trace_id, status, wall * 1000.0)
         return status, payload
@@ -509,11 +506,9 @@ class SchedulingService:
         if kind == "simulate":
             assert self._batcher is not None
             result = await self._batcher.submit(
-                to_cell_spec(
-                    request,
-                    trace_id=ctx.trace_id if ctx is not None else None,
-                ),
+                to_cell_spec(request),
                 deadline,
+                trace_id=ctx.trace_id if ctx is not None else None,
             )
             render_start = time.monotonic()
             payload = cell_payload(result)

@@ -8,7 +8,7 @@ across (program, system, processor, scheduler) cells.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Union
 
 import numpy as np
 

@@ -19,7 +19,6 @@ The paper's procedure, reproduced step by step:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

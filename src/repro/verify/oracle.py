@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.instructions import Instruction, Opcode

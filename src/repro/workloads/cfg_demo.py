@@ -8,8 +8,6 @@ example, the ablation benchmark and the test suite.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from ..ir.block import BasicBlock, Function
 from ..ir.cfg import CFG
 from ..ir.instructions import Instruction, Opcode, alu, load, store

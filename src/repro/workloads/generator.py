@@ -14,7 +14,7 @@ Two levels:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

@@ -3,9 +3,11 @@
 Every ``balanced-sched`` command pays its module's import before doing
 any work, so the runner must not drag in machinery it never uses.
 Cells are evaluated in the calling process: no process pool, hence no
-``multiprocessing`` and no ``concurrent.futures.process``.  Checked in
-a fresh interpreter, since this test process has imported who knows
-what already.
+``multiprocessing`` and no ``concurrent.futures.process``.  Request
+tracing belongs to the daemon, so the runner leaves
+``repro.obs.requesttrace`` and ``repro.service`` unimported until
+``serve`` asks for them.  Checked in a fresh interpreter, since this
+test process has imported who knows what already.
 """
 
 import os
@@ -17,19 +19,28 @@ REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 PROBE = """
 import sys
 import repro.experiments.runner
-print(" ".join(
-    name for name in ("multiprocessing", "concurrent.futures.process")
-    if name in sys.modules
-))
+print(" ".join(name for name in sys.argv[1:] if name in sys.modules))
 """
 
 
-def test_runner_import_leaves_process_pools_out():
+def _imported_by_runner(*modules):
+    """Which of ``modules`` a fresh ``import repro.experiments.runner``
+    loads."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(REPO_SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", PROBE, *modules],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def test_runner_import_leaves_process_pools_out():
+    assert _imported_by_runner(
+        "multiprocessing", "concurrent.futures.process"
+    ) == []
+
+
+def test_runner_import_leaves_request_tracing_out():
+    assert _imported_by_runner("repro.obs.requesttrace", "repro.service") == []

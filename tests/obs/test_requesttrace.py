@@ -11,12 +11,10 @@ import os
 
 import pytest
 
-from repro.obs import requesttrace
 from repro.obs.export import validate_chrome_trace
 from repro.obs.requesttrace import (
     RequestTraceStore,
     TraceContext,
-    fragment,
     new_context,
     parse_traceparent,
 )
@@ -91,9 +89,7 @@ class TestRingBuffer:
     def test_fragments_for_unknown_traces_are_dropped(self):
         store = RequestTraceStore(capacity=4)
         self._begin(store, "aa" * 16)
-        store.add_fragments(
-            [fragment("ee" * 16, "ghost", start_ns=0, dur_ns=1)]
-        )
+        store.add("ee" * 16, "ghost", start_ns=0, dur_ns=1)
         (record,) = store.recent()
         assert record["spans"] == 0
 
@@ -101,9 +97,7 @@ class TestRingBuffer:
         store = RequestTraceStore(capacity=4)
         self._begin(store, "aa" * 16, route="compile")
         ctx = self._begin(store, "bb" * 16, route="simulate")
-        store.add_fragments(
-            [fragment(ctx.trace_id, "cell", start_ns=10, dur_ns=5)]
-        )
+        store.add(ctx.trace_id, "cell", start_ns=10, dur_ns=5)
         store.note_timing(ctx.trace_id, "engine", 1.25)
         store.note_timing(ctx.trace_id, "engine", 0.25)
         store.note_cell(ctx.trace_id, "k1")
@@ -113,7 +107,10 @@ class TestRingBuffer:
         assert [r["route"] for r in (newest, oldest)] == [
             "simulate", "compile",
         ]
-        assert "fragments" not in newest
+        assert set(newest) == {
+            "trace_id", "parent_id", "route", "status", "started_ns",
+            "duration_ms", "cell_keys", "timings_ms", "spans",
+        }
         assert newest["spans"] == 1
         assert newest["timings_ms"] == {"engine": 1.5}
         assert newest["cell_keys"] == ["k1"]
@@ -127,12 +124,11 @@ class TestTraceAssembly:
         ctx = TraceContext(trace_id="ab" * 16, span_id="cd" * 8)
         store.begin(ctx, "simulate")
         base = 1_000_000_000
-        store.add_fragments([
-            fragment(ctx.trace_id, "evaluate_cell ADM",
-                     start_ns=base + 2000, dur_ns=1000, cat="engine"),
-            fragment(ctx.trace_id, "request /simulate",
-                     start_ns=base, dur_ns=5000),
-        ])
+        store.add(ctx.trace_id, "evaluate_cell ADM",
+                  start_ns=base + 2000, dur_ns=1000, cat="engine",
+                  args={"program": "ADM"})
+        store.add(ctx.trace_id, "request /simulate",
+                  start_ns=base, dur_ns=5000)
         trace = store.trace(ctx.trace_id)
         assert validate_chrome_trace(trace) == []
         events = trace["traceEvents"]
@@ -145,34 +141,23 @@ class TestTraceAssembly:
         assert [e["name"] for e in spans] == [
             "request /simulate", "evaluate_cell ADM",
         ]
+        assert spans[0]["ts"] == 0
         assert spans[1]["ts"] - spans[0]["ts"] == pytest.approx(2.0)
+        assert [e["cat"] for e in spans] == ["service", "engine"]
+        assert spans[1]["args"] == {"program": "ADM"}
         assert trace["otherData"]["trace_id"] == ctx.trace_id
+
+    def test_equal_start_times_keep_recording_order(self):
+        store = RequestTraceStore()
+        ctx = new_context()
+        store.begin(ctx, "simulate")
+        for name in ("evaluate_cell ADM", "parse", "cell"):
+            store.add(ctx.trace_id, name, start_ns=7, dur_ns=1)
+        spans = [
+            e["name"] for e in store.trace(ctx.trace_id)["traceEvents"]
+            if e["ph"] == "X"
+        ]
+        assert spans == ["evaluate_cell ADM", "parse", "cell"]
 
     def test_unknown_trace_is_none(self):
         assert RequestTraceStore().trace("ff" * 16) is None
-
-
-class TestModuleSink:
-    def test_install_uninstall_and_forwarding(self):
-        store = RequestTraceStore()
-        assert requesttrace.active() is None
-        try:
-            requesttrace.install(store)
-            assert requesttrace.active() is store
-            ctx = new_context()
-            store.begin(ctx, "simulate")
-            requesttrace.record_fragments(
-                [fragment(ctx.trace_id, "cell", start_ns=0, dur_ns=1)]
-            )
-            (record,) = store.recent()
-            assert record["spans"] == 1
-            # Uninstalling some *other* store must not unhook this one.
-            requesttrace.uninstall(RequestTraceStore())
-            assert requesttrace.active() is store
-        finally:
-            requesttrace.uninstall(store)
-        assert requesttrace.active() is None
-        # With no sink, forwarding is a silent no-op.
-        requesttrace.record_fragments(
-            [fragment("aa" * 16, "cell", start_ns=0, dur_ns=1)]
-        )

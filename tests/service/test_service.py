@@ -7,7 +7,9 @@ The headline invariants:
   simulate payloads come from the same engine cells);
 * concurrent requests share the compilation and result caches and
   coalesce into engine batches;
-* a traced request's span tree holds the engine's fragments;
+* a traced request's span tree holds the engine's spans for its cell;
+* a daemon that enabled its own recorder keeps no spans between
+  requests;
 * ``/metrics`` is valid Prometheus text exposition.
 """
 
@@ -22,6 +24,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.common import evaluate_cells
 from repro.experiments.manifest import ManifestWriter
 from repro.experiments.runner import main as cli_main
+from repro.obs import recorder as obs
 from repro.obs.export import (
     validate_chrome_trace,
     validate_prometheus_text,
@@ -352,6 +355,116 @@ class TestTracing:
         )
         assert "improvement_pct" in payload
         assert trace_id and trace_id != self.CALLER_TRACE
+
+    @staticmethod
+    def _spans(client, trace_id):
+        trace = client.debug_trace(trace_id)
+        assert validate_chrome_trace(trace) == []
+        return [e for e in trace["traceEvents"] if e["ph"] == "X"]
+
+    def test_coalesced_requests_each_get_the_cell_spans(self, tmp_path):
+        """Two identical traced requests in one flush evaluate one cell;
+        both traces hold its ``evaluate_cell`` span and children."""
+        service = SchedulingService(
+            cache=ResultCache(tmp_path / "cache"),
+            batch_window_s=0.25,  # wide window: both join one flush
+        )
+        trace_ids = ["%032x" % (k + 1) for k in range(2)]
+        with ServiceThread(service) as thread:
+            client = ServiceClient(port=thread.port)
+            threads = [
+                threading.Thread(
+                    target=client.simulate_traced,
+                    kwargs=dict(SIM_PAYLOAD, traceparent=(
+                        self._traceparent(trace_id)
+                    )),
+                )
+                for trace_id in trace_ids
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert service._batcher.coalesced == 1
+            for trace_id in trace_ids:
+                spans = self._spans(client, trace_id)
+                (run_batch,) = [
+                    e for e in spans if e["name"] == "batcher.run_batch"
+                ]
+                assert run_batch["args"] == {
+                    "batch_size": 1, "coalesced": 1,
+                }
+                engine = [e["name"] for e in spans if e["cat"] == "engine"]
+                assert engine[0] == "evaluate_cell TRACK"
+                assert engine.count("evaluate_cell TRACK") == 1
+                assert {
+                    "cell", "compile", "simulate_program", "bootstrap",
+                } <= set(engine)
+                (record,) = [
+                    r for r in client.debug_requests()
+                    if r["trace_id"] == trace_id
+                ]
+                assert "engine" in record["timings_ms"]
+
+    def test_replay_from_the_result_cache_shows_cache_hit(self, traced):
+        _, client = traced
+        first, second = "%032x" % 1, "%032x" % 2
+        for trace_id in (first, second):
+            client.simulate_traced(
+                traceparent=self._traceparent(trace_id), **SIM_PAYLOAD
+            )
+        evaluated = self._spans(client, first)
+        replayed = self._spans(client, second)
+        (cell,) = [
+            e for e in evaluated if e["name"] == "evaluate_cell TRACK"
+        ]
+        (hit,) = [e for e in replayed if e["cat"] == "engine"]
+        assert hit["name"] == "cache_hit TRACK"
+        assert hit["dur"] == 0
+        assert hit["args"] == {"cell_key": cell["args"]["cell_key"]}
+        (record,) = [
+            r for r in client.debug_requests() if r["trace_id"] == second
+        ]
+        assert "engine" not in record["timings_ms"]
+
+
+class TestRecorderSpans:
+    """The daemon's always-on recorder must not grow with traffic."""
+
+    @staticmethod
+    def _mixed_requests(client, count):
+        for k in range(count):
+            kind = k % 5
+            if kind == 0:  # a fresh cell each time
+                client.simulate(**dict(SIM_PAYLOAD, seed=k))
+            elif kind == 1:
+                client.compile(program="TRACK")
+            elif kind == 2:
+                client.schedule(program="TRACK", policy="traditional")
+            elif kind == 3:
+                client.explain(program="TRACK")
+            else:
+                client.compile(source=SOURCE)
+
+    def test_an_owned_recorder_keeps_no_spans(self, tmp_path):
+        assert obs.get() is None
+        service = SchedulingService(cache=ResultCache(tmp_path / "cache"))
+        with ServiceThread(service) as thread:
+            client = ServiceClient(port=thread.port)
+            self._mixed_requests(client, 50)
+            rec = obs.get()
+            assert rec is not None and rec is service._recorder
+            assert len(rec.spans) == 0
+            # The traces themselves are intact.
+            assert all(r["spans"] > 0 for r in client.debug_requests())
+
+    def test_a_recorder_installed_beforehand_is_left_alone(self, tmp_path):
+        with obs.recording() as rec:
+            service = SchedulingService(cache=ResultCache(tmp_path / "c"))
+            with ServiceThread(service) as thread:
+                self._mixed_requests(ServiceClient(port=thread.port), 5)
+            assert obs.get() is rec
+        assert any(span.name == "simulate_program" for span in rec.spans)
 
 
 class TestMetricsEndpoint:
