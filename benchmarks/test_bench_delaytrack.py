@@ -13,7 +13,10 @@ to the scalar oracle and record the numbers in
   a **>= 2x paired-median speedup for width-1 DT-8**;
 * the same pairing on a 512-instruction generated block for DT-8 on
   the unrestricted and MAX-8 bases, comparable to the large-block rows
-  in ``BENCH_superscalar.json``.
+  in ``BENCH_superscalar.json``;
+* the delay-tracking study's final blocks at tables 1, 2, 4 and 64,
+  one batch call per (block, table) against one call per block with
+  the table passed per row (``study_blocks_x30/tables_stacked``).
 
 Every timing pair cross-checks cycles against the scalar simulator
 while it is here, so a benchmark run is also an equivalence sweep.
@@ -30,14 +33,18 @@ import time
 
 import pytest
 
+import numpy as np
+
 from repro.core import BalancedScheduler
 from repro.core.pipeline import compile_program
+from repro.experiments.common import COMPILATION_CACHE
+from repro.experiments.delaytrack import _policies
 from repro.machine import MAX_8, delay_tracking, superscalar
-from repro.machine.config import SYSTEMS_BY_NAME
+from repro.machine.config import N_2_5, SYSTEMS_BY_NAME
 from repro.simulate import simulate_block
 from repro.simulate.batch import simulate_block_batch
 from repro.simulate.rng import spawn
-from repro.workloads import random_block
+from repro.workloads import program_names, random_block
 from repro.workloads.perfect import load_program
 
 BENCH_PATH = (
@@ -160,4 +167,83 @@ def test_bench_large_block_dt8_families(base):
         "batch_seconds": batch_s,
         "speedup": round(scalar_s / batch_s, 2),
         "runs_per_second": round(RUNS / batch_s),
+    }
+
+
+STUDY_TABLES = (1, 2, 4, 64)
+
+
+def _study_blocks():
+    """Every final block the delay-tracking study simulates: each suite
+    program under its four policies, compiled as the study does."""
+    policies = _policies(N_2_5, float(N_2_5.optimistic_latencies[0]))
+    return [
+        block
+        for name in program_names()
+        for policy in policies.values()
+        for block in COMPILATION_CACHE.compile(
+            load_program(name), policy
+        ).final_blocks
+    ]
+
+
+def test_bench_study_blocks_tables_stacked():
+    """The study's nonzero tables: one kernel call per (block, table)
+    against one per block with each row's table passed to the kernel.
+    Legs alternate; the speedup is the median of the per-pair ratios.
+    Every column of the stacked calls must equal the per-table calls."""
+    blocks = _study_blocks()
+    processors = [delay_tracking(t) for t in STUDY_TABLES]
+    inputs = []
+    for index, block in enumerate(blocks):
+        n_loads = sum(1 for i in block.instructions if i.is_load)
+        parts = [
+            N_2_5.sample_many(
+                spawn("bench-dt-tables", index, table), n_loads * RUNS
+            ).reshape(RUNS, n_loads)
+            for table in STUDY_TABLES
+        ]
+        inputs.append((block.instructions, parts, np.concatenate(parts)))
+    row_tables = np.repeat(STUDY_TABLES, RUNS)
+
+    def per_table():
+        return [
+            simulate_block_batch(instructions, rows, processor)
+            for instructions, parts, _ in inputs
+            for processor, rows in zip(processors, parts)
+        ]
+
+    def stacked():
+        return [
+            simulate_block_batch(
+                instructions, latencies, processors[0], tables=row_tables
+            )
+            for instructions, _, latencies in inputs
+        ]
+
+    alone, together = per_table(), stacked()
+    for k, result in enumerate(together):
+        for t in range(len(STUDY_TABLES)):
+            ref = alone[k * len(STUDY_TABLES) + t]
+            cols = slice(t * RUNS, (t + 1) * RUNS)
+            assert (result.cycles[cols] == ref.cycles).all(), (k, t)
+            assert (result.interlocks[cols] == ref.interlocks).all(), (k, t)
+
+    walls = {"per_table": [], "stacked": []}
+    for _ in range(5):
+        for name, leg in (("per_table", per_table), ("stacked", stacked)):
+            start = time.perf_counter()
+            leg()
+            walls[name].append(time.perf_counter() - start)
+    speedup = statistics.median(
+        a / b for a, b in zip(walls["per_table"], walls["stacked"])
+    )
+    _RECORD["study_blocks_x30/tables_stacked"] = {
+        "blocks": len(blocks),
+        "tables": list(STUDY_TABLES),
+        "per_table_calls": len(alone),
+        "stacked_calls": len(together),
+        "per_table_seconds": round(statistics.median(walls["per_table"]), 4),
+        "stacked_seconds": round(statistics.median(walls["stacked"]), 4),
+        "speedup": round(speedup, 2),
     }

@@ -27,6 +27,11 @@ the independent admissibility oracle
 (:func:`repro.verify.check_delaytrack_issue`); the report prints the
 violation count and the CI smoke gate requires zero.
 
+Each program is sampled in one :func:`~repro.simulate.program.
+simulate_programs` call over all its (table, policy) pairs, each with
+its own latency stream: a compiled block's rows at every nonzero table
+size share one kernel call.
+
 All numbers are deterministic for a fixed seed, so the rendered report
 is byte-stable and committed under ``results/delay_tracking.txt``.
 """
@@ -42,7 +47,7 @@ from ..extensions.known_latency import KnownLatencyScheduler, expected_latency
 from ..machine.config import N_2_5
 from ..machine.memory import MemorySystem
 from ..machine.processor import ProcessorModel, delay_tracking
-from ..simulate.program import simulate_program
+from ..simulate.program import SimulationJob, simulate_programs
 from ..simulate.rng import DEFAULT_SEED, spawn
 from ..simulate.simulator import delaytrack_issue_trace
 from ..simulate.stats import (
@@ -221,20 +226,25 @@ def run_delay_tracking(
             tag: COMPILATION_CACHE.compile(program, policy)
             for tag, policy in policies.items()
         }
+        jobs = {}
+        for table in tables:
+            for tag, artefacts in compiled.items():
+                key = (name, memory.name, f"t{table}", tag)
+                jobs[key] = SimulationJob(
+                    artefacts.final_blocks,
+                    delay_tracking(int(table)),
+                    memory,
+                    spawn("delaytrack", *key, seed=seed),
+                    runs=runs,
+                )
+        samples = dict(zip(jobs, simulate_programs(list(jobs.values()))))
         for table in tables:
             processor = delay_tracking(int(table))
             boots: Dict[str, "object"] = {}
             for tag, artefacts in compiled.items():
                 key = (name, memory.name, f"t{table}", tag)
-                series = simulate_program(
-                    artefacts.final_blocks,
-                    processor,
-                    memory,
-                    spawn("delaytrack", *key, seed=seed),
-                    runs=runs,
-                )
                 boots[tag] = program_bootstrap_runtimes(
-                    series, spawn("delaytrackb", *key, seed=seed)
+                    samples[key], spawn("delaytrackb", *key, seed=seed)
                 )
                 checked, violations = _verify_traces(
                     artefacts.final_blocks, processor, memory, key, seed

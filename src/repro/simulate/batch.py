@@ -22,9 +22,10 @@ fallback:
   of slots consumed in the current issue group become ``(runs,)``
   vectors, composed with the same top-k and window machinery;
 * a nonzero ``load_delay_tracking`` table, via
-  :func:`_delaytrack_kernel`.  A table of size 0 never parks an
-  instruction, so it is the in-order machine and runs on the kernels
-  above.
+  :func:`_delaytrack_kernel`, which reads its table size per run, so
+  runs at different table sizes share one call.  A table of size 0
+  never parks an instruction, so it is the in-order machine and runs
+  on the kernels above.
 
 On request (``attribute=True``) the single-issue kernel also records
 each step's stall and what bound it -- the stall attribution behind
@@ -267,6 +268,7 @@ def simulate_block_batch(
     processor: ProcessorModel = UNLIMITED,
     attribute: bool = False,
     count_runs: bool = True,
+    tables: Optional[np.ndarray] = None,
 ) -> BatchSimResult:
     """Simulate ``runs`` executions of a straight-line sequence at once.
 
@@ -282,6 +284,11 @@ def simulate_block_batch(
     active recorder the runs are counted under ``sim.batch_kernel``,
     unless ``count_runs=False``: a caller that stacked several parts'
     rows counts each part in its own registry.
+
+    ``tables`` gives a delay-tracking ``processor`` one table size per
+    run (shape ``(runs,)``, every entry >= 1) in place of its own
+    ``load_delay_tracking``, so rows of machines that differ only in
+    their table size share one call.
     """
     latencies = np.asarray(latencies, dtype=np.int64)
     if latencies.ndim != 2:
@@ -309,11 +316,31 @@ def simulate_block_batch(
             f"negative load latency {int(used[run, load])} at load {load}"
         )
 
+    kernel = batch_kernel(processor)
+    if tables is not None:
+        if kernel != "delaytrack":
+            raise ValueError(
+                f"per-run table sizes need a delay-tracking processor, "
+                f"not {processor.name}"
+            )
+        tables = np.asarray(tables, dtype=np.int64)
+        if tables.shape != (runs,):
+            raise ValueError(
+                f"tables must have shape ({runs},), got {tables.shape}"
+            )
+        if runs and tables.min() < 1:
+            raise ValueError(
+                f"delay-tracking table size {int(tables.min())}: a "
+                f"table must have at least one entry (size 0 is the "
+                f"in-order machine)"
+            )
+    elif kernel == "delaytrack":
+        tables = np.full(runs, processor.load_delay_tracking, dtype=np.int64)
+
     if runs == 0:
         empty = np.zeros(0, dtype=np.int64)
         return BatchSimResult(empty, len(executed), empty.copy())
 
-    kernel = batch_kernel(processor)
     if attribute and attribution_skip_reason(processor) is not None:
         raise ValueError(
             f"stall attribution models in-order, single-issue, "
@@ -326,7 +353,7 @@ def simulate_block_batch(
     steps, n_regs = _index_steps(executed)
     if kernel == "delaytrack":
         return _delaytrack_kernel(
-            executed, steps, n_regs, latencies, processor, runs
+            executed, steps, n_regs, latencies, tables, processor, runs
         )
     if kernel == "superscalar":
         return _superscalar_kernel(steps, n_regs, latencies, processor, runs)
@@ -615,6 +642,7 @@ def _delaytrack_kernel(
     steps: Sequence[_Step],
     n_regs: int,
     latencies: np.ndarray,
+    tables: np.ndarray,
     processor: ProcessorModel,
     runs: int,
 ) -> BatchSimResult:
@@ -623,9 +651,10 @@ def _delaytrack_kernel(
     Makes the same decisions as the scalar engine
     (``_simulate_delaytrack``), in independent code -- down to the
     conflict rule, restated as array operations by
-    :func:`_conflict_matrix`.  The table is nonzero: a table of size 0
-    never parks, and :func:`simulate_block_batch` runs it on the
-    in-order kernels.  Because
+    :func:`_conflict_matrix`.  ``tables`` holds each run's table size,
+    all nonzero: a table of size 0 never parks, and
+    :func:`simulate_block_batch` runs it on the in-order kernels.
+    Because
     tracked-load delays differ per run, runs diverge in *issue
     order* -- no single per-instruction sweep exists.  Instead the
     kernel runs a global step loop in which every unfinished run either
@@ -644,7 +673,6 @@ def _delaytrack_kernel(
     (earliest-issue, oldest-first) choices.
     """
     width = processor.issue_width
-    table = processor.load_delay_tracking
     max_out = processor.max_outstanding_loads
     limit = processor.max_load_cycles
     blocking = processor.blocking_loads
@@ -712,10 +740,13 @@ def _delaytrack_kernel(
         if max_out is not None
         else None
     )
-    always_tracked = table > n_loads
-    track_top = (
-        None if always_tracked else np.zeros((table, runs), dtype=np.int64)
-    )
+    # Per run, the completion times held by the tracking table
+    # (ascending along axis 0): ``min(table, n_loads)`` live slots,
+    # free at 0, then INF padding that sorts last and never frees.  A
+    # table at least ``n_loads`` wide thus never fills.
+    live = np.minimum(tables, n_loads)
+    track_top = np.full((int(live.max()), runs), INF, dtype=np.int64)
+    track_top[np.arange(track_top.shape[0])[:, None] < live] = 0
     windows = _DTWindows() if limit is not None else None
 
     n_parked = 0                  # parked, not yet issued, over all runs
@@ -856,15 +887,12 @@ def _delaytrack_kernel(
                     start[ro] = e[lmask][over] + limit
                     end[ro] = comp_l[over]
                     windows.push(start, end)
-            if always_tracked:
-                tracked[lmask] = True
-            else:
-                won = track_top[0, rl] <= e[lmask]
-                if won.any():
-                    rw = rl[won]
-                    track_top[0, rw] = comp_l[won]
-                    track_top[:, rw] = np.sort(track_top[:, rw], axis=0)
-                tracked[lmask] = won
+            won = track_top[0, rl] <= e[lmask]
+            if won.any():
+                rw = rl[won]
+                track_top[0, rw] = comp_l[won]
+                track_top[:, rw] = np.sort(track_top[:, rw], axis=0)
+            tracked[lmask] = won
             if blocking:
                 interlock[rl] += comp_l - (e[lmask] + 1)
                 next_free[rl] = comp_l

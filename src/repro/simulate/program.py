@@ -11,6 +11,8 @@ program-level series; the bootstrap machinery lives in
 kernel call per (block, processor) they share: the table cells of one
 program share its balanced binary across every row, and its
 traditional binary across rows with the same optimistic latency.
+Delay-tracking processors that differ only in their table size count
+as one processor here: the kernel reads the table per row.
 :func:`simulate_program` is its one-program case.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Callable, ContextManager, Dict, List, Mapping, Optional, Sequence, Tuple,
 )
@@ -162,10 +164,12 @@ def simulate_programs(jobs: Sequence[SimulationJob]) -> List[ProgramRuns]:
     from its own stream, exactly as if it ran alone; the rows of every
     job that runs the same block object on the same processor are
     stacked into one :func:`simulate_block_batch` call, and the result
-    columns are split back per job.  Kernel columns are independent
-    runs, so the samples are bit-identical to one call per job -- only
-    the kernel's fixed per-call cost is shared.  Only one block
-    position's latency rows are alive at a time.
+    columns are split back per job.  Jobs on delay-tracking processors
+    that differ only in their (nonzero) table size stack too, each row
+    with its own job's table.  Kernel columns are independent runs, so
+    the samples are bit-identical to one call per job -- only the
+    kernel's fixed per-call cost is shared.  Only one block position's
+    latency rows are alive at a time.
 
     Each job's :attr:`ProgramRuns.shared_s` is its share of that work:
     its own draws plus, of each kernel call it took part in, the
@@ -202,18 +206,27 @@ def simulate_programs(jobs: Sequence[SimulationJob]) -> List[ProgramRuns]:
             rows = job.memory.sample_many(
                 job.rng, n_loads * job.runs
             ).reshape(job.runs, n_loads)
-            stacks.setdefault((id(block), job.processor), []).append((j, rows))
+            key = (id(block), _stack_key(job.processor))
+            stacks.setdefault(key, []).append((j, rows))
             out[j].shared_s += clock() - start
         for parts in stacks.values():
-            first = jobs[parts[0][0]]
             _simulate_stack(
-                rec, jobs, out, labels, first.blocks[position],
-                first.processor, parts,
+                rec, jobs, out, labels, jobs[parts[0][0]].blocks[position],
+                parts,
             )
     return out
 
 
-def _simulate_stack(rec, jobs, out, labels, block, processor, parts) -> None:
+def _stack_key(processor: ProcessorModel) -> ProcessorModel:
+    """What a kernel call is shared by: the processor itself, or, for a
+    nonzero delay-tracking table, every field but the table size (and
+    the name, which spells the table)."""
+    if not processor.load_delay_tracking:
+        return processor
+    return replace(processor, name="", load_delay_tracking=1)
+
+
+def _simulate_stack(rec, jobs, out, labels, block, parts) -> None:
     """One kernel call on the row-stacked ``parts``, split back per job."""
     clock = time.perf_counter
     start = clock()
@@ -221,24 +234,33 @@ def _simulate_stack(rec, jobs, out, labels, block, processor, parts) -> None:
         latencies = parts[0][1]
     else:
         latencies = np.concatenate([rows for _, rows in parts])
+    processors = [jobs[j].processor for j, _ in parts]
+    processor = processors[0]
+    tables = None
+    if processor.load_delay_tracking:
+        tables = np.repeat(
+            [p.load_delay_tracking for p in processors],
+            [rows.shape[0] for _, rows in parts],
+        )
     attribute = rec is not None and attribution_skip_reason(processor) is None
     span = _obs.span(
-        "simulate", block=block.name, processor=processor.name,
+        "simulate", block=block.name,
+        processor=",".join(dict.fromkeys(p.name for p in processors)),
         runs=int(latencies.shape[0]),
     )
     with span:
         try:
             result = simulate_block_batch(
                 block.instructions, latencies, processor,
-                attribute=attribute, count_runs=False,
+                attribute=attribute, count_runs=False, tables=tables,
             )
         except Exception:
             # Name the failing job: its rows fail on their own too,
-            # inside its scope.
+            # inside its scope, on its own processor.
             for j, rows in parts:
                 with jobs[j].scope():
                     simulate_block_batch(
-                        block.instructions, rows, processor,
+                        block.instructions, rows, jobs[j].processor,
                         attribute=attribute, count_runs=False,
                     )
             raise
@@ -262,8 +284,8 @@ def _simulate_stack(rec, jobs, out, labels, block, processor, parts) -> None:
                 )
                 with jobs[j].scope():
                     _record_simulation_metrics(
-                        rec.metrics, labels[j], block, processor, rows,
-                        part, stall_table,
+                        rec.metrics, labels[j], block, jobs[j].processor,
+                        rows, part, stall_table,
                     )
             lo = hi
 

@@ -10,7 +10,9 @@ exact per-run cycle-count equality.  On the in-order, single-issue,
 non-blocking models the batch kernel's per-step stall attribution is
 also checked, run by run and under every memory family, against the
 scalar :func:`~repro.simulate.trace.trace_block` (the ``attribution``
-mismatch kind).
+mismatch kind).  On every delay-tracking base machine one batch call
+also stacks rows at several table sizes, each checked against the
+scalar engine at its own table.
 
 The exact branch-and-bound backend rides the same loop
 (:func:`_check_optimal_cross`): its pipeline artefacts go through the
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -461,6 +463,77 @@ def check_source(
         mismatches.extend(_check_attribution(
             block, seed, runs, processors, memories
         ))
+        mismatches.extend(_check_stacked_tables(
+            block, block_index, seed, processors, memories
+        ))
+    return mismatches
+
+
+def delaytrack_bases(
+    processors: Sequence[ProcessorModel],
+) -> List[ProcessorModel]:
+    """The first delay-tracking entry of ``processors`` per base
+    machine: entries equal in all but the table size (and the name)
+    are one base."""
+    bases: dict = {}
+    for processor in processors:
+        if processor.load_delay_tracking:
+            bases.setdefault(
+                replace(processor, name="", load_delay_tracking=1), processor
+            )
+    return list(bases.values())
+
+
+def _check_stacked_tables(
+    block,
+    block_index: int,
+    seed: int,
+    processors: Sequence[ProcessorModel],
+    memories: Sequence[MemorySystem],
+) -> List[Mismatch]:
+    """One batch call per delay-tracking base with one row at each of
+    tables 1, 2, ``n_loads`` and ``n_loads + 1``, checked row by row
+    against the scalar engine at that row's own table.  The check above
+    times each entry at its own table alone; this one times rows at
+    different tables in one call."""
+    mismatches: List[Mismatch] = []
+    n_loads = len(block.loads)
+    row_tables = np.array(sorted({1, 2, n_loads, n_loads + 1} - {0}))
+    for base_index, processor in enumerate(delaytrack_bases(processors)):
+        memory = memories[(block_index + base_index) % len(memories)]
+        rng = spawn(
+            "fuzz-dt-tables", seed, block.name, processor.name, memory.name
+        )
+        latencies = memory.sample_many(
+            rng, n_loads * row_tables.size
+        ).reshape(row_tables.size, n_loads)
+        batch = simulate_block_batch(
+            block.instructions, latencies, processor, tables=row_tables
+        )
+        for row, table in enumerate(row_tables.tolist()):
+            scalar = simulate_block(
+                block.instructions,
+                [int(x) for x in latencies[row]],
+                replace(processor, load_delay_tracking=table),
+            )
+            if (
+                scalar.cycles != int(batch.cycles[row])
+                or scalar.interlock_cycles != int(batch.interlocks[row])
+            ):
+                mismatches.append(Mismatch(
+                    "cycles",
+                    f"stacked-table scalar/batch divergence: block "
+                    f"{block.name}, {processor.name} at table {table}, "
+                    f"{memory.name}, row {row}",
+                    expected=(
+                        f"cycles={scalar.cycles} "
+                        f"interlocks={scalar.interlock_cycles}"
+                    ),
+                    actual=(
+                        f"cycles={int(batch.cycles[row])} "
+                        f"interlocks={int(batch.interlocks[row])}"
+                    ),
+                ))
     return mismatches
 
 

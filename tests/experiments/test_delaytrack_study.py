@@ -141,6 +141,44 @@ class TestReportSemantics:
         assert list(DEFAULT_TABLES) == sorted(set(DEFAULT_TABLES))
 
 
+class TestColumnsStayIndependent:
+    """All of a program's (table, policy) pairs are sampled in one
+    call, with every nonzero table's rows in one kernel call per block;
+    each pair has its own latency stream, so a table's columns must not
+    depend on which other tables ran beside it."""
+
+    PROGRAMS = ["TRACK", "ADM"]
+    TABLES = (64, 2, 0, 2)
+
+    @staticmethod
+    def _columns(report, table):
+        return [
+            (c.program, c.policy, c.improvement_pct, c.ci_low, c.ci_high)
+            for c in report.cells
+            if c.table == table
+        ]
+
+    def test_each_table_equals_its_sweep_alone(self):
+        mixed = run_delay_tracking(
+            programs=self.PROGRAMS, tables=self.TABLES, runs=3
+        )
+        assert mixed.oracle_violations == 0
+        for table in set(self.TABLES):
+            alone = run_delay_tracking(
+                programs=self.PROGRAMS, tables=(table,), runs=3
+            )
+            want = self._columns(alone, table)
+            # A repeated table repeats each program's cells.
+            want = [
+                cell
+                for program in self.PROGRAMS
+                for _ in range(self.TABLES.count(table))
+                for cell in want
+                if cell[0] == program
+            ]
+            assert self._columns(mixed, table) == want
+
+
 class TestTraceCliGuards:
     # The guard fires before the file is opened, so a placeholder
     # filename keeps these hermetic (same idiom as test_cli_errors).

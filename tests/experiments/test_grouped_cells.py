@@ -26,7 +26,7 @@ from repro.experiments.common import (
     evaluate_cells,
 )
 from repro.machine import BLOCKING, LEN_8, MAX_8, UNLIMITED, superscalar
-from repro.machine.config import SystemRow, system_row
+from repro.machine.config import SystemRow, parse_processor, system_row
 from repro.machine.memory import FixedMemory
 from repro.machine.processor import delay_tracking
 from repro.obs.export import metrics_json
@@ -157,6 +157,79 @@ class TestMetrics:
         specs = _mixed_specs()[:3]
         timed = common._run_group(_items(specs))
         assert all(t.wall > 0 for t in timed)
+
+
+def _mixed_table_specs():
+    """Cells of one program that differ only in the delay-tracking
+    table: every block's rows at both tables share one kernel call."""
+    rows = [system_row("N(2,5)", 2), system_row("L80(2,5)", 2)]
+    return [
+        CellSpec("ADM", row, processor=parse_processor(spec), runs=3,
+                 n_boot=20)
+        for row in rows
+        for spec in ("unlimited+dt1", "unlimited+dt4")
+    ]
+
+
+class TestMixedTables:
+    def test_results_equal_one_cell_groups(self):
+        specs = _mixed_table_specs()
+        grouped = evaluate_cells(specs, jobs=1)
+        alone = [evaluate_cells([spec], jobs=1)[0] for spec in specs]
+        assert pickle.dumps(grouped) == pickle.dumps(alone)
+
+    def test_tables_share_kernel_calls(self, monkeypatch):
+        calls = []
+        real = batch_mod.simulate_block_batch
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("tables"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.simulate.program.simulate_block_batch", counting
+        )
+        specs = _mixed_table_specs()
+        evaluate_cells(specs, jobs=1)
+        grouped = len(calls)
+        assert {1, 4} <= set(np.concatenate(calls).tolist())
+        calls.clear()
+        for spec in specs:
+            evaluate_cells([spec], jobs=1)
+        # Two rows, one W, two tables: both binaries are shared by all
+        # four cells.
+        assert grouped * 4 == len(calls)
+
+    def test_child_registries_equal_the_one_cell_path(self, fresh_compiles):
+        """Each cell's registry carries its own processor, in
+        ``sim.attribution_skipped`` and the ``sim.issue_width`` gauge,
+        exactly as when it is evaluated alone."""
+        specs = _mixed_table_specs()
+        with obs.recording():
+            fresh_compiles()
+            grouped = common._run_group(_items(specs))
+            fresh_compiles()
+            alone = [
+                timed
+                for item in _items(specs)
+                for timed in common._run_group([item])
+            ]
+        for spec, together, single in zip(specs, grouped, alone):
+            mine = metrics_json(together.metrics)
+            assert mine == metrics_json(single.metrics)
+            assert summarize_delta(together.metrics) == summarize_delta(
+                single.metrics
+            )
+            name = spec.processor.name
+            assert list(mine["gauges"]) == [
+                f"sim.issue_width{{processor={name}}}"
+            ]
+            skipped = [
+                k for k in mine["counters"]
+                if k.startswith("sim.attribution_skipped")
+            ]
+            assert skipped
+            assert all(f"processor={name}," in k for k in skipped)
 
 
 class TestFailures:

@@ -178,6 +178,48 @@ class TestConcurrency:
             # All six landed before the first flush: one engine call.
             assert batcher.coalesced >= 1
 
+    def test_one_flush_of_tables_matches_requests_served_alone(self):
+        """Requests that differ only in ``+dtN`` are separate cells of
+        one flush, and their rows share kernel calls; each body is the
+        one the request gets on its own."""
+        specs = ("unlimited+dt1", "unlimited+dt4", "unlimited+dt64")
+        alone = {}
+        for spec in specs:
+            service = SchedulingService(cache=None, batch_window_s=0.02)
+            with ServiceThread(service) as thread:
+                alone[spec] = ServiceClient(port=thread.port).simulate_bytes(
+                    processor=spec, **SIM_PAYLOAD
+                )
+        service = SchedulingService(
+            cache=None,
+            batch_window_s=0.25,  # wide window: everyone joins one flush
+        )
+        with ServiceThread(service) as thread:
+            client = ServiceClient(port=thread.port)
+            bodies = {}
+            errors = []
+
+            def worker(spec):
+                try:
+                    bodies[spec] = client.simulate_bytes(
+                        processor=spec, **SIM_PAYLOAD
+                    )
+                except BaseException as exc:  # noqa: BLE001
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=worker, args=(spec,))
+                for spec in specs
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not errors
+            assert service._batcher.batches == 1
+        assert bodies == alone
+        assert len(set(alone.values())) == len(specs)
+
     def test_full_queue_rejects_with_429(self, tmp_path):
         service = SchedulingService(
             cache=None,

@@ -8,8 +8,12 @@ per job.  That is only sound if a run's column never depends on the
 other columns in the call -- including the cross-run shortcuts of the
 MAX-n top-k array and the LEN-n freeze-window buffer, which these
 tests exercise with parts where the constraint binds in some parts and
-not in others.
+not in others.  Delay-tracking rows at different table sizes share a
+call as well, each with its own table, so a run's column must not
+depend on the other rows' tables either.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +28,11 @@ from repro.simulate.program import (
     simulate_programs,
 )
 from repro.simulate.rng import spawn
-from repro.verify.fuzz import FUZZ_MEMORIES, FUZZ_PROCESSORS
+from repro.verify.fuzz import (
+    FUZZ_MEMORIES,
+    FUZZ_PROCESSORS,
+    delaytrack_bases,
+)
 from repro.workloads.generator import random_block
 
 
@@ -161,3 +169,116 @@ def test_each_job_records_its_own_columns():
     # Two jobs, one block object: one kernel call.
     assert len([s for s in together.spans if s.name == "simulate"]) == 1
     assert len([s for s in alone.spans if s.name == "simulate"]) == 2
+
+
+def _at_table(processor, table):
+    return replace(
+        processor, name=f"{processor.name}@{table}",
+        load_delay_tracking=table,
+    )
+
+
+@pytest.mark.parametrize(
+    "processor", delaytrack_bases(FUZZ_PROCESSORS), ids=lambda p: p.name
+)
+@pytest.mark.parametrize("seed", range(2))
+def test_stacked_tables_equal_per_table_calls(processor, seed):
+    """Rows at different table sizes in one call -- a table of 1, 2,
+    exactly ``n_loads`` and wider (which never fills) -- are the
+    per-table calls."""
+    block = random_block(spawn("stacking-tables", seed), n_instructions=40)
+    n_loads = sum(1 for i in block.instructions if i.is_load)
+    tables = (1, 2, n_loads, n_loads + 1, 64)
+    # One part per table: ``_parts``' four regimes plus a mixed one.
+    parts = _parts(n_loads, seed) + [
+        spawn("stacking-tables", seed).integers(1, 40, size=(2, n_loads))
+    ]
+    stacked = simulate_block_batch(
+        block.instructions, np.concatenate(parts), processor,
+        tables=np.repeat(tables, [rows.shape[0] for rows in parts]),
+    )
+    lo = 0
+    for table, rows in zip(tables, parts):
+        hi = lo + rows.shape[0]
+        alone = simulate_block_batch(
+            block.instructions, rows, _at_table(processor, table)
+        )
+        np.testing.assert_array_equal(stacked.cycles[lo:hi], alone.cycles)
+        np.testing.assert_array_equal(
+            stacked.interlocks[lo:hi], alone.interlocks
+        )
+        lo = hi
+
+
+def test_simulate_programs_stacks_tables_one_call_per_block(monkeypatch):
+    """Jobs on one base machine at different tables share a kernel call
+    per block, and each still gets the samples it gets alone."""
+    calls = []
+    real = simulate_block_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(
+        "repro.simulate.program.simulate_block_batch", counting
+    )
+    blocks = [
+        random_block(
+            spawn("stacking-dt-prog", k), n_instructions=25, name=f"b{k}"
+        )
+        for k in range(3)
+    ]
+    memory = FUZZ_MEMORIES[2]
+    base = delaytrack_bases(FUZZ_PROCESSORS)[0]
+
+    def jobs():
+        return [
+            SimulationJob(
+                blocks, _at_table(base, table), memory,
+                spawn("stacking-dt-job", table), runs=runs,
+            )
+            for table, runs in ((1, 4), (4, 2), (64, 5), (2, 1))
+        ]
+
+    together = simulate_programs(jobs())
+    assert len(calls) == len(blocks)
+    for job, got in zip(jobs(), together):
+        (alone,) = simulate_programs([job])
+        for mine, ref in zip(got.blocks, alone.blocks):
+            np.testing.assert_array_equal(mine.cycles, ref.cycles)
+            np.testing.assert_array_equal(mine.interlocks, ref.interlocks)
+
+
+class TestTableVectorGuards:
+    @pytest.fixture
+    def block(self):
+        return random_block(spawn("stacking-guard"), n_instructions=20)
+
+    def _latencies(self, block, runs=3):
+        n_loads = sum(1 for i in block.instructions if i.is_load)
+        return np.full((runs, n_loads), 4, dtype=np.int64)
+
+    def test_a_table_zero_row_is_rejected(self, block):
+        with pytest.raises(ValueError, match="at least one entry"):
+            simulate_block_batch(
+                block.instructions, self._latencies(block),
+                delaytrack_bases(FUZZ_PROCESSORS)[0], tables=[2, 0, 2],
+            )
+
+    @pytest.mark.parametrize("tables", ([2, 2], [2, 2, 2, 2], [[2, 2, 2]]))
+    def test_a_table_vector_of_the_wrong_shape_is_rejected(
+        self, block, tables
+    ):
+        with pytest.raises(ValueError, match="tables must have shape"):
+            simulate_block_batch(
+                block.instructions, self._latencies(block),
+                delaytrack_bases(FUZZ_PROCESSORS)[0], tables=tables,
+            )
+
+    def test_tables_need_a_delay_tracking_processor(self, block):
+        with pytest.raises(ValueError, match="delay-tracking processor"):
+            simulate_block_batch(
+                block.instructions, self._latencies(block),
+                FUZZ_PROCESSORS[0], tables=[2, 2, 2],
+            )
