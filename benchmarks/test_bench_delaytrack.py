@@ -16,7 +16,11 @@ to the scalar oracle and record the numbers in
   in ``BENCH_superscalar.json``;
 * the delay-tracking study's final blocks at tables 1, 2, 4 and 64,
   one batch call per (block, table) against one call per block with
-  the table passed per row (``study_blocks_x30/tables_stacked``).
+  the table passed per row (``study_blocks_x30/tables_stacked``);
+* the study's oracle replay at tables 0, 1, 2, 4 and 64: each (block,
+  table) building its own conflict lists and ordered pairs against
+  the study's replay, which builds them once per block
+  (``study_replay``).
 
 Every timing pair cross-checks cycles against the scalar simulator
 while it is here, so a benchmark run is also an equivalence sweep.
@@ -38,12 +42,15 @@ import numpy as np
 from repro.core import BalancedScheduler
 from repro.core.pipeline import compile_program
 from repro.experiments.common import COMPILATION_CACHE
-from repro.experiments.delaytrack import _policies
+from repro.experiments import delaytrack
+from repro.experiments.delaytrack import _policies, _verify_traces
 from repro.machine import MAX_8, delay_tracking, superscalar
 from repro.machine.config import N_2_5, SYSTEMS_BY_NAME
 from repro.simulate import simulate_block
 from repro.simulate.batch import simulate_block_batch
-from repro.simulate.rng import spawn
+from repro.simulate.rng import DEFAULT_SEED, spawn
+from repro.simulate.simulator import delaytrack_issue_trace
+from repro.verify import check_delaytrack_issue
 from repro.workloads import program_names, random_block
 from repro.workloads.perfect import load_program
 
@@ -173,17 +180,26 @@ def test_bench_large_block_dt8_families(base):
 STUDY_TABLES = (1, 2, 4, 64)
 
 
-def _study_blocks():
-    """Every final block the delay-tracking study simulates: each suite
-    program under its four policies, compiled as the study does."""
+def _study_programs():
+    """``(program, {policy tag: compiled})`` for every suite program
+    under the study's four policies, compiled as the study does."""
     policies = _policies(N_2_5, float(N_2_5.optimistic_latencies[0]))
     return [
-        block
+        (name, {
+            tag: COMPILATION_CACHE.compile(load_program(name), policy)
+            for tag, policy in policies.items()
+        })
         for name in program_names()
-        for policy in policies.values()
-        for block in COMPILATION_CACHE.compile(
-            load_program(name), policy
-        ).final_blocks
+    ]
+
+
+def _study_blocks():
+    """Every final block the delay-tracking study simulates."""
+    return [
+        block
+        for _, compiled in _study_programs()
+        for artefacts in compiled.values()
+        for block in artefacts.final_blocks
     ]
 
 
@@ -245,5 +261,97 @@ def test_bench_study_blocks_tables_stacked():
         "stacked_calls": len(together),
         "per_table_seconds": round(statistics.median(walls["per_table"]), 4),
         "stacked_seconds": round(statistics.median(walls["stacked"]), 4),
+        "speedup": round(speedup, 2),
+    }
+
+
+REPLAY_TABLES = (0,) + STUDY_TABLES
+
+
+def test_bench_study_replay_by_block(monkeypatch):
+    """The study's oracle replay: one seeded draw per (block, policy,
+    table), replayed by the scalar engine and checked by the oracle.
+    The per-table leg lets every replay build its block's conflict
+    lists and ordered pairs; the per-block leg is the study's own
+    ``_verify_traces``, which builds them once per block.  Legs
+    alternate; the speedup is the median of the per-pair ratios, and
+    both legs must return the same tally."""
+    programs = _study_programs()
+    memory = N_2_5
+
+    def per_table():
+        checked = violations = 0
+        for name, compiled in programs:
+            for table in REPLAY_TABLES:
+                processor = delay_tracking(table)
+                for tag, artefacts in compiled.items():
+                    for block in artefacts.final_blocks:
+                        if not block.instructions:
+                            continue
+                        n_loads = sum(
+                            1 for i in block.instructions if i.is_load
+                        )
+                        rng = spawn(
+                            "delaytrack-verify", name, memory.name,
+                            f"t{table}", tag, block.name, seed=DEFAULT_SEED,
+                        )
+                        latencies = [
+                            int(x) for x in memory.sample_many(rng, n_loads)
+                        ]
+                        trace = delaytrack_issue_trace(
+                            block.instructions, latencies, processor
+                        )
+                        checked += 1
+                        violations += len(check_delaytrack_issue(
+                            block.instructions, latencies, processor, trace
+                        ))
+        return checked, violations
+
+    def per_block():
+        tallies = [
+            _verify_traces(name, compiled, REPLAY_TABLES, memory, DEFAULT_SEED)
+            for name, compiled in programs
+        ]
+        return (
+            sum(checked for checked, _ in tallies),
+            sum(violations for _, violations in tallies),
+        )
+
+    blocks = sum(
+        1
+        for _, compiled in programs
+        for artefacts in compiled.values()
+        for block in artefacts.final_blocks
+        if block.instructions
+    )
+    conflict_lists = []
+    real = delaytrack.conflict_successors
+
+    def counting(instructions):
+        conflict_lists.append(len(instructions))
+        return real(instructions)
+
+    monkeypatch.setattr(delaytrack, "conflict_successors", counting)
+    tally = per_block()
+    monkeypatch.setattr(delaytrack, "conflict_successors", real)
+    assert per_table() == tally == (blocks * len(REPLAY_TABLES), 0)
+    assert len(conflict_lists) == blocks
+
+    walls = {"per_table": [], "per_block": []}
+    for _ in range(5):
+        for name, leg in (("per_table", per_table), ("per_block", per_block)):
+            start = time.perf_counter()
+            leg()
+            walls[name].append(time.perf_counter() - start)
+    speedup = statistics.median(
+        a / b for a, b in zip(walls["per_table"], walls["per_block"])
+    )
+    _RECORD["study_replay"] = {
+        "blocks": blocks,
+        "tables": list(REPLAY_TABLES),
+        "traces": tally[0],
+        "conflict_lists_calls": len(conflict_lists),
+        "per_table_seconds": round(statistics.median(walls["per_table"]), 4),
+        "per_block_seconds": round(statistics.median(walls["per_block"]), 4),
         "speedup": round(speedup, 2),
     }

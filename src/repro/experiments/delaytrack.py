@@ -20,12 +20,16 @@ compile-time-knowledge policies over the traditional scheduler:
 * **optimal** -- the branch-and-bound backend's exact schedule under
   the fixed mean-latency model (best-effort at the study budget).
 
-Every simulated issue order is additionally verified: one seeded
-latency draw per (program, policy, table) replays through
+The scalar engine's issue order is additionally verified: one seeded
+latency draw per (program, policy, block, table) replays through
 :func:`repro.simulate.simulator.delaytrack_issue_trace` and must pass
 the independent admissibility oracle
 (:func:`repro.verify.check_delaytrack_issue`); the report prints the
-violation count and the CI smoke gate requires zero.
+trace and violation counts and the CI smoke gate requires zero
+violations.  The replay is organised by compiled block: the block's
+conflict successors (engine) and hardware-ordered pairs (oracle) do
+not depend on the table, so each is built once and shared by the
+block's table replays.
 
 Each program is sampled in one :func:`~repro.simulate.program.
 simulate_programs` call over all its (table, policy) pairs, each with
@@ -44,17 +48,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.balanced import BalancedScheduler
 from ..core.traditional import TraditionalScheduler
 from ..extensions.known_latency import KnownLatencyScheduler, expected_latency
+from ..ir.instructions import Opcode
 from ..machine.config import N_2_5
 from ..machine.memory import MemorySystem
-from ..machine.processor import ProcessorModel, delay_tracking
+from ..machine.processor import delay_tracking
 from ..simulate.program import SimulationJob, simulate_programs
 from ..simulate.rng import DEFAULT_SEED, spawn
-from ..simulate.simulator import delaytrack_issue_trace
+from ..simulate.simulator import conflict_successors, delaytrack_issue_trace
 from ..simulate.stats import (
     percentage_improvement,
     program_bootstrap_runtimes,
 )
-from ..verify.oracle import check_delaytrack_issue
+from ..verify.oracle import check_delaytrack_issue, hardware_ordered_pairs
 from ..workloads.perfect import load_program, program_names
 from .common import COMPILATION_CACHE
 
@@ -176,29 +181,52 @@ def _policies(memory: MemorySystem, optimistic_latency: float):
 
 
 def _verify_traces(
-    blocks,
-    processor: ProcessorModel,
+    name: str,
+    compiled: Dict[str, "object"],
+    tables: Sequence[int],
     memory: MemorySystem,
-    key: Tuple,
     seed: int,
 ) -> Tuple[int, int]:
-    """One seeded latency draw per block, replayed through the scalar
-    engine's issue log and checked by the independent oracle."""
+    """One seeded latency draw per (block, policy, table), replayed
+    through the scalar engine's issue log and checked by the
+    independent oracle.
+
+    What does not depend on the table -- the executed instructions,
+    the engine's conflict successors and the oracle's own ordered
+    pairs -- is built once per compiled block and shared by its
+    table replays; the successors only when some table can park.
+    """
+    processors = [(table, delay_tracking(int(table))) for table in tables]
+    parks = any(tables)
     checked = 0
     violations = 0
-    for block in blocks:
-        if not block.instructions:
-            continue
-        n_loads = sum(1 for i in block.instructions if i.is_load)
-        rng = spawn("delaytrack-verify", *key, block.name, seed=seed)
-        latencies = [int(x) for x in memory.sample_many(rng, n_loads)]
-        trace = delaytrack_issue_trace(
-            block.instructions, latencies, processor
-        )
-        checked += 1
-        violations += len(check_delaytrack_issue(
-            block.instructions, latencies, processor, trace
-        ))
+    for tag, artefacts in compiled.items():
+        for block in artefacts.final_blocks:
+            if not block.instructions:
+                continue
+            executed = [
+                inst
+                for inst in block.instructions
+                if inst.opcode is not Opcode.NOP
+            ]
+            n_loads = sum(1 for i in executed if i.is_load)
+            successors = conflict_successors(executed) if parks else None
+            pairs = hardware_ordered_pairs(executed)
+            for table, processor in processors:
+                rng = spawn(
+                    "delaytrack-verify", name, memory.name, f"t{table}",
+                    tag, block.name, seed=seed,
+                )
+                latencies = [int(x) for x in memory.sample_many(rng, n_loads)]
+                trace = delaytrack_issue_trace(
+                    block.instructions, latencies, processor,
+                    successors=successors,
+                )
+                checked += 1
+                violations += len(check_delaytrack_issue(
+                    block.instructions, latencies, processor, trace,
+                    ordered_pairs=pairs,
+                ))
     return checked, violations
 
 
@@ -238,19 +266,18 @@ def run_delay_tracking(
                     runs=runs,
                 )
         samples = dict(zip(jobs, simulate_programs(list(jobs.values()))))
+        checked, violations = _verify_traces(
+            name, compiled, tables, memory, seed
+        )
+        report.traces_checked += checked
+        report.oracle_violations += violations
         for table in tables:
-            processor = delay_tracking(int(table))
             boots: Dict[str, "object"] = {}
-            for tag, artefacts in compiled.items():
+            for tag in compiled:
                 key = (name, memory.name, f"t{table}", tag)
                 boots[tag] = program_bootstrap_runtimes(
                     samples[key], spawn("delaytrackb", *key, seed=seed)
                 )
-                checked, violations = _verify_traces(
-                    artefacts.final_blocks, processor, memory, key, seed
-                )
-                report.traces_checked += checked
-                report.oracle_violations += violations
             for policy in POLICY_ORDER:
                 result = percentage_improvement(
                     boots["traditional"], boots[policy]

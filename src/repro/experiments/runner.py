@@ -793,6 +793,14 @@ def _cmd_delay_track(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+        repeated = sorted({t for t in tables if tables.count(t) > 1})
+        if repeated:
+            print(
+                "balanced-sched: --tables repeats table size "
+                f"{', '.join(map(str, repeated))}",
+                file=sys.stderr,
+            )
+            return 2
     else:
         tables = DEFAULT_TABLES
     runs = 3 if args.quick else args.runs
@@ -1182,7 +1190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     delay_track.add_argument(
         "--tables",
         default=None,
-        help="comma-separated tracking-table sizes to sweep "
+        help="comma-separated distinct tracking-table sizes to sweep "
         "(default 0,1,2,4,64; 0 = the paper's in-order machine)",
     )
     delay_track.add_argument("--seed", type=int, default=DEFAULT_SEED)

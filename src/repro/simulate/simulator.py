@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.instructions import Instruction, Opcode
@@ -152,6 +152,7 @@ def _simulate_delaytrack(
     latencies: Sequence[int],
     processor: ProcessorModel,
     attribute: bool = False,
+    successors: Optional[Sequence[Sequence[int]]] = None,
 ) -> Tuple[List[tuple], int]:
     """The scalar reference engine: delay-tracking adaptive issue.
 
@@ -189,6 +190,11 @@ def _simulate_delaytrack(
     freeze.  ``cycles`` is the block's runtime: the next free issue
     slot after the last instruction (single issue; a blocking load
     holds it until its data returns), or the last issue cycle + 1.
+
+    ``successors``, when given, is :func:`conflict_successors` of the
+    executed (non-NOP) instructions, built once by a caller that
+    replays one block many times; it must hold one entry per executed
+    instruction.  Omitted, the engine builds it itself.
     """
     _validate_latencies(instructions, latencies)
     width = processor.issue_width
@@ -203,6 +209,11 @@ def _simulate_delaytrack(
         if inst.opcode is not Opcode.NOP
     ]
     n = len(steps)
+    if successors is not None and len(successors) != n:
+        raise ValueError(
+            f"successors has {len(successors)} entries but the block "
+            f"executes {n} instructions"
+        )
     trace: List[tuple] = []
     if n == 0:
         return trace, 0
@@ -219,7 +230,9 @@ def _simulate_delaytrack(
     n_loads = col
     # Only a parked instruction reads its conflict successors, and
     # without a table nothing ever parks.
-    succ = conflict_successors([inst for _, inst in steps]) if table else None
+    succ = successors
+    if table and succ is None:
+        succ = conflict_successors([inst for _, inst in steps])
 
     PENDING, PARKED, ISSUED = 0, 1, 2
     status = [PENDING] * n
@@ -429,18 +442,25 @@ def delaytrack_issue_trace(
     instructions: Sequence[Instruction],
     latencies: Sequence[int],
     processor: ProcessorModel,
+    successors: Optional[Sequence[Sequence[int]]] = None,
 ) -> List[Tuple[int, int]]:
     """The delay-tracking issue order of one simulated execution.
 
     Returns ``(source_position, issue_cycle)`` per executed (non-NOP)
     instruction, in issue order -- the admissibility evidence consumed
-    by :func:`repro.verify.check_delaytrack_issue`.
+    by :func:`repro.verify.check_delaytrack_issue`.  ``successors`` is
+    :func:`conflict_successors` of the executed instructions, for a
+    caller that replays one block at several table sizes; a list of
+    any other length than the executed instructions raises
+    ``ValueError``.
     """
     if processor.load_delay_tracking is None:
         raise ValueError(
             f"processor {processor.name} has no delay-tracking table"
         )
-    trace, _ = _simulate_delaytrack(instructions, latencies, processor)
+    trace, _ = _simulate_delaytrack(
+        instructions, latencies, processor, successors=successors
+    )
     return [(entry[0], entry[1]) for entry in trace]
 
 

@@ -531,6 +531,7 @@ def check_delaytrack_issue(
     latencies: Sequence[int],
     processor: object,
     trace: Sequence[Tuple[int, int]],
+    ordered_pairs: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> List[Violation]:
     """Is a delay-tracking issue trace admissible hardware behaviour?
 
@@ -558,6 +559,10 @@ def check_delaytrack_issue(
     further), so every engine trace must pass; a trace that issues too
     early, too densely or out of order cannot have come from admissible
     hardware.
+
+    ``ordered_pairs``, when given, is :func:`hardware_ordered_pairs` of
+    the executed (non-NOP) instructions, built once by a caller that
+    checks many traces of one block; omitted, it is built here.
     """
     violations: List[Violation] = []
     executed = [
@@ -611,7 +616,9 @@ def check_delaytrack_issue(
     body = [inst for _, inst in executed]
     positions = [pos for pos, _ in executed]
 
-    for i, j in hardware_ordered_pairs(body):
+    if ordered_pairs is None:
+        ordered_pairs = hardware_ordered_pairs(body)
+    for i, j in ordered_pairs:
         pos_i, pos_j = positions[i], positions[j]
         if issue_index[pos_i] >= issue_index[pos_j]:
             violations.append(Violation(

@@ -179,6 +179,71 @@ class TestColumnsStayIndependent:
             assert self._columns(mixed, table) == want
 
 
+class TestTablesCliGuards:
+    def test_repeated_table_size_exits_2(self, capsys):
+        # A repeated size would render its columns twice and replay
+        # its oracle traces twice.
+        assert cli_main([
+            "delay-track", "--programs", "TRACK", "--tables", "64,2,0,2",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--tables repeats table size 2" in err
+        assert err.count("\n") == 1
+
+
+class TestReplayByBlock:
+    """The verification replay builds each compiled block's conflict
+    successors (scalar engine) and hardware-ordered pairs (oracle) once
+    and shares them across the block's table replays."""
+
+    PROGRAMS = ["TRACK", "ADM"]
+    #: TRACK and ADM compile to 6 non-empty final blocks per policy.
+    BLOCKS = 6 * 4
+
+    @staticmethod
+    def _spy(monkeypatch, name, modules):
+        calls = []
+        real = getattr(modules[0], name)
+
+        def spy(instructions):
+            calls.append(len(instructions))
+            return real(instructions)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def _run(self, monkeypatch, **kwargs):
+        import repro.experiments.delaytrack as study
+        import repro.simulate.simulator as simulator
+        import repro.verify.oracle as oracle
+
+        successors = self._spy(
+            monkeypatch, "conflict_successors", [simulator, study]
+        )
+        pairs = self._spy(
+            monkeypatch, "hardware_ordered_pairs", [oracle, study]
+        )
+        report = run_delay_tracking(programs=self.PROGRAMS, runs=3, **kwargs)
+        return report, successors, pairs
+
+    def test_default_tables_build_once_per_block(self, monkeypatch):
+        report, successors, pairs = self._run(monkeypatch)
+        assert len(successors) == self.BLOCKS
+        assert len(pairs) == self.BLOCKS
+        # The tally of the per-table replay: one trace per (block,
+        # policy, table).
+        assert report.traces_checked == self.BLOCKS * len(DEFAULT_TABLES)
+        assert report.oracle_violations == 0
+
+    def test_in_order_table_builds_no_successors(self, monkeypatch):
+        report, successors, pairs = self._run(monkeypatch, tables=(0,))
+        assert successors == []
+        assert len(pairs) == self.BLOCKS
+        assert report.traces_checked == self.BLOCKS
+        assert report.oracle_violations == 0
+
+
 class TestTraceCliGuards:
     # The guard fires before the file is opened, so a placeholder
     # filename keeps these hermetic (same idiom as test_cli_errors).

@@ -20,8 +20,13 @@ implementation:
 * empty / all-NOP / zero-run edges and malformed-input parity with the
   existing kernels, asserted before any fast path;
 * a blocking multi-issue machine is rejected wherever one can be
-  built or named, rather than simulated as a non-blocking one.
+  built or named, rather than simulated as a non-blocking one;
+* conflict successors built once by a caller (one list per block,
+  shared by its table replays) time exactly like the engine's own,
+  and a list of the wrong length is rejected.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,9 +48,17 @@ from repro.obs import recorder as obs
 from repro.obs.metrics import split_series_key
 from repro.simulate import LatencyOverrunError, simulate_block
 from repro.simulate.batch import attribution_skip_reason, simulate_block_batch
+from repro.simulate.simulator import (
+    conflict_successors,
+    delaytrack_issue_trace,
+)
 from repro.simulate.trace import check_traceable
 from repro.simulate.rng import spawn
-from repro.verify.fuzz import attribution_entries
+from repro.verify.fuzz import (
+    FUZZ_PROCESSORS,
+    attribution_entries,
+    delaytrack_bases,
+)
 from repro.workloads.generator import random_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
@@ -460,4 +473,54 @@ def test_batch_matches_scalar_superscalar_crosses(width, seed):
         for table in (0, 2, 8):
             _assert_matches_scalar(
                 block.instructions, latencies, delay_tracking(table, base)
+            )
+
+
+# ----------------------------------------------------------------------
+# Conflict successors built once per block and handed to every replay
+# ----------------------------------------------------------------------
+def _padded_block(seed):
+    """A random block with a NOP after every third instruction, so the
+    executed list and the source positions differ."""
+    padded = []
+    for k, inst in enumerate(_block(seed, lo=12, hi=30).instructions):
+        padded.append(inst)
+        if k % 3 == 0:
+            padded.append(nop())
+    return padded
+
+
+@pytest.mark.parametrize(
+    "processor", delaytrack_bases(FUZZ_PROCESSORS), ids=lambda p: p.name
+)
+@pytest.mark.parametrize("seed", range(2))
+def test_supplied_successors_equal_the_default(processor, seed):
+    instructions = _padded_block(seed)
+    executed = [i for i in instructions if i.opcode is not Opcode.NOP]
+    assert len(executed) < len(instructions)
+    successors = conflict_successors(executed)
+    n_loads = sum(1 for i in executed if i.is_load)
+    rng = spawn("delaytrack-successors", seed)
+    for table in (1, 2, n_loads, n_loads + 1, 64):
+        at_table = replace(processor, load_delay_tracking=table)
+        for _ in range(3):
+            latencies = [int(x) for x in rng.integers(0, 40, size=n_loads)]
+            assert delaytrack_issue_trace(
+                instructions, latencies, at_table, successors=successors
+            ) == delaytrack_issue_trace(instructions, latencies, at_table)
+
+
+@pytest.mark.parametrize("table", (0, 2))
+def test_wrong_length_successors_raise(table):
+    instructions = _padded_block(0)
+    executed = [i for i in instructions if i.opcode is not Opcode.NOP]
+    n_loads = sum(1 for i in executed if i.is_load)
+    processor = delay_tracking(table)
+    for successors in (
+        conflict_successors(instructions),  # indexed over source positions
+        conflict_successors(executed)[:-1],
+    ):
+        with pytest.raises(ValueError, match="successors"):
+            delaytrack_issue_trace(
+                instructions, [3] * n_loads, processor, successors=successors
             )

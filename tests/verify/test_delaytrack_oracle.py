@@ -98,6 +98,21 @@ def _violation_rules(violations):
     return {v.rule for v in violations}
 
 
+def _check(instructions, latencies, processor, trace):
+    """The oracle's verdict on ``trace``, asserted identical when the
+    caller builds the ordered pairs once (as the study does, one list
+    per block shared by its table replays)."""
+    violations = check_delaytrack_issue(
+        instructions, latencies, processor, trace
+    )
+    executed = [i for i in instructions if i.opcode is not Opcode.NOP]
+    assert check_delaytrack_issue(
+        instructions, latencies, processor, trace,
+        ordered_pairs=hardware_ordered_pairs(executed),
+    ) == violations
+    return violations
+
+
 def test_rejects_issue_before_data_returns():
     processor = delay_tracking(8)
     block = _chain_block()
@@ -107,7 +122,7 @@ def test_rejects_issue_before_data_returns():
         (pos, cycle if pos != 1 else 1) for pos, cycle in trace
     ]
     early.sort(key=lambda entry: entry[1])
-    violations = check_delaytrack_issue(block, latencies, processor, early)
+    violations = _check(block, latencies, processor, early)
     assert "dependence" in _violation_rules(violations)
 
 
@@ -124,8 +139,23 @@ def test_rejects_reordered_hardware_pair():
     trace = _trace(block, latencies, processor)
     assert [pos for pos, _ in trace] == [0, 1]
     swapped = [(trace[1][0], trace[0][1]), (trace[0][0], trace[1][1])]
-    violations = check_delaytrack_issue(block, latencies, processor, swapped)
+    violations = _check(block, latencies, processor, swapped)
     assert "dependence" in _violation_rules(violations)
+
+
+def test_rejects_reordered_pair_between_nops():
+    """Ordered pairs index the executed instructions; the violation
+    names source positions, which NOPs shift."""
+    r0, r1 = _reg(0), _reg(1)
+    block = [nop(), store(r0, A), nop(), load(r1, A, tag="reload")]
+    processor = delay_tracking(8)
+    trace = _trace(block, [1], processor)
+    assert [pos for pos, _ in trace] == [1, 3]
+    swapped = [(3, trace[0][1]), (1, trace[1][1])]
+    violations = _check(block, [1], processor, swapped)
+    assert [v.where for v in violations if v.rule == "dependence"] == [
+        (1, 3)
+    ]
 
 
 def test_rejects_overpacked_issue_group():
@@ -133,7 +163,7 @@ def test_rejects_overpacked_issue_group():
     r = [_reg(k) for k in range(6)]
     block = [alu(Opcode.FADD, r[k + 3], (r[k], r[k])) for k in range(3)]
     trace = [(0, 0), (1, 0), (2, 0)]  # three issues, two slots
-    violations = check_delaytrack_issue(block, [], processor, trace)
+    violations = _check(block, [], processor, trace)
     assert any("2-wide" in v.detail for v in violations)
 
 
@@ -141,7 +171,7 @@ def test_rejects_width_one_dual_issue():
     processor = delay_tracking(8)
     r0, r1, r2, r3 = (_reg(k) for k in range(4))
     block = [alu(Opcode.FADD, r2, (r0, r0)), alu(Opcode.FADD, r3, (r1, r1))]
-    violations = check_delaytrack_issue(
+    violations = _check(
         block, [], processor, [(0, 0), (1, 0)]
     )
     assert any("1-wide" in v.detail for v in violations)
@@ -153,9 +183,9 @@ def test_rejects_dropped_and_duplicated_issues():
     latencies = [4, 4]
     trace = _trace(block, latencies, processor)
     dropped = trace[:-1]
-    assert check_delaytrack_issue(block, latencies, processor, dropped)
+    assert _check(block, latencies, processor, dropped)
     duplicated = trace + [trace[0]]
-    assert check_delaytrack_issue(block, latencies, processor, duplicated)
+    assert _check(block, latencies, processor, duplicated)
 
 
 def test_rejects_regressing_cycles_and_negative_cycles():
@@ -163,17 +193,17 @@ def test_rejects_regressing_cycles_and_negative_cycles():
     r0, r1, r2, r3 = (_reg(k) for k in range(4))
     block = [alu(Opcode.FADD, r2, (r0, r0)), alu(Opcode.FADD, r3, (r1, r1))]
     regressed = [(0, 5), (1, 0)]
-    violations = check_delaytrack_issue(block, [], processor, regressed)
+    violations = _check(block, [], processor, regressed)
     assert any("regress" in v.detail for v in violations)
     negative = [(0, -1), (1, 0)]
-    violations = check_delaytrack_issue(block, [], processor, negative)
+    violations = _check(block, [], processor, negative)
     assert any("negative" in v.detail for v in violations)
 
 
 def test_rejects_latency_underrun():
     processor = delay_tracking(8)
     block = _chain_block()
-    violations = check_delaytrack_issue(
+    violations = _check(
         block, [3], processor, [(0, 0), (1, 3), (2, 4), (3, 7)]
     )
     assert any("2 loads but only 1" in v.detail for v in violations)
