@@ -9,7 +9,8 @@ import numpy as np
 
 from repro.analysis import build_dag
 from repro.core import BalancedScheduler, TraditionalScheduler, balanced_weights
-from repro.workloads import load_program, random_block
+from repro.workloads import load_program
+from tests.support.generator import random_block
 
 
 def _large_block():

@@ -51,8 +51,9 @@ from repro.simulate.batch import simulate_block_batch
 from repro.simulate.rng import DEFAULT_SEED, spawn
 from repro.simulate.simulator import delaytrack_issue_trace
 from repro.verify import check_delaytrack_issue
-from repro.workloads import program_names, random_block
+from repro.workloads import program_names
 from repro.workloads.perfect import load_program
+from tests.support.generator import random_block
 
 BENCH_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_delaytrack.json"

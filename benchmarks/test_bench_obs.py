@@ -32,8 +32,8 @@ from repro.machine.config import paper_system_rows
 from repro.obs import recorder as obs
 from repro.obs.recorder import span as _span
 from repro.simulate.rng import spawn
-from repro.workloads import random_block
 from repro.workloads.perfect import clear_cache, load_program
+from tests.support.generator import random_block
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 

@@ -34,7 +34,8 @@ from repro.machine.config import SYSTEMS_BY_NAME, paper_system_rows
 from repro.simulate import simulate_block
 from repro.simulate.batch import simulate_block_batch
 from repro.simulate.rng import spawn
-from repro.workloads import program_names, random_block
+from repro.workloads import program_names
+from tests.support.generator import random_block
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 

@@ -35,8 +35,8 @@ from repro.analysis import build_dag
 from repro.core import BalancedScheduler, ListScheduler
 from repro.core.weights import balanced_weights
 from repro.simulate.rng import spawn
-from repro.workloads import random_block
 from tests.core.oracles import balanced_weights_reference, schedule_reference
+from tests.support.generator import random_block
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sched.json"
 

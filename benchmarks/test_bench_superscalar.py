@@ -37,8 +37,8 @@ from repro.machine.config import SYSTEMS_BY_NAME
 from repro.simulate import simulate_block
 from repro.simulate.batch import simulate_block_batch
 from repro.simulate.rng import spawn
-from repro.workloads import random_block
 from repro.workloads.perfect import load_program
+from tests.support.generator import random_block
 
 BENCH_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_superscalar.json"

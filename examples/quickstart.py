@@ -1,35 +1,41 @@
-"""Quickstart: build a block, weight it, schedule it, simulate it.
+"""Quickstart: compile a block, weight it, schedule it, simulate it.
 
 Run:  python examples/quickstart.py
 """
 
 from repro import BalancedScheduler, TraditionalScheduler, build_dag
 from repro.core import balanced_weights
-from repro.ir import IRBuilder, format_block
+from repro.frontend import compile_minif
+from repro.ir import format_block
 from repro.machine import CacheMemory, UNLIMITED
 from repro.simulate import sample_block, spawn
+
+SOURCE = """
+program quickstart
+  array a[64], b[64], c[64]
+  kernel body freq 1
+    c[i] = (a[i] + a[i+1]) * b[i]
+  end
+end
+"""
 
 
 def main() -> None:
     # ------------------------------------------------------------------
-    # 1. Build a small basic block through the IR builder.
-    #    Two independent loads feed an add; a third load's result is
-    #    stored after a multiply -- a little of everything.
+    # 1. Compile a small basic block from a minif kernel.
+    #    Two independent loads feed an add; a third load's value is
+    #    multiplied in and the product stored -- a little of everything.
+    #    (pointer_loads=False keeps the array base pointers live-in.)
     # ------------------------------------------------------------------
-    b = IRBuilder()
-    x = b.load("A", 0)
-    y = b.load("A", 1)
-    total = b.add(x, y)
-    z = b.load("B", 0)
-    b.store(b.mul(total, z), "C", 0)
+    block = compile_minif(SOURCE, pointer_loads=False).functions[0].blocks[0]
 
     print("source block:")
-    print(format_block(b.block))
+    print(format_block(block))
 
     # ------------------------------------------------------------------
     # 2. Compute balanced weights (the paper's Figure 6 algorithm).
     # ------------------------------------------------------------------
-    dag = build_dag(b.block)
+    dag = build_dag(block)
     weights = balanced_weights(dag)
     print("\nbalanced load weights (1 + distributed parallelism):")
     for node, weight in sorted(weights.items()):
@@ -38,8 +44,8 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. Schedule under both policies.
     # ------------------------------------------------------------------
-    balanced = BalancedScheduler().schedule_block(b.block)
-    traditional = TraditionalScheduler(2).schedule_block(b.block)
+    balanced = BalancedScheduler().schedule_block(block)
+    traditional = TraditionalScheduler(2).schedule_block(block)
     print("\nbalanced schedule:")
     print(format_block(balanced.block))
     print("\ntraditional (W=2) schedule:")

@@ -2,28 +2,25 @@
 
 Quick start::
 
-    from repro import BalancedScheduler, TraditionalScheduler
-    from repro.ir import IRBuilder
+    from repro import BalancedScheduler
+    from repro.frontend import compile_minif
 
-    b = IRBuilder()
-    x = b.load("A", 0)
-    y = b.load("A", 1)
-    b.store(b.add(x, y), "B", 0)
-
-    result = BalancedScheduler().schedule_block(b.block)
+    program = compile_minif('''
+    program quickstart
+      array a[64], b[64]
+      kernel body freq 1
+        b[i] = a[i] + a[i+1]
+      end
+    end
+    ''')
+    result = BalancedScheduler().schedule_block(program.functions[0].blocks[0])
     print(result.block)
 
 See README.md for the architecture overview and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-from .analysis import (
-    AliasModel,
-    CodeDAG,
-    assert_equivalent,
-    build_dag,
-    equivalent,
-)
+from .analysis import AliasModel, CodeDAG, build_dag
 from .core import (
     AverageWeightScheduler,
     BalancedScheduler,
@@ -35,7 +32,7 @@ from .core import (
     compile_program,
     contribution_matrix,
 )
-from .ir import BasicBlock, Function, IRBuilder, Instruction, Opcode, Program
+from .ir import BasicBlock, Function, Instruction, Opcode, Program
 from .machine import (
     CacheMemory,
     FixedMemory,
@@ -62,8 +59,6 @@ __all__ = [
     "AliasModel",
     "CodeDAG",
     "build_dag",
-    "assert_equivalent",
-    "equivalent",
     "AverageWeightScheduler",
     "BalancedScheduler",
     "CompilationResult",
@@ -75,7 +70,6 @@ __all__ = [
     "contribution_matrix",
     "BasicBlock",
     "Function",
-    "IRBuilder",
     "Instruction",
     "Opcode",
     "Program",

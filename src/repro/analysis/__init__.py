@@ -7,29 +7,16 @@ load-path counting (:mod:`repro.analysis.components`), and live
 intervals for the register allocator (:mod:`repro.analysis.liveness`).
 """
 
-from .alias import AliasModel, may_alias, must_alias
+from .alias import AliasModel, may_alias
 from .components import (
     component_loads,
     connected_components,
     longest_load_path,
     longest_path_unionfind,
 )
-from .critical_path import (
-    critical_path_length,
-    height_in_nodes,
-    parallelism_estimate,
-    priorities,
-    priorities_edge_labelled,
-)
+from .critical_path import height_in_nodes, priorities
 from .dag import CodeDAG, DepKind, Edge
-from .equivalence import (
-    BlockEffect,
-    EquivalenceError,
-    assert_equivalent,
-    block_effect,
-    equivalent,
-)
-from .dependence import build_dag, dependence_summary, ordered_pairs
+from .dependence import build_dag, ordered_pairs
 from .liveness import LiveInterval, live_intervals, max_pressure, pressure_profile
 from .reachability import (
     bits,
@@ -39,31 +26,21 @@ from .reachability import (
     reachable,
     successor_closure,
 )
-from .unionfind import DisjointSets, LevelUnionFind, NamedDisjointSets
+from .unionfind import DisjointSets, LevelUnionFind
 
 __all__ = [
     "AliasModel",
     "may_alias",
-    "must_alias",
     "component_loads",
     "connected_components",
     "longest_load_path",
     "longest_path_unionfind",
-    "critical_path_length",
     "height_in_nodes",
-    "parallelism_estimate",
     "priorities",
-    "priorities_edge_labelled",
     "CodeDAG",
-    "BlockEffect",
-    "EquivalenceError",
-    "assert_equivalent",
-    "block_effect",
-    "equivalent",
     "DepKind",
     "Edge",
     "build_dag",
-    "dependence_summary",
     "ordered_pairs",
     "LiveInterval",
     "live_intervals",
@@ -77,5 +54,4 @@ __all__ = [
     "successor_closure",
     "DisjointSets",
     "LevelUnionFind",
-    "NamedDisjointSets",
 ]

@@ -63,17 +63,3 @@ def may_alias(a: MemRef, b: MemRef, model: AliasModel = AliasModel.FORTRAN) -> b
     # C: distinct named regions arrived through pointers that might
     # overlap (the f2c artefact the paper works around).
     return True
-
-
-def must_alias(a: MemRef, b: MemRef) -> bool:
-    """Do the references provably touch the same location?
-
-    Used by tests and by the store-to-load forwarding checks in the
-    simulator's consistency assertions.
-    """
-    return (
-        a.region == b.region
-        and a.base == b.base
-        and a.affine_coeff == b.affine_coeff
-        and a.offset == b.offset
-    )

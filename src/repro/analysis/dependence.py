@@ -95,14 +95,6 @@ def _add_memory_edge(
     dag.add_edge(earlier, later, kind)
 
 
-def dependence_summary(dag: CodeDAG) -> Dict[str, int]:
-    """Count edges per kind (diagnostics for tests and reports)."""
-    counts: Dict[str, int] = {}
-    for edge in dag.edges():
-        counts[edge.kind.value] = counts.get(edge.kind.value, 0) + 1
-    return counts
-
-
 def ordered_pairs(dag: CodeDAG) -> FrozenSet[Tuple[int, int]]:
     """Every (earlier, later) pair the DAG orders, transitively.
 

@@ -13,7 +13,7 @@ adds the paper's min/max level bookkeeping.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List
+from typing import Dict, Iterable, List
 
 
 class DisjointSets:
@@ -100,30 +100,3 @@ class LevelUnionFind(DisjointSets):
         """Longest path length (in nodes) of ``x``'s component."""
         root = self.find(x)
         return self.max_level[root] - self.min_level[root] + 1
-
-
-class NamedDisjointSets:
-    """Union-find over arbitrary hashable keys (convenience wrapper)."""
-
-    def __init__(self):
-        self._index: Dict[Hashable, int] = {}
-        self._keys: List[Hashable] = []
-        self._sets = DisjointSets()
-
-    def _id(self, key: Hashable) -> int:
-        if key not in self._index:
-            self._index[key] = self._sets.add()
-            self._keys.append(key)
-        return self._index[key]
-
-    def union(self, a: Hashable, b: Hashable) -> None:
-        self._sets.union(self._id(a), self._id(b))
-
-    def connected(self, a: Hashable, b: Hashable) -> bool:
-        if a not in self._index or b not in self._index:
-            return a == b
-        return self._sets.connected(self._index[a], self._index[b])
-
-    def groups(self) -> List[List[Hashable]]:
-        raw = self._sets.groups()
-        return [[self._keys[i] for i in members] for members in raw.values()]

@@ -1,6 +1,8 @@
 """Section 6 extensions: multi-cycle units, known latencies,
 block enlarging, trace scheduling, software pipelining (modulo
-scheduling), superscalar issue."""
+scheduling).  Superscalar issue is a processor model
+(:func:`repro.machine.superscalar`), measured by
+:func:`repro.experiments.run_superscalar_ablation`."""
 
 from .known_latency import (
     KnownLatencyScheduler,
@@ -11,7 +13,6 @@ from .modulo import (
     CarriedEdge,
     ModuloSchedule,
     ModuloSchedulingError,
-    minimum_ii,
     modulo_schedule,
 )
 from .multicycle import (
@@ -19,7 +20,6 @@ from .multicycle import (
     uncertain_load_or_multicycle,
     with_fp_latency,
 )
-from .superscalar import WidthSweepResult, run_width_sweep
 from .trace import (
     Trace,
     TraceError,
@@ -37,13 +37,10 @@ __all__ = [
     "CarriedEdge",
     "ModuloSchedule",
     "ModuloSchedulingError",
-    "minimum_ii",
     "modulo_schedule",
     "MultiCycleBalancedScheduler",
     "uncertain_load_or_multicycle",
     "with_fp_latency",
-    "WidthSweepResult",
-    "run_width_sweep",
     "Trace",
     "TraceError",
     "compare_trace_vs_blocks",

@@ -14,8 +14,8 @@ paper):
 
 1. ``MII = max(resource bound, recurrence bound)`` where the resource
    bound is ``ceil(instructions / issue width)`` and the recurrence
-   bound is the longest latency cycle through the loop-carried values
-   (:func:`repro.simulate.throughput.recurrence_bound`).
+   bound is the longest weighted latency cycle through the
+   loop-carried edges.
 2. For ``II = MII, MII+1, ...``: place instructions in priority order
    (critical path first) at the earliest start satisfying their
    scheduled predecessors, searching ``II`` consecutive slots for a
@@ -154,23 +154,6 @@ def _carried_edges(
             for consumer in consumers:
                 edges.append(CarriedEdge(producer, consumer, latency))
     return edges
-
-
-def minimum_ii(
-    block: BasicBlock,
-    issue_width: int = 1,
-    load_latency: Optional[int] = None,
-) -> int:
-    """``MII`` = max(resource bound, recurrence bound)."""
-    # Imported lazily: repro.simulate.throughput uses the unrolling
-    # extension, so a module-level import would be circular.
-    from ..simulate.throughput import recurrence_bound
-
-    resource = math.ceil(len(block) / issue_width)
-    if load_latency is None:
-        load_latency = 1
-    recurrence = math.ceil(recurrence_bound(block, load_latency))
-    return max(resource, recurrence, 1)
 
 
 def modulo_schedule(

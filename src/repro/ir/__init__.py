@@ -6,15 +6,13 @@ Public surface:
   :class:`MemRef`, :class:`RegClass`
 * instructions: :class:`Instruction`, :class:`Opcode` and the
   ``load`` / ``store`` / ``alu`` / ``li`` / ``mov`` / ``nop`` builders
-* structure: :class:`BasicBlock`, :class:`Function`, :class:`Program`,
-  :class:`IRBuilder`
-* text: :func:`format_block` / :func:`parse_block` round trip
-* checking: :func:`verify_block`
+* structure: :class:`BasicBlock`, :class:`Function`, :class:`Program`
+* text: :func:`format_instruction`, :func:`format_block`,
+  :func:`format_function`
 """
 
 from .block import BasicBlock, Function, Program
 from .cfg import CFG, CFGEdge, CFGError
-from .builder import IRBuilder
 from .instructions import (
     FP_OPCODES,
     Instruction,
@@ -27,7 +25,6 @@ from .instructions import (
     load,
     mov,
     nop,
-    reset_ident_counter,
     store,
 )
 from .operands import (
@@ -37,11 +34,8 @@ from .operands import (
     RegClass,
     Register,
     VirtualReg,
-    is_register,
 )
-from .parser import IRParseError, parse_block, parse_instruction, parse_register
-from .printer import format_block, format_function, format_instruction, format_program
-from .verifier import VerificationError, is_schedulable, verify_block, verify_program
+from .printer import format_block, format_function, format_instruction
 
 __all__ = [
     "BasicBlock",
@@ -50,7 +44,6 @@ __all__ = [
     "CFGError",
     "Function",
     "Program",
-    "IRBuilder",
     "Instruction",
     "Opcode",
     "FP_OPCODES",
@@ -63,24 +56,13 @@ __all__ = [
     "mov",
     "nop",
     "store",
-    "reset_ident_counter",
     "Immediate",
     "MemRef",
     "PhysReg",
     "RegClass",
     "Register",
     "VirtualReg",
-    "is_register",
-    "IRParseError",
-    "parse_block",
-    "parse_instruction",
-    "parse_register",
     "format_block",
     "format_function",
     "format_instruction",
-    "format_program",
-    "VerificationError",
-    "is_schedulable",
-    "verify_block",
-    "verify_program",
 ]

@@ -263,9 +263,3 @@ def mov(dst: Register, src: Register, tag: str = "") -> Instruction:
 def nop() -> Instruction:
     """Build a no-op (virtual; removed before emission)."""
     return Instruction(Opcode.NOP)
-
-
-def reset_ident_counter() -> None:
-    """Reset instruction generation order (tests use this for determinism)."""
-    global _ident_counter
-    _ident_counter = itertools.count()

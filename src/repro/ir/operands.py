@@ -124,8 +124,3 @@ class MemRef:
         base = str(self.base) if self.base is not None else "0"
         sign = "+" if self.offset >= 0 else "-"
         return f"{self.region}[{base}{sign}{abs(self.offset)}]"
-
-
-def is_register(operand: object) -> bool:
-    """Return True when ``operand`` is a virtual or physical register."""
-    return isinstance(operand, (VirtualReg, PhysReg))

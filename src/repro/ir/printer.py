@@ -1,4 +1,4 @@
-"""Textual form of the IR and its inverse lives in :mod:`repro.ir.parser`.
+"""Textual form of the IR, for listings and CLI output.
 
 The grammar is one instruction per line::
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .block import BasicBlock, Function, Program
+from .block import BasicBlock, Function
 from .instructions import Instruction, Opcode
 
 
@@ -52,13 +52,6 @@ def format_function(function: Function) -> str:
     lines = [f"func {function.name}:"]
     for block in function:
         lines.append(_indent(format_block(block)))
-    return "\n".join(lines)
-
-
-def format_program(program: Program) -> str:
-    lines = [f"program {program.name}:"]
-    for function in program:
-        lines.append(_indent(format_function(function)))
     return "\n".join(lines)
 
 

@@ -103,7 +103,8 @@ class SpillRewriter:
         self.live_out = set(live_out)
         #: Position of each live-in register: a spilled live-in reloads
         #: from home slot = its live-in index, which keeps its symbolic
-        #: identity recoverable (see repro.analysis.equivalence).
+        #: identity recoverable (see ``_block_effect`` in
+        #: repro.verify.oracle).
         self.live_in_order: Dict[Register, int] = {
             reg: index for index, reg in enumerate(live_in)
         }

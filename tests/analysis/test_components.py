@@ -12,7 +12,8 @@ from repro.analysis import (
 )
 from repro.analysis.dag import CodeDAG, DepKind
 from repro.ir import MemRef, Opcode, VirtualReg, alu, load
-from repro.workloads import figure7_block, random_dag
+from repro.workloads import figure7_block
+from tests.support.generator import random_dag
 
 
 def mixed_dag():

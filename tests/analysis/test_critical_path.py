@@ -2,13 +2,7 @@
 
 from fractions import Fraction
 
-from repro.analysis import (
-    build_dag,
-    critical_path_length,
-    height_in_nodes,
-    parallelism_estimate,
-    priorities,
-)
+from repro.analysis import build_dag, height_in_nodes, priorities
 from repro.analysis.dag import CodeDAG, DepKind
 from repro.ir import Opcode, VirtualReg, alu
 
@@ -62,24 +56,6 @@ class TestPriorities:
 
 
 class TestCriticalPath:
-    def test_chain_length(self):
-        assert critical_path_length(chain(4)) == 4
-
-    def test_empty(self):
-        assert critical_path_length(CodeDAG([])) == 0
-
     def test_height_in_nodes(self):
         assert height_in_nodes(chain(4)) == 4
         assert height_in_nodes(CodeDAG([])) == 0
-
-
-class TestParallelism:
-    def test_chain_has_no_parallelism(self):
-        assert parallelism_estimate(chain(5)) == 1.0
-
-    def test_independent_nodes_fully_parallel(self):
-        instrs = [alu(Opcode.ADD, VirtualReg(100 + k), ()) for k in range(6)]
-        assert parallelism_estimate(CodeDAG(instrs)) == 6.0
-
-    def test_empty(self):
-        assert parallelism_estimate(CodeDAG([])) == 0.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import AliasModel, DepKind, build_dag, dependence_summary
+from repro.analysis import AliasModel, DepKind, build_dag
 from repro.ir import (
     BasicBlock,
     Instruction,
@@ -14,7 +14,7 @@ from repro.ir import (
     load,
     store,
 )
-from repro.workloads import random_block
+from tests.support.generator import random_block
 
 
 def ref(region="A", offset=0, base=None, coeff=0):
@@ -123,13 +123,6 @@ class TestControl:
         block.append(Instruction(Opcode.RET))
         dag = build_dag(block, serialize_terminator=False)
         assert dag.edge_kind(0, 1) is None
-
-
-def test_dependence_summary_counts(saxpy_block):
-    dag = build_dag(saxpy_block)
-    summary = dependence_summary(dag)
-    assert summary.get("true", 0) > 0
-    assert sum(summary.values()) == dag.edge_count()
 
 
 def test_edges_always_forward(rng):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.analysis.critical_path import priorities, priorities_edge_labelled
+from repro.analysis.critical_path import priorities
 from repro.analysis.dag import CodeDAG, DepKind
 from repro.core import schedule_dag
 from repro.ir import MemRef, Opcode, VirtualReg, alu, load
@@ -59,24 +59,4 @@ class TestEdgeLabels:
         dag = fan_out_dag()
         dag.set_edge_latency(0, 2, 9)
         plain = priorities(dag)
-        labelled = priorities_edge_labelled(dag)
         assert plain[0] == 2          # node-weight view unchanged
-        assert labelled[0] == 10      # 9 (edge) + 1 (leaf)
-
-
-class TestEdgeLabelledPriorities:
-    def test_equals_plain_without_labels(self):
-        dag = fan_out_dag()
-        dag.set_weight(0, Fraction(3))
-        assert priorities_edge_labelled(dag) == priorities(dag)
-
-    def test_anti_edge_costs_one_slot(self):
-        instrs = [
-            load(VirtualReg(0), A),
-            load(VirtualReg(0), A.displaced(1)),
-        ]
-        dag = CodeDAG(instrs)
-        dag.add_edge(0, 1, DepKind.OUTPUT)
-        dag.set_weight(0, Fraction(9))
-        labelled = priorities_edge_labelled(dag)
-        assert labelled[0] == 9  # max(own weight 9, 1 + 1)

@@ -4,12 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import AliasModel, build_dag
-from repro.analysis.equivalence import (
-    EquivalenceError,
-    assert_equivalent,
-    block_effect,
-    equivalent,
-)
 from repro.core import BalancedScheduler, TraditionalScheduler, compile_block
 from repro.ir import (
     BasicBlock,
@@ -22,7 +16,13 @@ from repro.ir import (
     store,
 )
 from repro.regalloc import RegisterFile
-from repro.workloads import random_block
+from tests.support.equivalence import (
+    EquivalenceError,
+    assert_equivalent,
+    block_effect,
+    equivalent,
+)
+from tests.support.generator import random_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 

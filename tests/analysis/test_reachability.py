@@ -13,7 +13,7 @@ from repro.analysis import (
     successor_closure,
 )
 from repro.analysis.dag import CodeDAG, DepKind
-from repro.workloads import random_dag
+from tests.support.generator import random_dag
 
 
 def chain_dag(n=4):

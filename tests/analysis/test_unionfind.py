@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import DisjointSets, LevelUnionFind, NamedDisjointSets
+from repro.analysis import DisjointSets, LevelUnionFind
 
 
 class TestDisjointSets:
@@ -83,24 +83,3 @@ class TestLevelUnionFind:
     def test_singleton_length_one(self):
         uf = LevelUnionFind([5])
         assert uf.path_length(0) == 1
-
-
-class TestNamedDisjointSets:
-    def test_arbitrary_keys(self):
-        ds = NamedDisjointSets()
-        ds.union("a", "b")
-        ds.union("c", "d")
-        assert ds.connected("a", "b")
-        assert not ds.connected("a", "c")
-
-    def test_unknown_keys_connected_iff_equal(self):
-        ds = NamedDisjointSets()
-        assert ds.connected("x", "x")
-        assert not ds.connected("x", "y")
-
-    def test_groups(self):
-        ds = NamedDisjointSets()
-        ds.union("a", "b")
-        ds.union("b", "c")
-        groups = ds.groups()
-        assert sorted(map(sorted, groups)) == [["a", "b", "c"]]

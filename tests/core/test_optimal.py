@@ -32,8 +32,9 @@ from repro.core import (
 )
 from repro.simulate.simulator import UNLIMITED, simulate_block
 from repro.verify.oracle import check_schedule
-from repro.workloads import figure1_block, random_block
+from repro.workloads import figure1_block
 from repro.workloads.perfect import load_program
+from tests.support.generator import random_block
 
 MODELS = (2, 5)
 

@@ -11,9 +11,11 @@ from repro.core import (
     compile_program,
 )
 from repro.frontend import compile_minif
-from repro.ir import PhysReg, VirtualReg, verify_block
+from repro.ir import PhysReg, VirtualReg
 from repro.regalloc import RegisterFile
-from repro.workloads import load_program, random_block
+from repro.workloads import load_program
+from tests.support.generator import random_block
+from tests.support.verifier import verify_block
 
 TIGHT = RegisterFile(n_int=4, n_fp=4)
 

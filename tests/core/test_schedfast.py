@@ -31,8 +31,8 @@ from repro.ir import MemRef, Opcode, VirtualReg, alu, load
 from repro.obs.decisions import DecisionLog
 from repro.obs.metrics import split_series_key
 from repro.simulate.rng import spawn
-from repro.workloads import random_block
 from repro.workloads.perfect import load_program, program_names
+from tests.support.generator import random_block
 
 from .oracles import (
     SchedulerState,

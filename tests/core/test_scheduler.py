@@ -22,7 +22,8 @@ from repro.core import (
     schedule_dag,
 )
 from repro.ir import MemRef, Opcode, VirtualReg, alu, load
-from repro.workloads import figure1_block, label_order, random_block
+from repro.workloads import figure1_block, label_order
+from tests.support.generator import random_block
 
 
 def respects_dependences(dag: CodeDAG, order):

@@ -24,13 +24,8 @@ from repro.extensions.multicycle import (
     with_fp_latency,
 )
 from repro.ir import MemRef, Opcode, VirtualReg, alu, load
-from repro.workloads import (
-    figure1_block,
-    figure4_block,
-    figure7_block,
-    random_block,
-    random_dag,
-)
+from repro.workloads import figure1_block, figure4_block, figure7_block
+from tests.support.generator import random_block, random_dag
 
 from .oracles import balanced_weights_reference
 

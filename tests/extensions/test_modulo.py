@@ -1,15 +1,9 @@
 """Tests for iterative modulo scheduling (Section 6)."""
 
-import math
-
 import pytest
 
 from repro.core import BalancedScheduler, TraditionalScheduler
-from repro.extensions.modulo import (
-    ModuloSchedulingError,
-    minimum_ii,
-    modulo_schedule,
-)
+from repro.extensions.modulo import ModuloSchedulingError, modulo_schedule
 from repro.frontend import compile_minif
 from repro.ir import BasicBlock
 
@@ -44,24 +38,6 @@ end
 
 def body_of(source):
     return compile_minif(source, pointer_loads=False).functions[0].blocks[0]
-
-
-class TestMinimumII:
-    def test_resource_bound_dominates_parallel_loop(self):
-        body = body_of(STREAM)
-        assert minimum_ii(body) == len(body)
-
-    def test_issue_width_shrinks_resource_bound(self):
-        body = body_of(STREAM)
-        assert minimum_ii(body, issue_width=2) == math.ceil(len(body) / 2)
-
-    def test_recurrence_floor(self):
-        body = body_of(FILTER)
-        # Resource bound (4 instructions) exceeds the 2-cycle
-        # recurrence here, so MII is resource bound at width 1...
-        assert minimum_ii(body) == len(body)
-        # ...but at high width the recurrence takes over.
-        assert minimum_ii(body, issue_width=8) == 2
 
 
 class TestModuloSchedule:

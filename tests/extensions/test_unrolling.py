@@ -6,7 +6,7 @@ from repro.analysis import build_dag
 from repro.analysis.critical_path import height_in_nodes
 from repro.extensions import UnrollError, enlarge_block, infer_carried
 from repro.frontend import compile_minif
-from repro.ir import verify_block
+from tests.support.verifier import verify_block
 
 REDUCTION = """
 program p

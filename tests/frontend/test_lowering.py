@@ -4,7 +4,8 @@ import pytest
 
 from repro.frontend import LoweringError, compile_minif
 from repro.frontend.lowering import POINTER_TABLE_REGION
-from repro.ir import Opcode, RegClass, verify_block
+from repro.ir import Opcode, RegClass
+from tests.support.verifier import verify_block
 
 
 def lower(source, **kwargs):

@@ -23,7 +23,7 @@ from repro.frontend import (
 )
 from repro.frontend.lowering import lower_ast
 from repro.frontend.printer import format_expr, format_program_ast
-from repro.ir import verify_block
+from tests.support.verifier import verify_block
 
 ARRAYS = ("arra", "arrb", "arrc", "arrd")
 SCALARS = ("s", "u", "acc")

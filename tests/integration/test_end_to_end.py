@@ -17,7 +17,6 @@ from repro import (
     spawn,
 )
 from repro.frontend import compile_minif
-from repro.ir import verify_block
 from repro.machine import (
     CacheMemory,
     FixedMemory,
@@ -28,6 +27,7 @@ from repro.machine import (
 )
 from repro.simulate import compare_runs
 from repro.workloads import load_program, load_suite
+from tests.support.verifier import verify_block
 
 SOURCE = """
 program demo

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import build_dag
-from repro.analysis.equivalence import assert_equivalent
 from repro.core import (
     BalancedScheduler,
     TraditionalScheduler,
@@ -23,7 +22,8 @@ from repro.core import (
 from repro.machine import LEN_8, MAX_8, UNLIMITED
 from repro.regalloc import RegisterFile
 from repro.simulate import simulate_block
-from repro.workloads import random_block
+from tests.support.equivalence import assert_equivalent
+from tests.support.generator import random_block
 
 
 def _loads(block):
@@ -145,7 +145,7 @@ class TestPipelineSemantics:
     @given(st.integers(0, 5000))
     @settings(max_examples=20, deadline=None)
     def test_full_pipeline_preserves_stores(self, seed):
-        from repro.analysis.equivalence import block_effect
+        from tests.support.equivalence import block_effect
 
         rng = np.random.default_rng(seed)
         block = random_block(rng, n_instructions=18)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ir import Immediate, MemRef, PhysReg, RegClass, VirtualReg, is_register
+from repro.ir import Immediate, MemRef, PhysReg, RegClass, VirtualReg
 
 
 class TestVirtualReg:
@@ -71,10 +71,3 @@ class TestMemRef:
         mem = MemRef(region="A")
         with pytest.raises(AttributeError):
             mem.offset = 9  # type: ignore[misc]
-
-
-def test_is_register():
-    assert is_register(VirtualReg(0))
-    assert is_register(PhysReg(0))
-    assert not is_register(Immediate(1))
-    assert not is_register(MemRef(region="A"))

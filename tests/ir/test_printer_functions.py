@@ -1,7 +1,7 @@
-"""Tests for function/program-level textual rendering."""
+"""Tests for function-level textual rendering."""
 
 from repro.frontend import compile_minif
-from repro.ir import format_function, format_program
+from repro.ir import format_function
 
 SOURCE = """
 program render
@@ -23,20 +23,3 @@ def test_format_function_contains_blocks():
     assert text.startswith("func first:")
     assert "block first freq 3:" in text
     assert "load" in text
-
-
-def test_format_program_lists_every_function():
-    program = compile_minif(SOURCE)
-    text = format_program(program)
-    assert text.startswith("program render:")
-    assert "func first:" in text
-    assert "func second:" in text
-    assert "freq 7" in text
-
-
-def test_rendering_is_indented_consistently():
-    program = compile_minif(SOURCE)
-    text = format_program(program)
-    for line in text.splitlines():
-        if line.strip().startswith(("load", "store", "fadd", "fmul", "li")):
-            assert line.startswith("        "), line  # 2 + 2 + 4 spaces

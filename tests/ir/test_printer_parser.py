@@ -5,7 +5,6 @@ import pytest
 
 from repro.ir import (
     BasicBlock,
-    IRParseError,
     MemRef,
     Opcode,
     PhysReg,
@@ -13,11 +12,14 @@ from repro.ir import (
     VirtualReg,
     format_block,
     format_instruction,
+)
+from tests.support.generator import random_block
+from tests.support.ir_parser import (
+    IRParseError,
     parse_block,
     parse_instruction,
     parse_register,
 )
-from repro.workloads import random_block
 
 
 class TestParseRegister:

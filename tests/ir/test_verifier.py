@@ -7,15 +7,13 @@ from repro.ir import (
     Instruction,
     MemRef,
     Opcode,
-    VerificationError,
     VirtualReg,
     alu,
-    is_schedulable,
     load,
     nop,
     store,
-    verify_block,
 )
+from tests.support.verifier import VerificationError, verify_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 
@@ -87,13 +85,3 @@ def test_duplicate_ident_rejected():
     block.append(inst)  # same object, same ident
     with pytest.raises(VerificationError, match="duplicate ident"):
         verify_block(block)
-
-
-def test_is_schedulable_rejects_nops():
-    block = BasicBlock("b")
-    block.append(nop())
-    assert not is_schedulable(block)
-
-
-def test_is_schedulable_accepts_clean(saxpy_block):
-    assert is_schedulable(saxpy_block)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import live_intervals
-from repro.analysis.equivalence import block_effect
 from repro.core import BalancedScheduler, compile_block
 from repro.ir import (
     BasicBlock,
@@ -16,7 +15,6 @@ from repro.ir import (
     alu,
     load,
     store,
-    verify_block,
 )
 from repro.regalloc import (
     ChaitinAllocator,
@@ -24,7 +22,9 @@ from repro.regalloc import (
     RegisterFile,
     allocate_block_chaitin,
 )
-from repro.workloads import random_block
+from tests.support.equivalence import block_effect
+from tests.support.generator import random_block
+from tests.support.verifier import verify_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 

@@ -14,10 +14,10 @@ from repro.ir import (
     alu,
     load,
     store,
-    verify_block,
 )
 from repro.regalloc import LinearScanAllocator, RegisterFile, allocate_block
-from repro.workloads import random_block
+from tests.support.generator import random_block
+from tests.support.verifier import verify_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 

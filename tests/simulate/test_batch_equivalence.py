@@ -12,13 +12,7 @@ the hand-written simulator tests never reach.
 import numpy as np
 import pytest
 
-from repro.machine import (
-    LEN_8,
-    MAX_8,
-    ProcessorModel,
-    UNLIMITED,
-    superscalar,
-)
+from repro.machine import LEN_8, MAX_8, ProcessorModel, UNLIMITED, superscalar
 from repro.machine.config import SYSTEMS_BY_NAME
 from repro.machine.memory import FixedMemory
 from repro.machine.processor import BLOCKING
@@ -26,7 +20,7 @@ from repro.simulate import simulate_block
 from repro.simulate.batch import BatchSimResult, simulate_block_batch
 from repro.simulate.program import sample_block
 from repro.simulate.rng import spawn
-from repro.workloads.generator import random_block
+from tests.support.generator import random_block
 
 #: All processor models the paper uses, plus tighter MAX/LEN variants
 #: (small limits bind far more often than the paper's 8) and the

@@ -8,7 +8,7 @@ from repro.core import BalancedScheduler, TraditionalScheduler
 from repro.ir import MemRef, Opcode, RegClass, VirtualReg, alu, load
 from repro.machine import BLOCKING, UNLIMITED
 from repro.simulate import simulate_block
-from repro.workloads import random_block
+from tests.support.generator import random_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 

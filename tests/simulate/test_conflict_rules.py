@@ -34,8 +34,8 @@ from repro.simulate.batch import _conflict_matrix, _index_steps
 from repro.simulate.rng import spawn
 from repro.simulate.simulator import conflict_successors
 from repro.verify import hardware_ordered_pairs
-from repro.workloads.generator import random_block
 from repro.workloads.perfect import load_program, program_names
+from tests.support.generator import random_block
 
 FIXTURES = sorted(glob.glob(
     os.path.join(os.path.dirname(__file__), "fixtures", "*.mf")

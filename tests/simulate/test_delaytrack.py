@@ -59,7 +59,7 @@ from repro.verify.fuzz import (
     attribution_entries,
     delaytrack_bases,
 )
-from repro.workloads.generator import random_block
+from tests.support.generator import random_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 

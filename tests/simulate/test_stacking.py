@@ -28,12 +28,8 @@ from repro.simulate.program import (
     simulate_programs,
 )
 from repro.simulate.rng import spawn
-from repro.verify.fuzz import (
-    FUZZ_MEMORIES,
-    FUZZ_PROCESSORS,
-    delaytrack_bases,
-)
-from repro.workloads.generator import random_block
+from repro.verify.fuzz import FUZZ_MEMORIES, FUZZ_PROCESSORS, delaytrack_bases
+from tests.support.generator import random_block
 
 
 def _parts(n_loads, seed):

@@ -23,7 +23,7 @@ from repro.machine.processor import MAX_8, ProcessorModel
 from repro.simulate import LatencyOverrunError, simulate_block
 from repro.simulate.batch import simulate_block_batch
 from repro.simulate.rng import spawn
-from repro.workloads.generator import random_block
+from tests.support.generator import random_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 

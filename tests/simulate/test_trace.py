@@ -32,8 +32,9 @@ from repro.verify.fuzz import (
     FUZZ_PROCESSORS,
     attribution_entries,
 )
-from repro.workloads import figure1_block, random_block
+from repro.workloads import figure1_block
 from repro.workloads.perfect import load_suite
+from tests.support.generator import random_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 

@@ -13,9 +13,10 @@ from repro.core import BalancedScheduler, TraditionalScheduler
 from repro.extensions.trace import form_trace, schedule_trace
 from repro.machine import LEN_8, MAX_8, NetworkMemory, UNLIMITED
 from repro.simulate.trace import BlockTrace, StallReason, trace_block
-from repro.workloads import load_program, random_block
+from repro.workloads import load_program
 
 from tests.extensions.test_trace import hot_path_cfg
+from tests.support.generator import random_block
 
 
 def _scheduled_suite_block(policy=None):

@@ -1,0 +1,13 @@
+"""Test-only references and fixtures.
+
+Code here is imported by tests and benchmarks, never by ``repro``:
+
+* :mod:`.equivalence` -- the symbolic-execution equivalence checker,
+  the reference for the legality oracle's block effect;
+* :mod:`.ir_parser` -- the inverse of :mod:`repro.ir.printer`;
+* :mod:`.verifier` -- structural well-formedness checks for IR blocks;
+* :mod:`.generator` -- seeded random blocks and DAGs.
+
+Import it from the repository root (``python -m pytest`` puts the
+working directory on ``sys.path``).
+"""

@@ -24,7 +24,7 @@ from repro.machine import (
 from repro.simulate.rng import spawn
 from repro.simulate.simulator import delaytrack_issue_trace, simulate_block
 from repro.verify import check_delaytrack_issue, hardware_ordered_pairs
-from repro.workloads.generator import random_block
+from tests.support.generator import random_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 

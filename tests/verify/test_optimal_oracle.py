@@ -29,8 +29,8 @@ from repro.verify.oracle import (
     check_machine,
     check_schedule,
 )
-from repro.workloads import random_block
 from repro.workloads.perfect import load_program
+from tests.support.generator import random_block
 
 MODELS = (2, 5)
 

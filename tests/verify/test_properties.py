@@ -16,7 +16,6 @@ import pytest
 
 from repro.analysis import build_dag, may_alias, ordered_pairs
 from repro.analysis.alias import AliasModel
-from repro.analysis.equivalence import block_effect
 from repro.core import BalancedScheduler, TraditionalScheduler, compile_block
 from repro.ir.operands import MemRef, RegClass, VirtualReg
 from repro.regalloc import SPILL_HOME_REGION, SPILL_OUT_REGION
@@ -24,7 +23,8 @@ from repro.simulate.rng import spawn
 from repro.verify import check_compiled, check_schedule, constrained_pairs
 from repro.verify import oracle
 from repro.verify.fuzz import FUZZ_PROCESSORS
-from repro.workloads import random_block
+from tests.support.equivalence import block_effect
+from tests.support.generator import random_block
 
 N_PROGRAMS = 200
 POLICIES = (
@@ -170,8 +170,9 @@ def test_oracle_spill_naming_matches_allocator():
 
 @pytest.mark.parametrize("seed", range(0, 30, 3))
 def test_oracle_effect_agrees_with_equivalence_checker(seed):
-    """The oracle's private symbolic executor and the production
-    translation validator must summarize a block identically."""
+    """The oracle's private symbolic executor and the reference
+    translation validator (``tests.support.equivalence``) must
+    summarize a block identically."""
     block, policy, model = _case(seed)
     compiled = compile_block(block, policy, alias_model=model)
     for candidate in (compiled.source, compiled.final):

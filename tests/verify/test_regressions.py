@@ -8,7 +8,6 @@ and exact: each documents the failure it used to trigger.
 import pytest
 
 from repro.analysis.alias import AliasModel
-from repro.analysis.equivalence import assert_equivalent
 from repro.core import BalancedScheduler, TraditionalScheduler
 from repro.core.pipeline import compile_program
 from repro.frontend import compile_minif
@@ -16,6 +15,7 @@ from repro.ir.operands import VirtualReg
 from repro.regalloc import SPILL_OUT_REGION
 from repro.verify import check_allocation, check_compiled
 from repro.verify.fuzz import check_source
+from tests.support.equivalence import assert_equivalent
 
 #: Found by ``fuzz --seed 1`` (iteration 0), shrunk to four statements.
 #: The unroll-3 kernel scatters through ``idx`` with enough pressure

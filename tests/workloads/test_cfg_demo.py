@@ -3,8 +3,8 @@
 import pytest
 
 from repro.extensions import form_trace
-from repro.ir import verify_block
 from repro.workloads import hot_path_cfg
+from tests.support.verifier import verify_block
 
 
 class TestHotPathCfg:

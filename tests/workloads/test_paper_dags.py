@@ -6,8 +6,8 @@ example graphs; the weight/schedule claims themselves are covered in
 """
 
 from repro.analysis import build_dag, reachable
-from repro.ir import verify_block
 from repro.workloads import figure1_block, figure4_block, figure7_block, label_order
+from tests.support.verifier import verify_block
 
 
 def inverse(labels):

@@ -5,15 +5,14 @@ import pytest
 
 from repro.analysis import build_dag
 from repro.core import balanced_weights
-from repro.ir import verify_block
 from repro.workloads import (
     PROGRAM_ORDER,
     load_program,
     load_suite,
     program_names,
-    random_block,
-    random_dag,
 )
+from tests.support.generator import random_block, random_dag
+from tests.support.verifier import verify_block
 
 
 class TestSuite:
