@@ -13,10 +13,15 @@ to the scalar oracle and record the numbers in
   a **>= 2x paired-median speedup for width-1 DT-8**;
 * the same pairing on a 512-instruction generated block for DT-8 on
   the unrestricted and MAX-8 bases, comparable to the large-block rows
-  in ``BENCH_superscalar.json``;
+  in ``BENCH_superscalar.json``.  The scalar leg times 3 of the 30
+  runs (runs are independent, so its time is linear in the run count)
+  and is scaled x10 into ``scalar_seconds``;
 * the delay-tracking study's final blocks at tables 1, 2, 4 and 64,
   one batch call per (block, table) against one call per block with
   the table passed per row (``study_blocks_x30/tables_stacked``);
+* the same blocks and tables, one call per block (120 columns) against
+  one ragged call per block position across the four policies'
+  binaries (480 columns; ``study_positions_x120/blocks_stacked``);
 * the study's oracle replay at tables 0, 1, 2, 4 and 64: each (block,
   table) building its own conflict lists and ordered pairs against
   the study's replay, which builds them once per block
@@ -61,6 +66,9 @@ BENCH_PATH = (
 
 RUNS = 30
 MEDIAN_SPEEDUP_FLOOR = 2.0  # paired median, width-1 DT-8 MDG blocks
+#: Runs the scalar engine times on the 512-instruction block (~6 s a
+#: run); ``scalar_seconds`` scales its best-of-5 to ``RUNS``.
+LARGE_SCALAR_RUNS = 3
 
 _RECORD: dict = {}
 
@@ -95,8 +103,11 @@ def _mdg_blocks():
     return compiled.final_blocks
 
 
-def _paired_times(block, processor, key):
-    """(scalar_seconds, batch_seconds) for one block, cross-checked."""
+def _paired_times(block, processor, key, scalar_runs=RUNS):
+    """(scalar_seconds, batch_seconds) for one block, cross-checked.
+
+    The scalar leg times the first ``scalar_runs`` runs and scales the
+    time to ``RUNS``: runs are independent, so it is linear in them."""
     memory = SYSTEMS_BY_NAME["N(2,5)"]
     n_loads = sum(1 for i in block.instructions if i.is_load)
     latencies = memory.sample_many(
@@ -113,10 +124,10 @@ def _paired_times(block, processor, key):
         )
 
     def scalar_loop():
-        for run in range(RUNS):
+        for run in range(scalar_runs):
             simulate_block(block.instructions, latencies[run], processor)
 
-    scalar_s = _best_of(scalar_loop)
+    scalar_s = _best_of(scalar_loop) * RUNS / scalar_runs
     batch_s = _best_of(
         lambda: simulate_block_batch(block.instructions, latencies, processor)
     )
@@ -168,10 +179,12 @@ def test_bench_large_block_dt8_families(base):
     processor = delay_tracking(8) if base is None else delay_tracking(8, base)
     block = random_block(spawn("bench-dt-large"), n_instructions=512)
     scalar_s, batch_s = _paired_times(
-        block, processor, ("large", processor.name)
+        block, processor, ("large", processor.name),
+        scalar_runs=LARGE_SCALAR_RUNS,
     )
     _RECORD[f"large_block_512x30/{processor.name}"] = {
         "scalar_seconds": scalar_s,
+        "scalar_runs_timed": LARGE_SCALAR_RUNS,
         "batch_seconds": batch_s,
         "speedup": round(scalar_s / batch_s, 2),
         "runs_per_second": round(RUNS / batch_s),
@@ -261,6 +274,90 @@ def test_bench_study_blocks_tables_stacked():
         "per_table_calls": len(alone),
         "stacked_calls": len(together),
         "per_table_seconds": round(statistics.median(walls["per_table"]), 4),
+        "stacked_seconds": round(statistics.median(walls["stacked"]), 4),
+        "speedup": round(speedup, 2),
+    }
+
+
+def test_bench_study_positions_blocks_stacked():
+    """The study's nonzero tables again: one kernel call per block (the
+    four tables' rows stacked, 120 columns) against one ragged call per
+    block position across the four policies' binaries (480 columns).
+    Legs alternate; the speedup is the median of the per-pair ratios.
+    Every column of the ragged calls must equal the per-block calls."""
+    base = delay_tracking(STUDY_TABLES[0])
+    row_tables = np.repeat(STUDY_TABLES, RUNS)
+    positions = []
+    for name, compiled in _study_programs():
+        programs = [artefacts.final_blocks for artefacts in compiled.values()]
+        for position, blocks in enumerate(zip(*programs)):
+            parts = []
+            for tag, block in zip(compiled, blocks):
+                n_loads = sum(1 for i in block.instructions if i.is_load)
+                parts.append(np.concatenate([
+                    N_2_5.sample_many(
+                        spawn("bench-dt-positions", name, position, tag, t),
+                        n_loads * RUNS,
+                    ).reshape(RUNS, n_loads)
+                    for t in STUDY_TABLES
+                ]))
+            width = max(rows.shape[1] for rows in parts)
+            positions.append((
+                [block.instructions for block in blocks],
+                parts,
+                np.concatenate([
+                    np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
+                    for rows in parts
+                ]),
+            ))
+    n_policies = len(positions[0][0])
+    stack_tables = np.tile(row_tables, n_policies)
+    stack_index = np.repeat(np.arange(n_policies), row_tables.size)
+
+    def per_block():
+        return [
+            simulate_block_batch(
+                instructions, rows, base, tables=row_tables
+            )
+            for blocks, parts, _ in positions
+            for instructions, rows in zip(blocks, parts)
+        ]
+
+    def stacked():
+        return [
+            simulate_block_batch(
+                blocks, latencies, base, tables=stack_tables,
+                block_index=stack_index,
+            )
+            for blocks, _, latencies in positions
+        ]
+
+    alone, together = per_block(), stacked()
+    k = 0
+    for result in together:
+        for b in range(n_policies):
+            ref = alone[k]
+            mine = stack_index == b
+            assert (result.cycles[mine] == ref.cycles).all(), (k, b)
+            assert (result.interlocks[mine] == ref.interlocks).all(), (k, b)
+            k += 1
+    assert k == len(alone)
+
+    walls = {"per_block": [], "stacked": []}
+    for _ in range(5):
+        for name, leg in (("per_block", per_block), ("stacked", stacked)):
+            start = time.perf_counter()
+            leg()
+            walls[name].append(time.perf_counter() - start)
+    speedup = statistics.median(
+        a / b for a, b in zip(walls["per_block"], walls["stacked"])
+    )
+    _RECORD["study_positions_x120/blocks_stacked"] = {
+        "blocks": len(alone),
+        "tables": list(STUDY_TABLES),
+        "per_block_calls": len(alone),
+        "stacked_calls": len(together),
+        "per_block_seconds": round(statistics.median(walls["per_block"]), 4),
         "stacked_seconds": round(statistics.median(walls["stacked"]), 4),
         "speedup": round(speedup, 2),
     }

@@ -14,7 +14,7 @@ from .components import (
     longest_load_path,
     longest_path_unionfind,
 )
-from .critical_path import height_in_nodes, priorities
+from .critical_path import priorities
 from .dag import CodeDAG, DepKind, Edge
 from .dependence import build_dag, ordered_pairs
 from .liveness import LiveInterval, live_intervals, max_pressure, pressure_profile
@@ -35,7 +35,6 @@ __all__ = [
     "connected_components",
     "longest_load_path",
     "longest_path_unionfind",
-    "height_in_nodes",
     "priorities",
     "CodeDAG",
     "DepKind",

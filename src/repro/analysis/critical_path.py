@@ -31,15 +31,3 @@ def priorities(dag: CodeDAG) -> List[Weight]:
                 best = out[s]
         out[v] = dag.weights[v] + best
     return out
-
-
-def height_in_nodes(dag: CodeDAG) -> int:
-    """Longest path length counted in nodes (unweighted)."""
-    n = len(dag)
-    if n == 0:
-        return 0
-    depth = [1] * n
-    for v in reversed(range(n)):
-        for s in dag.successors(v):
-            depth[v] = max(depth[v], depth[s] + 1)
-    return max(depth)

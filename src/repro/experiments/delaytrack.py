@@ -33,8 +33,10 @@ block's table replays.
 
 Each program is sampled in one :func:`~repro.simulate.program.
 simulate_programs` call over all its (table, policy) pairs, each with
-its own latency stream: a compiled block's rows at every nonzero table
-size share one kernel call.
+its own latency stream.  At each block position, the rows of the four
+policies' binaries at every nonzero table size share one ragged kernel
+call (480 columns at 30 runs); table 0 is the in-order machine and
+keeps one call per binary.
 
 All numbers are deterministic for a fixed seed, so the rendered report
 is byte-stable and committed under ``results/delay_tracking.txt``.

@@ -23,9 +23,12 @@ fallback:
   vectors, composed with the same top-k and window machinery;
 * a nonzero ``load_delay_tracking`` table, via
   :func:`_delaytrack_kernel`, which reads its table size per run, so
-  runs at different table sizes share one call.  A table of size 0
-  never parks an instruction, so it is the in-order machine and runs
-  on the kernels above.
+  runs at different table sizes share one call.  The kernel is ragged
+  besides: each column is a (block, run) pair, so runs of different
+  blocks share one call too (``block_index``), and a plain one-block
+  call is its one-block case.  A table of size 0 never parks an
+  instruction, so it is the in-order machine and runs on the kernels
+  above.
 
 On request (``attribute=True``) the single-issue kernel also records
 each step's stall and what bound it -- the stall attribution behind
@@ -41,7 +44,7 @@ issue widths and memory families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -263,12 +266,13 @@ def batch_kernel(processor: ProcessorModel) -> str:
 
 
 def simulate_block_batch(
-    instructions: Sequence[Instruction],
+    instructions: Union[Sequence[Instruction], Sequence[Sequence[Instruction]]],
     latencies: np.ndarray,
     processor: ProcessorModel = UNLIMITED,
     attribute: bool = False,
     count_runs: bool = True,
     tables: Optional[np.ndarray] = None,
+    block_index: Optional[np.ndarray] = None,
 ) -> BatchSimResult:
     """Simulate ``runs`` executions of a straight-line sequence at once.
 
@@ -289,34 +293,85 @@ def simulate_block_batch(
     run (shape ``(runs,)``, every entry >= 1) in place of its own
     ``load_delay_tracking``, so rows of machines that differ only in
     their table size share one call.
+
+    ``block_index`` (shape ``(runs,)``) makes a delay-tracking call
+    ragged: ``instructions`` is then a sequence of blocks, and run
+    ``r`` executes ``instructions[block_index[r]]`` with the first
+    ``n_loads`` entries of its row, ``n_loads`` being that block's own
+    load count.  The result's ``instructions`` is then the ``(runs,)``
+    array of each run's executed count.  A run's numbers do not depend
+    on the other runs' blocks, so one ragged call equals one call per
+    block.
     """
     latencies = np.asarray(latencies, dtype=np.int64)
     if latencies.ndim != 2:
         raise ValueError(
             f"latencies must have shape (runs, n_loads), got {latencies.shape}"
         )
+    runs = latencies.shape[0]
+    if block_index is None:
+        blocks = [instructions]
+        block_of_run = np.zeros(runs, dtype=np.intp)
+    else:
+        blocks = list(instructions)
+        block_of_run = np.asarray(block_index, dtype=np.intp)
+        if block_of_run.shape != (runs,):
+            raise ValueError(
+                f"block_index must have shape ({runs},), "
+                f"got {block_of_run.shape}"
+            )
+        if runs and not (
+            0 <= block_of_run.min() and block_of_run.max() < len(blocks)
+        ):
+            raise ValueError(
+                f"block_index must name one of the {len(blocks)} blocks"
+            )
 
     # Malformed-input handling mirrors the scalar ``simulate_block``
     # exactly (same exception types and messages), and runs *before*
     # either fast path so every processor model agrees; see
     # tests/simulate/test_malformed_inputs.py.  Extra trailing latency
-    # columns are permitted and ignored, like extra scalar entries.
-    executed = [i for i in instructions if i.opcode is not Opcode.NOP]
-    n_loads = sum(1 for i in executed if i.is_load)
-    runs = latencies.shape[0]
-    if latencies.shape[1] < n_loads:
-        raise LatencyOverrunError(
-            f"{n_loads} loads but only {latencies.shape[1]} latencies"
+    # columns are permitted and ignored, like extra scalar entries.  A
+    # ragged call checks each run against its own block, first run
+    # first.
+    executed = [
+        [i for i in block if i.opcode is not Opcode.NOP] for block in blocks
+    ]
+    block_loads = np.array(
+        [sum(1 for i in ex if i.is_load) for ex in executed], dtype=np.int64
+    )
+    if block_index is None:
+        n_loads = int(block_loads[0])
+        if latencies.shape[1] < n_loads:
+            raise LatencyOverrunError(
+                f"{n_loads} loads but only {latencies.shape[1]} latencies"
+            )
+        bad = latencies[:, :n_loads] < 0
+    else:
+        run_loads = block_loads[block_of_run]
+        short = np.flatnonzero(run_loads > latencies.shape[1])
+        if short.size:
+            raise LatencyOverrunError(
+                f"{int(run_loads[short[0]])} loads but only "
+                f"{latencies.shape[1]} latencies"
+            )
+        width = int(run_loads.max()) if runs else 0
+        bad = (latencies[:, :width] < 0) & (
+            np.arange(width) < run_loads[:, None]
         )
-    used = latencies[:, :n_loads]
-    if used.size and (used < 0).any():
-        rows, cols = np.nonzero(used < 0)  # row-major: first bad run first
+    if bad.any():
+        rows, cols = np.nonzero(bad)  # row-major: first bad run first
         run, load = int(rows[0]), int(cols[0])
         raise ValueError(
-            f"negative load latency {int(used[run, load])} at load {load}"
+            f"negative load latency {int(latencies[run, load])} at load {load}"
         )
 
     kernel = batch_kernel(processor)
+    if block_index is not None and kernel != "delaytrack":
+        raise ValueError(
+            f"a ragged call needs a delay-tracking processor, "
+            f"not {processor.name}"
+        )
     if tables is not None:
         if kernel != "delaytrack":
             raise ValueError(
@@ -337,9 +392,13 @@ def simulate_block_batch(
     elif kernel == "delaytrack":
         tables = np.full(runs, processor.load_delay_tracking, dtype=np.int64)
 
+    lengths = np.array([len(ex) for ex in executed], dtype=np.int64)
+    instructions_run = (
+        int(lengths[0]) if block_index is None else lengths[block_of_run]
+    )
     if runs == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return BatchSimResult(empty, len(executed), empty.copy())
+        return BatchSimResult(empty, instructions_run, empty.copy())
 
     if attribute and attribution_skip_reason(processor) is not None:
         raise ValueError(
@@ -350,11 +409,13 @@ def simulate_block_batch(
     if rec is not None and count_runs:
         rec.metrics.inc("sim.batch_kernel", runs, kernel=kernel)
 
-    steps, n_regs = _index_steps(executed)
     if kernel == "delaytrack":
-        return _delaytrack_kernel(
-            executed, steps, n_regs, latencies, tables, processor, runs
+        cycles, interlocks = _delaytrack_kernel(
+            [(ex, *_index_steps(ex)) for ex in executed],
+            block_of_run, latencies, tables, processor,
         )
+        return BatchSimResult(cycles, instructions_run, interlocks)
+    steps, n_regs = _index_steps(executed[0])
     if kernel == "superscalar":
         return _superscalar_kernel(steps, n_regs, latencies, processor, runs)
     return _single_issue_kernel(
@@ -638,15 +699,24 @@ def _conflict_matrix(
 
 
 def _delaytrack_kernel(
-    executed: Sequence[Instruction],
-    steps: Sequence[_Step],
-    n_regs: int,
+    blocks: Sequence[Tuple[Sequence[Instruction], Sequence[_Step], int]],
+    block_of_run: np.ndarray,
     latencies: np.ndarray,
     tables: np.ndarray,
     processor: ProcessorModel,
-    runs: int,
-) -> BatchSimResult:
-    """The delay-tracking adaptive-issue recurrence, across runs.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The delay-tracking adaptive-issue recurrence, across runs and
+    blocks; returns the per-run ``(cycles, interlocks)``.
+
+    ``blocks`` holds each stacked block's ``(executed, steps, n_regs)``
+    and ``block_of_run`` the block each run (column) executes, so a
+    column is a (block, run) pair; one block is the plain
+    :func:`simulate_block_batch` call.  The static structure is padded
+    to the longest block: ``(B, N, .)`` register rows, ``(B, N)``
+    flags, latencies and load columns, and a ``(B, N, N)`` conflict
+    stack whose columns are gathered per run at park and issue time.
+    Padding rows never become candidates, because a run finishes after
+    its own block's ``n`` issues and its head stops at ``n``.
 
     Makes the same decisions as the scalar engine
     (``_simulate_delaytrack``), in independent code -- down to the
@@ -654,14 +724,13 @@ def _delaytrack_kernel(
     :func:`_conflict_matrix`.  ``tables`` holds each run's table size,
     all nonzero: a table of size 0 never parks, and
     :func:`simulate_block_batch` runs it on the in-order kernels.
-    Because
-    tracked-load delays differ per run, runs diverge in *issue
+    Because tracked-load delays differ per run, runs diverge in *issue
     order* -- no single per-instruction sweep exists.  Instead the
     kernel runs a global step loop in which every unfinished run either
     parks head instructions, issues its best candidate, or advances its
     evaluation clock to the next event; all per-run state (register
     ready/tracked bits, park status, conflict counts, the tracking
-    table and the MAX-n/LEN-n machinery) is ``(n, runs)`` / ``(regs,
+    table and the MAX-n/LEN-n machinery) is ``(N, runs)`` / ``(regs,
     runs)`` arrays, and each step is a bounded number of vector
     gathers/scatters over the unfinished runs.
 
@@ -676,67 +745,99 @@ def _delaytrack_kernel(
     max_out = processor.max_outstanding_loads
     limit = processor.max_load_cycles
     blocking = processor.blocking_loads
+    runs = block_of_run.shape[0]
 
-    n = len(steps)
+    lengths = np.array([len(steps) for _, steps, _ in blocks], dtype=np.int64)
+    n = int(lengths.max())
     if n == 0:
         zero = np.zeros(runs, dtype=np.int64)
-        return BatchSimResult(cycles=zero, instructions=0, interlocks=zero.copy())
+        return zero, zero.copy()
 
     # ------------------------------------------------------------------
-    # Static block structure.
+    # Static structure, padded to the longest block.
     # ------------------------------------------------------------------
+    n_blocks = len(blocks)
+    n_regs = max(regs for _, _, regs in blocks)
     use_sent = n_regs          # always-zero row probed by padded uses
     def_sent = n_regs + 1      # scratch row absorbing padded def writes
     m = n_regs + 2
-    n_uses = max(1, max(len(s[1]) for s in steps))
-    n_defs = max(1, max(len(s[2]) for s in steps))
-    uses_pad = np.full((n, n_uses), use_sent, dtype=np.int64)
-    defs_pad = np.full((n, n_defs), def_sent, dtype=np.int64)
-    is_load = np.zeros(n, dtype=bool)
-    is_mem = np.array([inst.is_mem for inst in executed], dtype=bool)
-    is_store = np.array([inst.is_store for inst in executed], dtype=bool)
-    is_term = np.array([inst.is_terminator for inst in executed], dtype=bool)
-    static_lat = np.zeros(n, dtype=np.int64)
-    load_col = np.zeros(n, dtype=np.int64)
-    col = 0
-    for j, (load_flag, uses, defs, lat) in enumerate(steps):
-        uses_pad[j, : len(uses)] = uses
-        defs_pad[j, : len(defs)] = defs
-        is_load[j] = load_flag
-        static_lat[j] = lat
-        if load_flag:
-            load_col[j] = col
-            col += 1
-    n_loads = col
-    # Column i is the +/- increment applied to ``blocked`` when i
-    # parks/issues.
-    conflict = _conflict_matrix(
-        uses_pad, defs_pad, def_sent, is_mem, is_store, is_term
-    )
+    n_uses = max(1, max(len(s[1]) for _, steps, _ in blocks for s in steps))
+    n_defs = max(1, max(len(s[2]) for _, steps, _ in blocks for s in steps))
+    uses_pad = np.full((n_blocks, n, n_uses), use_sent, dtype=np.int64)
+    defs_pad = np.full((n_blocks, n, n_defs), def_sent, dtype=np.int64)
+    is_load = np.zeros((n_blocks, n), dtype=bool)
+    is_term = np.zeros((n_blocks, n), dtype=bool)
+    static_lat = np.zeros((n_blocks, n), dtype=np.int64)
+    load_col = np.zeros((n_blocks, n), dtype=np.int64)
+    n_loads = np.zeros(n_blocks, dtype=np.int64)
+    # ``conflict_t[b, i]`` is the +/- increment applied to ``blocked``
+    # when block b's instruction i parks/issues.
+    conflict_t = np.zeros((n_blocks, n, n), dtype=np.int16)
+    for b, (executed, steps, _) in enumerate(blocks):
+        col = 0
+        for j, (load_flag, uses, defs, lat) in enumerate(steps):
+            uses_pad[b, j, : len(uses)] = uses
+            defs_pad[b, j, : len(defs)] = defs
+            is_load[b, j] = load_flag
+            static_lat[b, j] = lat
+            if load_flag:
+                load_col[b, j] = col
+                col += 1
+        n_loads[b] = col
+        k = len(steps)
+        is_term[b, :k] = [inst.is_terminator for inst in executed]
+        conflict_t[b, :k, :k] = _conflict_matrix(
+            uses_pad[b, :k], defs_pad[b, :k], def_sent,
+            np.array([inst.is_mem for inst in executed], dtype=bool),
+            np.array([inst.is_store for inst in executed], dtype=bool),
+            is_term[b, :k],
+        ).T
+    # Per run: its block and that block's length.
+    blk = block_of_run
+    n_run = lengths[blk]
 
     # ------------------------------------------------------------------
     # Per-run machine state.
     # ------------------------------------------------------------------
+    # Narrow dtypes keep the ``(N, runs)`` state of a wide stack small.
+    # Parked-writer and conflict counts never exceed ``n``.  No run
+    # outlasts its block issued one instruction at a time, each after
+    # its predecessor completed -- ``n * (longest latency + 1)``
+    # cycles -- so clocks and selection keys (``clock * (n + 1) +
+    # index``) fit int32 unless latencies are huge.
+    counts = np.int16 if n < np.iinfo(np.int16).max else np.int32
+    longest = max(int(static_lat.max()), int(latencies.max(initial=0)))
+    clocks = (
+        np.int32
+        if (n * (longest + 1) + 1) * (n + 1) < np.iinfo(np.int32).max
+        else np.int64
+    )
     PENDING, PARKED = 0, 1
-    INF = np.iinfo(np.int64).max
-    reg_ready = np.zeros((m, runs), dtype=np.int64)
+    INF = np.iinfo(clocks).max
+    reg_ready = np.zeros((m, runs), dtype=clocks)
     reg_tracked = np.zeros((m, runs), dtype=bool)
-    pending_writers = np.zeros((m, runs), dtype=np.int64)
+    pending_writers = np.zeros((m, runs), dtype=counts)
     status = np.full((n, runs), PENDING, dtype=np.uint8)
-    e_data = np.zeros((n, runs), dtype=np.int64)
-    blocked = np.zeros((n, runs), dtype=np.int64)
-    head = np.zeros(runs, dtype=np.int64)
-    issued_count = np.zeros(runs, dtype=np.int64)
-    next_free = np.zeros(runs, dtype=np.int64)
-    interlock = np.zeros(runs, dtype=np.int64)
-    cycle = np.zeros(runs, dtype=np.int64)
-    slots_used = np.zeros(runs, dtype=np.int64)
-    busy = np.zeros(runs, dtype=np.int64)
-    now = np.zeros(runs, dtype=np.int64)
-    seq = np.arange(n, dtype=np.int64)
+    e_data = np.zeros((n, runs), dtype=clocks)
+    blocked = np.zeros((n, runs), dtype=counts)
+    # Every operand of the step loop shares the one dtype: mixed-dtype
+    # numpy calls pay a cast each.
+    static_lat = static_lat.astype(clocks)
+    latencies = latencies.astype(clocks)
+    n_run = n_run.astype(clocks)
+    head = np.zeros(runs, dtype=clocks)
+    issued_count = np.zeros(runs, dtype=clocks)
+    next_free = np.zeros(runs, dtype=clocks)
+    interlock = np.zeros(runs, dtype=clocks)
+    cycle = np.zeros(runs, dtype=clocks)
+    slots_used = np.zeros(runs, dtype=clocks)
+    busy = np.zeros(runs, dtype=clocks)
+    now = np.zeros(runs, dtype=clocks)
+    seq = np.arange(n, dtype=clocks)
+    stride = clocks(n + 1)
 
     top = (
-        np.zeros((max_out, runs), dtype=np.int64)
+        np.zeros((max_out, runs), dtype=clocks)
         if max_out is not None
         else None
     )
@@ -744,15 +845,15 @@ def _delaytrack_kernel(
     # (ascending along axis 0): ``min(table, n_loads)`` live slots,
     # free at 0, then INF padding that sorts last and never frees.  A
     # table at least ``n_loads`` wide thus never fills.
-    live = np.minimum(tables, n_loads)
-    track_top = np.full((int(live.max()), runs), INF, dtype=np.int64)
+    live = np.minimum(tables, n_loads[blk])
+    track_top = np.full((int(live.max()), runs), INF, dtype=clocks)
     track_top[np.arange(track_top.shape[0])[:, None] < live] = 0
     windows = _DTWindows() if limit is not None else None
 
     n_parked = 0                  # parked, not yet issued, over all runs
 
     while True:
-        act = np.nonzero(issued_count < n)[0]
+        act = np.nonzero(issued_count < n_run)[0]
         if act.size == 0:
             break
         if windows is not None:
@@ -767,12 +868,13 @@ def _delaytrack_kernel(
         # serves the head-event step below.
         # ------------------------------------------------------------
         while True:
-            has_head = head[act] < n
+            has_head = head[act] < n_run[act]
             can = act[has_head]
             if can.size == 0:
                 break
             h = head[can]
-            rows = uses_pad[h]                   # (k, n_uses)
+            hb = blk[can]
+            rows = uses_pad[hb, h]               # (k, n_uses)
             cols = can[:, None]
             computable = (pending_writers[rows, cols] == 0).all(axis=1)
             rr = reg_ready[rows, cols]
@@ -783,16 +885,17 @@ def _delaytrack_kernel(
             park = (
                 stalled
                 & (~in_flight | reg_tracked[rows, cols]).all(axis=1)
-                & ~is_term[h]
+                & ~is_term[hb, h]
             )
             if not park.any():
                 break
             sel = can[park]
             hs = h[park]
+            bs = hb[park]
             status[hs, sel] = PARKED
             e_data[hs, sel] = ready[park]
-            np.add.at(pending_writers, (defs_pad[hs], sel[:, None]), 1)
-            blocked[:, sel] += conflict[:, hs]
+            np.add.at(pending_writers, (defs_pad[bs, hs], sel[:, None]), 1)
+            blocked[:, sel] += conflict_t[bs, hs].T
             head[sel] += 1
             n_parked += sel.size
 
@@ -800,35 +903,33 @@ def _delaytrack_kernel(
         # Candidate selection: lexicographic (earliest issue, oldest).
         # ------------------------------------------------------------
         if n_parked:
-            probe = np.maximum(e_data[:, act], now_act[None, :])
+            key = e_data[:, act]
+            np.maximum(key, now_act, out=key)
             if top is not None:
-                probe[is_load] = np.maximum(
-                    probe[is_load], top[0][act][None, :]
+                np.maximum(
+                    key, is_load[blk[act]].T * top[0][act], out=key
                 )
             if windows is not None:
-                probe = windows.apply_mat(probe, act)
-            cand = (status[:, act] == PARKED) & (blocked[:, act] == 0)
-            key = np.where(
-                cand, probe * np.int64(n + 1) + seq[:, None], INF
-            )
+                key = windows.apply_mat(key, act)
+            key *= stride
+            key += seq[:, None]
+            key[(status[:, act] != PARKED) | (blocked[:, act] != 0)] = INF
             best_key = key.min(axis=0)
         else:
-            best_key = np.full(act.size, INF, dtype=np.int64)
+            best_key = np.full(act.size, INF, dtype=clocks)
 
-        head_event = np.full(act.size, INF, dtype=np.int64)
+        head_event = np.full(act.size, INF, dtype=clocks)
         if can.size:
             eligible = computable & (blocked[h, can] == 0)
             if eligible.any():
                 t = np.maximum(ready, now_h)
                 if top is not None:
                     t = np.where(
-                        is_load[h], np.maximum(t, top[0][can]), t
+                        is_load[hb, h], np.maximum(t, top[0][can]), t
                     )
                 if windows is not None:
                     t = windows.apply_mat(t, can)
-                head_key = np.where(
-                    eligible, t * np.int64(n + 1) + h, INF
-                )
+                head_key = np.where(eligible, t * stride + h, INF)
                 best_key[has_head] = np.minimum(
                     best_key[has_head], head_key
                 )
@@ -836,8 +937,8 @@ def _delaytrack_kernel(
                 ev = np.where(in_flight, rr, INF).min(axis=1)
                 head_event[has_head] = np.where(stalled, ev, INF)
 
-        best_e = best_key // np.int64(n + 1)
-        best_j = best_key - best_e * np.int64(n + 1)
+        best_e = best_key // stride
+        best_j = best_key - best_e * stride
 
         # ------------------------------------------------------------
         # Issue where the best candidate is issuable now; elsewhere
@@ -852,12 +953,13 @@ def _delaytrack_kernel(
 
         r = act[issue]
         j = best_j[issue]
+        jb = blk[r]
         e = now[r]
-        lat = static_lat[j].copy()
-        lmask = is_load[j]
+        lat = static_lat[jb, j]
+        lmask = is_load[jb, j]
         if lmask.any():
             rl = r[lmask]
-            lat[lmask] = latencies[rl, load_col[j[lmask]]]
+            lat[lmask] = latencies[rl, load_col[jb[lmask], j[lmask]]]
         completion = e + lat
 
         if width == 1:
@@ -871,7 +973,6 @@ def _delaytrack_kernel(
 
         tracked = np.zeros(r.size, dtype=bool)
         if lmask.any():
-            rl = r[lmask]
             comp_l = completion[lmask]
             if top is not None:
                 # Issue time already waited for top[0], so completion
@@ -881,8 +982,8 @@ def _delaytrack_kernel(
             if windows is not None:
                 over = lat[lmask] > limit
                 if over.any():
-                    start = np.zeros(runs, dtype=np.int64)
-                    end = np.zeros(runs, dtype=np.int64)
+                    start = np.zeros(runs, dtype=clocks)
+                    end = np.zeros(runs, dtype=clocks)
                     ro = rl[over]
                     start[ro] = e[lmask][over] + limit
                     end[ro] = comp_l[over]
@@ -897,7 +998,7 @@ def _delaytrack_kernel(
                 interlock[rl] += comp_l - (e[lmask] + 1)
                 next_free[rl] = comp_l
 
-        rows = defs_pad[j]
+        rows = defs_pad[jb, j]
         reg_ready[rows, r[:, None]] = completion[:, None]
         reg_tracked[rows, r[:, None]] = tracked[:, None]
 
@@ -906,8 +1007,9 @@ def _delaytrack_kernel(
         if was_parked.any():
             jp = j[was_parked]
             rp = r[was_parked]
-            np.add.at(pending_writers, (defs_pad[jp], rp[:, None]), -1)
-            blocked[:, rp] -= conflict[:, jp]
+            bp = jb[was_parked]
+            np.add.at(pending_writers, (defs_pad[bp, jp], rp[:, None]), -1)
+            blocked[:, rp] -= conflict_t[bp, jp].T
             n_parked -= rp.size
         if (~was_parked).any():
             head[r[~was_parked]] += 1
@@ -920,10 +1022,7 @@ def _delaytrack_kernel(
             )
 
     if width == 1:
-        return BatchSimResult(
-            cycles=next_free, instructions=n, interlocks=interlock
-        )
-    total = cycle + 1
-    return BatchSimResult(
-        cycles=total, instructions=n, interlocks=total - busy
-    )
+        return next_free.astype(np.int64), interlock.astype(np.int64)
+    # An empty block issues nothing and takes no cycles.
+    total = np.where(n_run > 0, cycle + 1, 0).astype(np.int64)
+    return total, total - busy

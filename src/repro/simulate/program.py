@@ -7,13 +7,16 @@ module produces those per-block sample matrices and the derived
 program-level series; the bootstrap machinery lives in
 :mod:`repro.simulate.stats`.
 
-:func:`simulate_programs` samples many programs at once and makes one
-kernel call per (block, processor) they share: the table cells of one
-program share its balanced binary across every row, and its
-traditional binary across rows with the same optimistic latency.
-Delay-tracking processors that differ only in their table size count
-as one processor here: the kernel reads the table per row.
-:func:`simulate_program` is its one-program case.
+:func:`simulate_programs` samples many programs at once, one block
+position at a time.  At each position it makes one kernel call per
+(block, processor) the jobs share: the table cells of one program
+share its balanced binary across every row, and its traditional
+binary across rows with the same optimistic latency.  A delay-tracking
+family -- processors that differ only in a nonzero table size -- makes
+one call per position whatever the blocks, because that kernel reads
+the table and the block per row: the four policies' binaries of one
+source block share it.  :func:`simulate_program` is its one-program
+case.
 """
 
 from __future__ import annotations
@@ -158,7 +161,9 @@ def simulate_program(
 
 
 def simulate_programs(jobs: Sequence[SimulationJob]) -> List[ProgramRuns]:
-    """Sample many programs, one kernel call per (block, processor).
+    """Sample many programs, one kernel call per (block, processor) at
+    each block position -- per delay-tracking family, whatever the
+    block.
 
     Block position by block position, each job draws its latency rows
     from its own stream, exactly as if it ran alone; the rows of every
@@ -166,10 +171,11 @@ def simulate_programs(jobs: Sequence[SimulationJob]) -> List[ProgramRuns]:
     stacked into one :func:`simulate_block_batch` call, and the result
     columns are split back per job.  Jobs on delay-tracking processors
     that differ only in their (nonzero) table size stack too, each row
-    with its own job's table.  Kernel columns are independent runs, so
-    the samples are bit-identical to one call per job -- only the
-    kernel's fixed per-call cost is shared.  Only one block position's
-    latency rows are alive at a time.
+    with its own job's table and its own block: the call is ragged when
+    their blocks differ.  Kernel columns are independent runs, so the
+    samples are bit-identical to one call per job -- only the kernel's
+    fixed per-call cost is shared.  Only one block position's latency
+    rows are alive at a time.
 
     Each job's :attr:`ProgramRuns.shared_s` is its share of that work:
     its own draws plus, of each kernel call it took part in, the
@@ -192,8 +198,8 @@ def simulate_programs(jobs: Sequence[SimulationJob]) -> List[ProgramRuns]:
     clock = time.perf_counter
     depth = max((len(job.blocks) for job in jobs), default=0)
     for position in range(depth):
-        # (block, processor) -> [(job index, latency rows)], first seen first.
-        stacks: Dict[tuple, List[Tuple[int, np.ndarray]]] = {}
+        # stack key -> [(job index, block, latency rows)], first seen first.
+        stacks: Dict[tuple, List[Tuple[int, BasicBlock, np.ndarray]]] = {}
         for j, job in enumerate(jobs):
             if position >= len(job.blocks):
                 continue
@@ -206,58 +212,80 @@ def simulate_programs(jobs: Sequence[SimulationJob]) -> List[ProgramRuns]:
             rows = job.memory.sample_many(
                 job.rng, n_loads * job.runs
             ).reshape(job.runs, n_loads)
-            key = (id(block), _stack_key(job.processor))
-            stacks.setdefault(key, []).append((j, rows))
+            key = _stack_key(block, job.processor)
+            stacks.setdefault(key, []).append((j, block, rows))
             out[j].shared_s += clock() - start
         for parts in stacks.values():
-            _simulate_stack(
-                rec, jobs, out, labels, jobs[parts[0][0]].blocks[position],
-                parts,
-            )
+            _simulate_stack(rec, jobs, out, labels, parts)
     return out
 
 
-def _stack_key(processor: ProcessorModel) -> ProcessorModel:
-    """What a kernel call is shared by: the processor itself, or, for a
-    nonzero delay-tracking table, every field but the table size (and
-    the name, which spells the table)."""
+def _stack_key(block: BasicBlock, processor: ProcessorModel) -> tuple:
+    """What a kernel call is shared by: the block and the processor, or,
+    for a nonzero delay-tracking table, every processor field but the
+    table size (and the name, which spells the table) -- whatever the
+    block, since that kernel is ragged."""
     if not processor.load_delay_tracking:
-        return processor
-    return replace(processor, name="", load_delay_tracking=1)
+        return (id(block), processor)
+    return (None, replace(processor, name="", load_delay_tracking=1))
 
 
-def _simulate_stack(rec, jobs, out, labels, block, parts) -> None:
-    """One kernel call on the row-stacked ``parts``, split back per job."""
+def _simulate_stack(rec, jobs, out, labels, parts) -> None:
+    """One kernel call on the row-stacked ``parts``, split back per
+    (job, block)."""
     clock = time.perf_counter
     start = clock()
-    if len(parts) == 1:
-        latencies = parts[0][1]
-    else:
-        latencies = np.concatenate([rows for _, rows in parts])
-    processors = [jobs[j].processor for j, _ in parts]
+    processors = [jobs[j].processor for j, _, _ in parts]
     processor = processors[0]
+    sizes = [rows.shape[0] for _, _, rows in parts]
+    if len(parts) == 1:
+        latencies = parts[0][2]
+    else:
+        # A ragged stack's blocks may differ in load count: pad each
+        # part's rows with ignored trailing columns.
+        width = max(rows.shape[1] for _, _, rows in parts)
+        latencies = np.concatenate([
+            rows if rows.shape[1] == width
+            else np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
+            for _, _, rows in parts
+        ])
     tables = None
     if processor.load_delay_tracking:
         tables = np.repeat(
-            [p.load_delay_tracking for p in processors],
-            [rows.shape[0] for _, rows in parts],
+            [p.load_delay_tracking for p in processors], sizes
+        )
+    # The distinct blocks, first seen first: a ragged call when several.
+    stack: Dict[int, BasicBlock] = {}
+    for _, block, _ in parts:
+        stack.setdefault(id(block), block)
+    first = parts[0][1]
+    block_index = None
+    if len(stack) == 1:
+        instructions = first.instructions
+    else:
+        order = {key: k for k, key in enumerate(stack)}
+        instructions = [block.instructions for block in stack.values()]
+        block_index = np.repeat(
+            [order[id(block)] for _, block, _ in parts], sizes
         )
     attribute = rec is not None and attribution_skip_reason(processor) is None
     span = _obs.span(
-        "simulate", block=block.name,
+        "simulate",
+        block=",".join(dict.fromkeys(b.name for b in stack.values())),
         processor=",".join(dict.fromkeys(p.name for p in processors)),
         runs=int(latencies.shape[0]),
     )
     with span:
         try:
             result = simulate_block_batch(
-                block.instructions, latencies, processor,
+                instructions, latencies, processor,
                 attribute=attribute, count_runs=False, tables=tables,
+                block_index=block_index,
             )
         except Exception:
             # Name the failing job: its rows fail on their own too,
-            # inside its scope, on its own processor.
-            for j, rows in parts:
+            # inside its scope, on its own block and processor.
+            for j, block, rows in parts:
                 with jobs[j].scope():
                     simulate_block_batch(
                         block.instructions, rows, jobs[j].processor,
@@ -266,9 +294,9 @@ def _simulate_stack(rec, jobs, out, labels, block, parts) -> None:
             raise
         elapsed = clock() - start
         total = max(int(latencies.shape[0]), 1)
-        stall_table = _stall_table(block) if attribute else None
+        stall_table = _stall_table(first) if attribute else None
         lo = 0
-        for j, rows in parts:
+        for j, block, rows in parts:
             hi = lo + rows.shape[0]
             cycles = result.cycles[lo:hi]
             interlocks = result.interlocks[lo:hi]
@@ -278,7 +306,10 @@ def _simulate_stack(rec, jobs, out, labels, block, parts) -> None:
             out[j].shared_s += elapsed * rows.shape[0] / total
             if rec is not None:
                 part = BatchSimResult(
-                    cycles, result.instructions, interlocks,
+                    cycles,
+                    result.instructions if block_index is None
+                    else result.instructions[lo:hi],
+                    interlocks,
                     None if result.stalls is None else result.stalls[:, lo:hi],
                     None if result.causes is None else result.causes[:, lo:hi],
                 )

@@ -1,7 +1,6 @@
 """Unit tests for connected components and Chances computation."""
 
 import numpy as np
-import pytest
 
 from repro.analysis import (
     build_dag,

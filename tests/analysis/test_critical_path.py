@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
-from repro.analysis import build_dag, height_in_nodes, priorities
+from repro.analysis import build_dag, priorities
 from repro.analysis.dag import CodeDAG, DepKind
 from repro.ir import Opcode, VirtualReg, alu
+from tests.support.dag_height import height_in_nodes
 
 
 def chain(n, weights=None):

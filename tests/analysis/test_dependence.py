@@ -1,8 +1,5 @@
 """Unit tests for dependence-DAG construction."""
 
-import numpy as np
-import pytest
-
 from repro.analysis import AliasModel, DepKind, build_dag
 from repro.ir import (
     BasicBlock,

@@ -1,20 +1,9 @@
 """Tests for the translation validator (symbolic block equivalence)."""
 
-import numpy as np
 import pytest
 
-from repro.analysis import AliasModel, build_dag
 from repro.core import BalancedScheduler, TraditionalScheduler, compile_block
-from repro.ir import (
-    BasicBlock,
-    MemRef,
-    Opcode,
-    RegClass,
-    VirtualReg,
-    alu,
-    load,
-    store,
-)
+from repro.ir import BasicBlock, MemRef, RegClass, VirtualReg, load, store
 from repro.regalloc import RegisterFile
 from tests.support.equivalence import (
     EquivalenceError,

@@ -1,7 +1,5 @@
 """Unit tests for live intervals and pressure."""
 
-import pytest
-
 from repro.analysis import live_intervals, max_pressure, pressure_profile
 from repro.ir import (
     BasicBlock,

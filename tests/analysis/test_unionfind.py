@@ -1,6 +1,5 @@
 """Unit and property tests for the union-find structures."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,9 +1,7 @@
 """Tests for the two-pass compile pipeline."""
 
-import numpy as np
 import pytest
 
-from repro.analysis import build_dag
 from repro.core import (
     BalancedScheduler,
     TraditionalScheduler,

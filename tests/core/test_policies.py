@@ -2,8 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
-
 from repro.analysis import build_dag
 from repro.core import (
     AverageWeightScheduler,

@@ -8,7 +8,6 @@ property on random blocks.
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +21,7 @@ from repro.core import (
     schedule_dag,
 )
 from repro.ir import MemRef, Opcode, VirtualReg, alu, load
-from repro.workloads import figure1_block, label_order
+from repro.workloads import label_order
 from tests.support.generator import random_block
 
 

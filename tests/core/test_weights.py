@@ -8,12 +8,11 @@ against the naive reference on random DAGs.
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import build_dag
-from repro.analysis.dag import CodeDAG, DepKind
+from repro.analysis.dag import CodeDAG
 from repro.core import (
     average_block_weight,
     balanced_weights,
@@ -24,7 +23,6 @@ from repro.extensions.multicycle import (
     with_fp_latency,
 )
 from repro.ir import MemRef, Opcode, VirtualReg, alu, load
-from repro.workloads import figure1_block, figure4_block, figure7_block
 from tests.support.generator import random_block, random_dag
 
 from .oracles import balanced_weights_reference

@@ -13,8 +13,6 @@ import shutil
 import subprocess
 import sys
 
-import pytest
-
 from repro.experiments import cache as cache_module
 from repro.experiments.cache import (
     PACKAGE_ROOT,

@@ -1,7 +1,5 @@
 """Exact-reproduction tests for Figures 1-5 (schedules and interlocks)."""
 
-from fractions import Fraction
-
 import pytest
 
 from repro.experiments import (

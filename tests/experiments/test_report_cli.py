@@ -1,7 +1,5 @@
 """Tests for the CSV/markdown exports and the extended CLI."""
 
-import pathlib
-
 import pytest
 
 from repro.experiments import run_figure3, run_table1, run_table4

@@ -15,8 +15,6 @@ Three gates, matching the PR's acceptance criteria:
 
 import pathlib
 
-import pytest
-
 import repro.simulate.batch as batch_mod
 from repro.experiments.ablations import run_superscalar_ablation
 from repro.experiments.common import CellSpec, evaluate_cells

@@ -4,11 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.experiments import (
-    PAPER_TABLE1_CELLS,
-    PAPER_TABLE1_TOTALS,
-    run_table1,
-)
+from repro.experiments import PAPER_TABLE1_TOTALS, run_table1
 
 
 @pytest.fixture(scope="module")

@@ -14,9 +14,6 @@ from repro.extensions import (
     with_fp_latency,
 )
 from repro.frontend import compile_minif
-from repro.ir import Opcode
-from repro.machine import UNLIMITED
-from repro.simulate import simulate_block
 
 SOURCE = """
 program p

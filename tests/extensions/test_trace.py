@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis import DepKind
 from repro.core import BalancedScheduler, TraditionalScheduler, balanced_weights
 from repro.extensions.trace import (
     TraceError,
@@ -18,7 +17,6 @@ from repro.ir import (
     MemRef,
     Opcode,
     RegClass,
-    VirtualReg,
     alu,
     load,
     store,

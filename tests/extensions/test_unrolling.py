@@ -3,9 +3,9 @@
 import pytest
 
 from repro.analysis import build_dag
-from repro.analysis.critical_path import height_in_nodes
 from repro.extensions import UnrollError, enlarge_block, infer_carried
 from repro.frontend import compile_minif
+from tests.support.dag_height import height_in_nodes
 from tests.support.verifier import verify_block
 
 REDUCTION = """

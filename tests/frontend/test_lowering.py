@@ -112,7 +112,7 @@ end
     def test_reduction_chains_across_copies(self):
         """s = s + ... threads serially through the copies."""
         from repro.analysis import build_dag
-        from repro.analysis.critical_path import height_in_nodes
+        from tests.support.dag_height import height_in_nodes
 
         block = lower(self.UNROLLED)
         dag = build_dag(block)

@@ -5,7 +5,6 @@ parser reads it back; the result must match the original AST node for
 node (declared array sizes are documentation and not preserved).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -58,7 +58,16 @@ def test_package_inits_are_skipped(tmp_path, capsys):
     assert "'os' imported but unused" in capsys.readouterr().out
 
 
+def test_every_root_is_scanned(tmp_path, capsys):
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        _module(tmp_path / name, "import os\n")
+    roots = [str(tmp_path / "a"), str(tmp_path / "b")]
+    assert check_imports.main(["check_imports.py", *roots]) == 2
+    assert capsys.readouterr().out.count("'os' imported but unused") == 2
+
+
 def test_the_package_has_no_dead_imports():
-    assert check_imports.main(
-        ["check_imports.py", str(ROOT / "src")]
-    ) == 0
+    """The roots the CI gate scans: the package, its tests, the tools."""
+    roots = [str(ROOT / name) for name in ("src", "tests", "tools")]
+    assert check_imports.main(["check_imports.py", *roots]) == 0

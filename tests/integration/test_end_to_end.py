@@ -5,7 +5,6 @@ and pin down the cross-cutting invariants the paper's evaluation rests
 on.
 """
 
-import numpy as np
 import pytest
 
 from repro import (

@@ -1,12 +1,9 @@
 """Unit tests for IR instructions and their constructors."""
 
-import pytest
-
 from repro.ir import (
     Instruction,
     MemRef,
     Opcode,
-    RegClass,
     VirtualReg,
     alu,
     li,

@@ -5,8 +5,6 @@ import pytest
 
 from repro.ir import (
     BasicBlock,
-    MemRef,
-    Opcode,
     PhysReg,
     RegClass,
     VirtualReg,

@@ -11,7 +11,6 @@ from repro.ir import (
     alu,
     load,
     nop,
-    store,
 )
 from tests.support.verifier import VerificationError, verify_block
 

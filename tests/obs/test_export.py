@@ -13,8 +13,6 @@ import json
 import os
 from pathlib import Path
 
-import pytest
-
 from repro.obs.export import (
     chrome_trace,
     metrics_json,

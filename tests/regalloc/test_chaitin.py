@@ -1,8 +1,5 @@
 """Tests for the Chaitin/Briggs graph-coloring allocator."""
 
-import numpy as np
-import pytest
-
 from repro.analysis import live_intervals
 from repro.core import BalancedScheduler, compile_block
 from repro.ir import (
@@ -18,7 +15,6 @@ from repro.ir import (
 )
 from repro.regalloc import (
     ChaitinAllocator,
-    LinearScanAllocator,
     RegisterFile,
     allocate_block_chaitin,
 )

@@ -1,9 +1,5 @@
 """Tests for the linear-scan register allocator."""
 
-import numpy as np
-import pytest
-
-from repro.core import BalancedScheduler
 from repro.ir import (
     BasicBlock,
     MemRef,
@@ -15,7 +11,7 @@ from repro.ir import (
     load,
     store,
 )
-from repro.regalloc import LinearScanAllocator, RegisterFile, allocate_block
+from repro.regalloc import RegisterFile, allocate_block
 from tests.support.generator import random_block
 from tests.support.verifier import verify_block
 

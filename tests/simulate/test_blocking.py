@@ -1,9 +1,6 @@
 """Tests for the conventional blocking-loads processor (Section 1's
 baseline hardware, which makes load scheduling pointless)."""
 
-import numpy as np
-import pytest
-
 from repro.core import BalancedScheduler, TraditionalScheduler
 from repro.ir import MemRef, Opcode, RegClass, VirtualReg, alu, load
 from repro.machine import BLOCKING, UNLIMITED

@@ -5,9 +5,7 @@ import pytest
 
 from repro.machine import FixedMemory, NetworkMemory, UNLIMITED
 from repro.simulate import (
-    BlockSamples,
     ImprovementResult,
-    ProgramRuns,
     bootstrap_means,
     compare_runs,
     percentage_improvement,

@@ -1,6 +1,5 @@
 """Tests for the instruction-level block simulator."""
 
-import numpy as np
 import pytest
 
 from repro.ir import (
@@ -14,7 +13,7 @@ from repro.ir import (
     nop,
     store,
 )
-from repro.machine import LEN_8, MAX_8, ProcessorModel, UNLIMITED, superscalar
+from repro.machine import LEN_8, MAX_8, UNLIMITED, superscalar
 from repro.simulate import LatencyOverrunError, interlock_sweep, simulate_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)

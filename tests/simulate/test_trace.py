@@ -32,7 +32,6 @@ from repro.verify.fuzz import (
     FUZZ_PROCESSORS,
     attribution_entries,
 )
-from repro.workloads import figure1_block
 from repro.workloads.perfect import load_suite
 from tests.support.generator import random_block
 

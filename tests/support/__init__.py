@@ -6,7 +6,9 @@ Code here is imported by tests and benchmarks, never by ``repro``:
   the reference for the legality oracle's block effect;
 * :mod:`.ir_parser` -- the inverse of :mod:`repro.ir.printer`;
 * :mod:`.verifier` -- structural well-formedness checks for IR blocks;
-* :mod:`.generator` -- seeded random blocks and DAGs.
+* :mod:`.generator` -- seeded random blocks and DAGs;
+* :mod:`.dag_height` -- a DAG's unweighted height, for tests that
+  measure dependence chains.
 
 Import it from the repository root (``python -m pytest`` puts the
 working directory on ``sys.path``).

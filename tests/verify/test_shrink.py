@@ -7,8 +7,6 @@ intermediate candidate passes through the real parser -- so whatever
 the shrinker returns is a valid minif program.
 """
 
-import pytest
-
 from repro.frontend import compile_minif, parse_program
 from repro.verify.shrink import (
     MAX_PREDICATE_CALLS,

@@ -6,7 +6,7 @@ example graphs; the weight/schedule claims themselves are covered in
 """
 
 from repro.analysis import build_dag, reachable
-from repro.workloads import figure1_block, figure4_block, figure7_block, label_order
+from repro.workloads import label_order
 from tests.support.verifier import verify_block
 
 

@@ -3,9 +3,9 @@
 
 Usage::
 
-    python tools/check_imports.py [ROOT]
+    python tools/check_imports.py [ROOT ...]
 
-Scans every ``.py`` module under ``ROOT`` (default: ``src``) except
+Scans every ``.py`` module under each ``ROOT`` (default: ``src``) except
 package ``__init__`` files, whose imports are the package's public
 surface, and reports each name a module imports but never uses.  A
 name counts as used when it is read anywhere in the module -- string
@@ -85,15 +85,16 @@ def unused_imports(path: Path):
 
 
 def main(argv) -> int:
-    """Report the unused imports under ``argv[1]``; return their count."""
-    root = Path(argv[1] if len(argv) > 1 else "src")
+    """Report the unused imports under each root named in ``argv[1:]``;
+    return their count."""
     problems = 0
-    for path in sorted(root.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for line, name in unused_imports(path):
-            print(f"{path}:{line}: {name!r} imported but unused")
-            problems += 1
+    for root in argv[1:] or ["src"]:
+        for path in sorted(Path(root).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            for line, name in unused_imports(path):
+                print(f"{path}:{line}: {name!r} imported but unused")
+                problems += 1
     return problems
 
 

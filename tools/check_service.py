@@ -33,7 +33,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import time
 import urllib.error
 import urllib.request
 

@@ -1,5 +1,5 @@
 """Workload tuning dashboard (development tool, not part of the library)."""
-import sys, time
+import time
 from repro.workloads.perfect import load_suite, clear_cache
 from repro.experiments.common import ProgramEvaluator
 from repro.machine import paper_system_rows, UNLIMITED
