@@ -4,7 +4,7 @@ Records ``BENCH_obs.json`` (repo root): what ``repro.obs`` costs when
 it is off (the null-recorder path, which must stay within noise of the
 uninstrumented scheduler micro-bench in ``test_bench_scale.py``) and
 what it costs when it is on (spans + metrics, and spans + metrics +
-kernel stall attribution at the cell level).
+kernel stall attribution at the cell and the table level).
 
 The hard acceptance bound lives in
 ``test_bench_null_spans_add_under_two_percent``: the null-span wrapper
@@ -15,7 +15,9 @@ same process so machine noise cancels.
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
 import os
 import pathlib
@@ -26,6 +28,7 @@ import pytest
 
 from repro.analysis import build_dag
 from repro.core import BalancedScheduler
+from repro.experiments import runner
 from repro.experiments.common import COMPILATION_CACHE, ProgramEvaluator
 from repro.machine import UNLIMITED
 from repro.machine.config import paper_system_rows
@@ -230,3 +233,34 @@ def test_bench_cell_runs30_observation_cost():
         f"--obs costs {ratio:.1f}x an unobserved ADM cell at 30 runs "
         f"(ceiling {RUNS30_CEILING}x)"
     )
+
+
+def test_bench_table2_observation_cost(tmp_path):
+    """User-facing cost of ``--obs`` on a whole table:
+    ``run table2 --quick --programs ADM`` in process, uncached, with
+    every compilation redone, observed over unobserved.  Rounds
+    alternate the two legs and each keeps its best, so drift on the
+    host hits both."""
+    argv = [
+        "run", "table2", "--quick", "--programs", "ADM", "--no-cache",
+        "--manifest", str(tmp_path / "manifest.jsonl"),
+    ]
+
+    def timed(extra):
+        clear_cache()
+        COMPILATION_CACHE.clear()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert runner.main(argv + extra) == 0
+        return time.perf_counter() - start
+
+    disabled = enabled = float("inf")
+    for _ in range(5):
+        disabled = min(disabled, timed([]))
+        enabled = min(enabled, timed(["--obs"]))
+    assert obs.get() is None
+    _RECORD["table2_adm_quick"] = {
+        "disabled_seconds": round(disabled, 4),
+        "enabled_seconds": round(enabled, 4),
+        "enabled_over_disabled": round(enabled / disabled, 2),
+    }

@@ -88,6 +88,7 @@ from ..analysis.dag import CodeDAG, DepKind
 from ..ir.block import BasicBlock
 from ..obs import recorder as _obs
 from ..obs.decisions import Candidate, Decision
+from ..obs.metrics import SeriesKey, series_labels
 
 Weight = Union[int, Fraction]
 
@@ -514,12 +515,24 @@ def _observer(
     metrics = rec.metrics
     log = rec.decisions
     instructions = dag.instructions
-    priority_text = [str(Fraction(u, scale)) for u in plan.prio_units]
+    priority_text = (
+        None if log is None
+        else [str(Fraction(u, scale)) for u in plan.prio_units]
+    )
     step_box = [0]
+    # Series keys are built once per block, not once per step.
+    ready_key = ("sched.ready_size", series_labels({"block": block_label}))
+    reason_keys: Dict[str, SeriesKey] = {}
 
     def observe(ready_pairs, chosen, reason, time_units):
-        metrics.observe("sched.ready_size", len(ready_pairs), block=block_label)
-        metrics.inc("sched.select_reason", 1, block=block_label, reason=reason)
+        metrics.observe_series(ready_key, len(ready_pairs))
+        reason_key = reason_keys.get(reason)
+        if reason_key is None:
+            reason_key = reason_keys[reason] = (
+                "sched.select_reason",
+                series_labels({"block": block_label, "reason": reason}),
+            )
+        metrics.inc_series(reason_key, 1)
         if log is not None:
             log.record(
                 Decision(

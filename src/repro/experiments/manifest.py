@@ -79,6 +79,18 @@ def git_describe() -> str:
     return out.stdout.strip() or "unknown"
 
 
+#: :func:`git_describe` of this process, taken at its first run start:
+#: every run of one process executes the code it started with.
+_process_git: Optional[str] = None
+
+
+def _git_of_process() -> str:
+    global _process_git
+    if _process_git is None:
+        _process_git = git_describe()
+    return _process_git
+
+
 class ManifestWriter:
     """Appends run records.
 
@@ -130,7 +142,7 @@ class ManifestWriter:
                 "event": "run_start",
                 "run_id": self._run_id,
                 "experiment": experiment,
-                "git": git_describe(),
+                "git": _git_of_process(),
                 "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
                 **fields,
             }

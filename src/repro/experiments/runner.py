@@ -89,7 +89,7 @@ from ..analysis.alias import AliasModel
 from ..frontend.errors import MinifError
 from ..obs import recorder as _obs
 from ..obs.export import phase_summary, write_chrome_trace, write_metrics
-from ..obs.metrics import MetricsRegistry, counter_total, split_series_key
+from ..obs.metrics import MetricsRegistry
 from ..simulate.rng import DEFAULT_SEED
 from ..verify import hooks as _verify_hooks
 from .ablations import run_all_ablations
@@ -330,8 +330,8 @@ def _print_verify_summary(hook, rec) -> None:
     checked = hook.blocks_checked
     violations = hook.violations
     if rec is not None:
-        checked = int(counter_total(rec.metrics.counters, "verify.blocks_checked"))
-        violations = int(counter_total(rec.metrics.counters, "verify.violations"))
+        checked = int(rec.metrics.counter_total("verify.blocks_checked"))
+        violations = int(rec.metrics.counter_total("verify.violations"))
     print(
         f"\n  [verify: {checked} block(s) oracle-checked, "
         f"{violations} violation(s)]"
@@ -421,10 +421,9 @@ def _profile_report(metrics: MetricsRegistry, top: int = 10) -> str:
     lines: List[str] = []
 
     reasons: Dict[str, float] = {}
-    for key, value in metrics.counters.items():
-        base, labels = split_series_key(key)
+    for (base, labels), value in metrics.counters.items():
         if base == "sched.select_reason":
-            reason = labels.get("reason", "?")
+            reason = dict(labels).get("reason", "?")
             reasons[reason] = reasons.get(reason, 0) + value
     if reasons:
         lines.append("scheduler selection reasons:")
@@ -434,14 +433,13 @@ def _profile_report(metrics: MetricsRegistry, top: int = 10) -> str:
         lines.append("")
 
     rows = []
-    for key, hist in metrics.histograms.items():
-        base, labels = split_series_key(key)
+    for (base, labels), hist in metrics.histograms.items():
         if base != "sim.load_stall_cycles":
             continue
         rows.append((
             MetricsRegistry.histogram_total(hist),
             MetricsRegistry.histogram_count(hist),
-            labels,
+            dict(labels),
         ))
     if rows:
         rows.sort(key=lambda row: (-row[0], sorted(row[2].items())))
@@ -461,10 +459,9 @@ def _profile_report(metrics: MetricsRegistry, top: int = 10) -> str:
         lines.append("")
 
     skipped: Dict[str, float] = {}
-    for key, value in metrics.counters.items():
-        base, labels = split_series_key(key)
+    for (base, labels), value in metrics.counters.items():
         if base == "sim.attribution_skipped":
-            reason = labels.get("reason", "?")
+            reason = dict(labels).get("reason", "?")
             skipped[reason] = skipped.get(reason, 0) + value
     if skipped:
         per_reason = ", ".join(

@@ -7,7 +7,8 @@ for the second access to a cache line)."
 known latency (or ``None`` when unknown).  Known loads get that fixed
 weight; unknown loads get balanced weights.  Because weights enter
 ``Chances`` only through load counting, the balanced computation is
-unchanged -- we simply overwrite the known nodes afterwards.
+unchanged -- we simply overwrite the known nodes afterwards, and skip
+it when the oracle pins every load.
 
 :func:`second_access_same_line` is the paper's worked example of an
 oracle: the second access to a cache line is a hit, so any load whose
@@ -89,11 +90,12 @@ class KnownLatencyScheduler(SchedulingPolicy):
         self.oracle = oracle
 
     def load_weights(self, dag: CodeDAG) -> Dict[int, Weight]:
+        known = self.known_loads(dag)
+        if len(known) == len(dag.load_nodes()):
+            # Every load is pinned: no balanced weight would survive.
+            return dict(known)
         weights: Dict[int, Weight] = dict(balanced_weights(dag))
-        for node in dag.load_nodes():
-            known = self.oracle(dag, node)
-            if known is not None:
-                weights[node] = known
+        weights.update(known)
         return weights
 
     def known_loads(self, dag: CodeDAG) -> Dict[int, int]:

@@ -36,8 +36,8 @@ from .export import (
 )
 from .metrics import (
     MetricsRegistry,
-    series_key,
-    split_series_key,
+    render_series,
+    series_labels,
     summarize_delta,
 )
 from .recorder import (
@@ -68,9 +68,9 @@ __all__ = [
     "metrics_json",
     "phase_summary",
     "recording",
-    "series_key",
+    "render_series",
+    "series_labels",
     "span",
-    "split_series_key",
     "summarize_delta",
     "validate_chrome_trace",
     "write_chrome_trace",

@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
-from .metrics import MetricsRegistry, split_series_key
+from .metrics import Labels, MetricsRegistry, rendered
 from .recorder import Recorder
 
 
@@ -180,14 +180,18 @@ def metrics_json(metrics: MetricsRegistry) -> dict:
     must be; readers sort them numerically via ``float(key)``.
     """
     return {
-        "counters": {k: metrics.counters[k] for k in sorted(metrics.counters)},
-        "gauges": {k: metrics.gauges[k] for k in sorted(metrics.gauges)},
+        "counters": {
+            text: value for text, _, value in rendered(metrics.counters)
+        },
+        "gauges": {
+            text: value for text, _, value in rendered(metrics.gauges)
+        },
         "histograms": {
-            key: {
+            text: {
                 str(value): hist[value]
                 for value in sorted(hist, key=float)
             }
-            for key, hist in sorted(metrics.histograms.items())
+            for text, _, hist in rendered(metrics.histograms)
         },
     }
 
@@ -223,14 +227,14 @@ def _prom_label_value(value: str) -> str:
     )
 
 
-def _prom_series(base: str, labels: Dict[str, str], extra: str = "") -> str:
+def _prom_series(base: str, labels: Labels, extra: str = "") -> str:
     """``name{label="value",...}`` with sanitised names and escaped
     values; ``extra`` appends a pre-rendered label (the histogram
     ``le``)."""
     name = prometheus_name(base)
     parts = [
-        f'{_PROM_LABEL_BAD.sub("_", key)}="{_prom_label_value(str(labels[key]))}"'
-        for key in sorted(labels)
+        f'{_PROM_LABEL_BAD.sub("_", key)}="{_prom_label_value(value)}"'
+        for key, value in labels
     ]
     if extra:
         parts.append(extra)
@@ -266,23 +270,18 @@ def prometheus_text(metrics: MetricsRegistry) -> str:
         types.setdefault(name, kind)
         by_name.setdefault(name, []).append(line)
 
-    for key in sorted(metrics.counters):
-        base, labels = split_series_key(key)
+    for _, (base, labels), value in rendered(metrics.counters):
         emit(
             base, "counter",
-            f"{_prom_series(base, labels)} "
-            f"{_prom_number(metrics.counters[key])}",
+            f"{_prom_series(base, labels)} {_prom_number(value)}",
         )
-    for key in sorted(metrics.gauges):
-        base, labels = split_series_key(key)
+    for _, (base, labels), value in rendered(metrics.gauges):
         emit(
             base, "gauge",
-            f"{_prom_series(base, labels)} "
-            f"{_prom_number(metrics.gauges[key])}",
+            f"{_prom_series(base, labels)} {_prom_number(value)}",
         )
-    for key in sorted(metrics.histograms):
-        base, labels = split_series_key(key)
-        hist = metrics.histograms[key]
+    for _, key, hist in rendered(metrics.histograms):
+        base, labels = key
         name = prometheus_name(base)
         exemplar = metrics.exemplars.get(key)
         cumulative = 0

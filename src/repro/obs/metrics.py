@@ -1,9 +1,16 @@
 """The metrics registry: counters, gauges and exact histograms.
 
-Metrics are identified by a base name plus optional labels; the pair
-is flattened into a single Prometheus-style series key with sorted
-label order (``sim.load_stall_cycles{block=vdiff,load=3}``), so a
-registry is a plain dict and every export is deterministic.
+Metrics are identified by a base name plus optional labels.  In the
+registry a series is a structured key, ``(name, labels)``, where
+``labels`` is a tuple of ``(label, str(value))`` pairs sorted by label
+(:func:`series_labels`).  Values are stringified when they are
+recorded, so ``load=3`` and ``load="3"`` are one series.  Recording
+builds no string: the Prometheus-style text form
+(``sim.load_stall_cycles{block=vdiff,load=3}``, :func:`render_series`)
+is made only by the exporters -- the ``--metrics-out`` JSON, the
+``/metrics`` exposition, :meth:`MetricsRegistry.series` -- which sort
+series by that text, so every export is deterministic.  Hot recorders
+build a key once and record through the ``*_series`` methods.
 
 Three instrument kinds:
 
@@ -25,12 +32,29 @@ and summarised onto the item's run-manifest record with
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Tuple, TypeVar, Union,
+)
 
 Number = Union[int, float]
 
 #: A histogram is an exact value -> count map.
 Histogram = Dict[Number, int]
+
+#: A series' labels: ``(label, str(value))`` pairs sorted by label.
+Labels = Tuple[Tuple[str, str], ...]
+
+#: A series key: the base name and its labels.
+SeriesKey = Tuple[str, Labels]
+
+V = TypeVar("V")
+
+
+def series_labels(labels: Mapping[str, object]) -> Labels:
+    """The structured form of a ``label -> value`` mapping."""
+    if not labels:
+        return ()
+    return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
 def _escape(text: str) -> str:
@@ -40,83 +64,61 @@ def _escape(text: str) -> str:
     )
 
 
-def series_key(name: str, labels: Dict[str, object]) -> str:
-    """Flatten ``name`` + ``labels`` into one deterministic series key.
+def render_series(key: SeriesKey) -> str:
+    """The text form of a series key: ``name{label=value,...}``.
 
     Label names and values are backslash-escaped, so values containing
     the syntax characters (e.g. the system label ``N(30,5) @ 30``)
-    round-trip exactly through :func:`split_series_key`.
+    stay unambiguous in the exported files.
     """
+    name, labels = key
     if not labels:
         return name
-    inner = ",".join(
-        f"{_escape(str(k))}={_escape(str(labels[k]))}" for k in sorted(labels)
-    )
+    inner = ",".join(f"{_escape(k)}={_escape(v)}" for k, v in labels)
     return f"{name}{{{inner}}}"
 
 
-def split_series_key(key: str) -> Tuple[str, Dict[str, str]]:
-    """Inverse of :func:`series_key` (labels come back as strings)."""
-    if not key.endswith("}") or "{" not in key:
-        return key, {}
-    name, _, inner = key.partition("{")
-    labels: Dict[str, str] = {}
-    buf: List[str] = []
-    label: Optional[str] = None
-    escaped = False
+def rendered(store: Mapping[SeriesKey, V]) -> List[Tuple[str, SeriesKey, V]]:
+    """``(text, key, value)`` for every series of one registry store,
+    sorted by the text form -- the order every export uses."""
+    return sorted(
+        ((render_series(key), key, value) for key, value in store.items()),
+        key=lambda row: row[0],
+    )
 
-    def flush() -> None:
-        nonlocal label, buf
-        if label is not None:
-            labels[label] = "".join(buf)
-        elif buf:
-            labels["".join(buf)] = ""
-        label, buf = None, []
 
-    for ch in inner[:-1]:
-        if escaped:
-            buf.append(ch)
-            escaped = False
-        elif ch == "\\":
-            escaped = True
-        elif ch == "=" and label is None:
-            label = "".join(buf)
-            buf = []
-        elif ch == ",":
-            flush()
-        else:
-            buf.append(ch)
-    flush()
-    return name, labels
+def exported_name(text: str) -> str:
+    """The base name of a series key as exported (its text form)."""
+    return text.partition("{")[0] if text.endswith("}") else text
 
 
 class MetricsRegistry:
-    """Counters, gauges and exact histograms keyed by flattened series."""
+    """Counters, gauges and exact histograms keyed by
+    :data:`SeriesKey`."""
 
     __slots__ = ("counters", "gauges", "histograms", "exemplars")
 
     def __init__(self) -> None:
-        self.counters: Dict[str, Number] = {}
-        self.gauges: Dict[str, Number] = {}
-        self.histograms: Dict[str, Histogram] = {}
+        self.counters: Dict[SeriesKey, Number] = {}
+        self.gauges: Dict[SeriesKey, Number] = {}
+        self.histograms: Dict[SeriesKey, Histogram] = {}
         #: Last exemplar per histogram series: ``{"value": observed,
         #: "labels": {...}}`` -- e.g. a trace id attached to a latency
         #: observation, rendered onto the matching ``_bucket`` line of
         #: the Prometheus exposition (OpenMetrics exemplar syntax).
-        self.exemplars: Dict[str, dict] = {}
+        self.exemplars: Dict[SeriesKey, dict] = {}
 
     def __len__(self) -> int:
         return len(self.counters) + len(self.gauges) + len(self.histograms)
 
     # ------------------------------------------------------------------
-    # Instruments
+    # Instruments, by name and labels
     # ------------------------------------------------------------------
     def inc(self, name: str, value: Number = 1, **labels) -> None:
-        key = series_key(name, labels)
-        self.counters[key] = self.counters.get(key, 0) + value
+        self.inc_series((name, series_labels(labels)), value)
 
     def set_gauge(self, name: str, value: Number, **labels) -> None:
-        self.gauges[series_key(name, labels)] = value
+        self.gauges[(name, series_labels(labels))] = value
 
     def observe(
         self,
@@ -126,7 +128,7 @@ class MetricsRegistry:
         exemplar: Optional[Dict[str, str]] = None,
         **labels,
     ) -> None:
-        key = series_key(name, labels)
+        key = (name, series_labels(labels))
         hist = self.histograms.setdefault(key, {})
         hist[value] = hist.get(value, 0) + 1
         if exemplar:
@@ -137,7 +139,7 @@ class MetricsRegistry:
     def observe_many(
         self, name: str, values: Iterable[Number], **labels
     ) -> None:
-        hist = self.histograms.setdefault(series_key(name, labels), {})
+        hist = self.histograms.setdefault((name, series_labels(labels)), {})
         for value in values:
             hist[value] = hist.get(value, 0) + 1
 
@@ -151,7 +153,24 @@ class MetricsRegistry:
         """Observe ``values[i]`` ``counts[i]`` times each: the same
         histogram as that many :meth:`observe` calls, for data that is
         counted already (e.g. by ``numpy.unique``)."""
-        hist = self.histograms.setdefault(series_key(name, labels), {})
+        self.observe_counts_series(
+            (name, series_labels(labels)), values, counts
+        )
+
+    # ------------------------------------------------------------------
+    # Instruments, by a prebuilt key (for recorders that reuse one)
+    # ------------------------------------------------------------------
+    def inc_series(self, key: SeriesKey, value: Number = 1) -> None:
+        self.counters[key] = self.counters.get(key, 0) + value
+
+    def observe_series(self, key: SeriesKey, value: Number) -> None:
+        hist = self.histograms.setdefault(key, {})
+        hist[value] = hist.get(value, 0) + 1
+
+    def observe_counts_series(
+        self, key: SeriesKey, values: Iterable[Number], counts: Iterable[int]
+    ) -> None:
+        hist = self.histograms.setdefault(key, {})
         for value, count in zip(values, counts):
             if count:
                 hist[value] = hist.get(value, 0) + count
@@ -183,28 +202,35 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def series(self, name: str) -> List[Tuple[str, Dict[str, str]]]:
-        """Every recorded series of one base name, with parsed labels."""
+        """Every recorded series of one base name: its text form and
+        its labels."""
         out: List[Tuple[str, Dict[str, str]]] = []
         for store in (self.counters, self.gauges, self.histograms):
             for key in store:
-                base, labels = split_series_key(key)
-                if base == name:
-                    out.append((key, labels))
+                if key[0] == name:
+                    out.append((render_series(key), dict(key[1])))
         return sorted(out)
 
+    def counter_total(self, name: str) -> Number:
+        """Sum one counter across all of its label series."""
+        return sum(
+            value for key, value in self.counters.items() if key[0] == name
+        )
 
-def counter_total(counters: dict, base: str) -> float:
-    """Sum one counter across all of its label series.
 
-    ``counters`` is the ``"counters"`` mapping of an exported metrics
-    JSON (or ``MetricsRegistry.counters``); ``base`` is the unlabelled
-    series name, e.g. ``"verify.violations"``.  Used by the CI gates
+def counter_total(counters: Mapping[str, Number], base: str) -> float:
+    """Sum one counter of an exported metrics JSON across all of its
+    label series.
+
+    ``counters`` is the ``"counters"`` mapping of the file, keyed by
+    the text form; ``base`` is the unlabelled series name, e.g.
+    ``"verify.violations"``.  Used by the CI gates
     (``tools/check_obs.py`` / ``tools/check_verify.py``).
     """
     return sum(
         value
         for key, value in counters.items()
-        if split_series_key(key)[0] == base
+        if exported_name(key) == base
     )
 
 
@@ -219,16 +245,13 @@ def summarize_delta(delta: MetricsRegistry) -> dict:
     small enough to ride on a run-manifest ``cell`` record.
     """
     counters: Dict[str, Number] = {}
-    for key, value in delta.counters.items():
-        if not value:
-            continue
-        base, _ = split_series_key(key)
-        counters[base] = counters.get(base, 0) + value
+    for (base, _), value in delta.counters.items():
+        if value:
+            counters[base] = counters.get(base, 0) + value
     histograms: Dict[str, Dict[str, Number]] = {}
-    for key, hist in delta.histograms.items():
+    for (base, _), hist in delta.histograms.items():
         if not hist:
             continue
-        base, _ = split_series_key(key)
         entry = histograms.setdefault(base, {"count": 0, "total": 0})
         entry["count"] += MetricsRegistry.histogram_count(hist)
         entry["total"] += MetricsRegistry.histogram_total(hist)

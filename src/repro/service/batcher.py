@@ -34,7 +34,7 @@ from typing import Awaitable, Callable, Dict, List, Optional, Sequence
 
 from ..experiments.common import CellResult, CellSpec, OnItem, cell_key
 from ..obs import recorder as _obs
-from ..obs.metrics import MetricsRegistry, split_series_key
+from ..obs.metrics import MetricsRegistry
 from ..obs.requesttrace import RequestTraceStore
 
 __all__ = ["AdmissionError", "DeadlineExceeded", "SimulationBatcher"]
@@ -83,8 +83,8 @@ def _stall_cycles(metrics: Optional[MetricsRegistry]) -> float:
         return 0.0
     return sum(
         MetricsRegistry.histogram_total(hist)
-        for key, hist in metrics.histograms.items()
-        if split_series_key(key)[0] == "sim.load_stall_cycles"
+        for (name, _), hist in metrics.histograms.items()
+        if name == "sim.load_stall_cycles"
     )
 
 

@@ -34,6 +34,7 @@ from ..ir.block import BasicBlock
 from ..machine.memory import MemorySystem
 from ..machine.processor import ProcessorModel
 from ..obs import recorder as _obs
+from ..obs.metrics import Labels, series_labels
 from .batch import (
     CAUSE_FREEZE,
     CAUSE_SLOT,
@@ -185,14 +186,14 @@ def simulate_programs(jobs: Sequence[SimulationJob]) -> List[ProgramRuns]:
     """
     rec = _obs.get()
     out = [ProgramRuns(name=job.name) for job in jobs]
-    labels: List[Dict[str, object]] = []
+    labels: List[Labels] = []
     if rec is not None:
         ctx = rec.context()
-        ambient = {
+        ambient = series_labels({
             k: ctx[k] for k in ("program", "policy", "system") if k in ctx
-        }
+        })
         labels = [
-            ambient if job.labels is None else dict(job.labels)
+            ambient if job.labels is None else series_labels(job.labels)
             for job in jobs
         ]
     clock = time.perf_counter
@@ -294,7 +295,6 @@ def _simulate_stack(rec, jobs, out, labels, parts) -> None:
             raise
         elapsed = clock() - start
         total = max(int(latencies.shape[0]), 1)
-        stall_table = _stall_table(first) if attribute else None
         lo = 0
         for j, block, rows in parts:
             hi = lo + rows.shape[0]
@@ -316,14 +316,13 @@ def _simulate_stack(rec, jobs, out, labels, parts) -> None:
                 with jobs[j].scope():
                     _record_simulation_metrics(
                         rec.metrics, labels[j], block, jobs[j].processor,
-                        rows, part, stall_table,
+                        rows, part,
                     )
             lo = hi
 
 
 def _record_simulation_metrics(
-    metrics, labels, block, processor, all_latencies, result,
-    stall_table=None,
+    metrics, labels, block, processor, all_latencies, result
 ) -> None:
     """Metrics + per-load stall attribution for one sampled block.
 
@@ -337,22 +336,21 @@ def _record_simulation_metrics(
     Per run, the attributed stalls must sum to the batch interlocks,
     so an attribution that disagrees with the reported numbers is an
     error, never a silent skew.  On other models the skip is counted,
-    not hidden.  ``labels`` are the job's program/policy/system labels;
-    ``stall_table`` is the block's :func:`_stall_table`, when already
-    built.
+    not hidden.  ``labels`` are the job's program/policy/system labels
+    (:func:`~repro.obs.metrics.series_labels`).
     """
-    labels = {"block": block.name, **labels}
+    labels = _with_label(labels, "block", block.name)
     runs = int(all_latencies.shape[0])
     if runs:
         metrics.inc("sim.batch_kernel", runs, kernel=batch_kernel(processor))
     executed = sum(
         1 for inst in block.instructions if inst.opcode.name != "NOP"
     )
-    metrics.inc("sim.runs", runs, **labels)
-    metrics.inc("sim.instructions_issued", executed * runs, **labels)
-    metrics.inc("sim.cycles", int(result.cycles.sum()), **labels)
-    metrics.inc(
-        "sim.interlock_cycles", int(result.interlocks.sum()), **labels
+    metrics.inc_series(("sim.runs", labels), runs)
+    metrics.inc_series(("sim.instructions_issued", labels), executed * runs)
+    metrics.inc_series(("sim.cycles", labels), int(result.cycles.sum()))
+    metrics.inc_series(
+        ("sim.interlock_cycles", labels), int(result.interlocks.sum())
     )
     metrics.set_gauge(
         "sim.issue_width", processor.issue_width,
@@ -361,8 +359,8 @@ def _record_simulation_metrics(
     draws, draw_counts = np.unique(
         all_latencies.astype(np.int64, copy=False), return_counts=True
     )
-    metrics.observe_counts(
-        "sim.latency_draw", draws.tolist(), draw_counts.tolist(), **labels
+    metrics.observe_counts_series(
+        ("sim.latency_draw", labels), draws.tolist(), draw_counts.tolist()
     )
 
     reason = attribution_skip_reason(processor)
@@ -372,10 +370,15 @@ def _record_simulation_metrics(
         # reason is recorded rather than silently folded in.
         metrics.inc(
             "sim.attribution_skipped", runs,
-            processor=processor.name, reason=reason, **labels,
+            processor=processor.name, reason=reason, **dict(labels),
         )
         return
-    _record_stall_attribution(metrics, block, result, labels, stall_table)
+    _record_stall_attribution(metrics, block, result, labels)
+
+
+def _with_label(labels: Labels, label: str, value: str) -> Labels:
+    """``labels`` with one more label, in sorted position."""
+    return tuple(sorted(labels + ((label, value),)))
 
 
 def _stall_table(block) -> Tuple[List[tuple], np.ndarray]:
@@ -385,8 +388,15 @@ def _stall_table(block) -> Tuple[List[tuple], np.ndarray]:
     + 2]`` the series of step k's stalls with cause code c
     (CAUSE_FREEZE is -2, CAUSE_SLOT -1, an operand position c >= 0).
     -1 marks no series, which a correct kernel never reports.
+
+    The table depends on the instruction list alone, so it is built
+    once and kept on the block itself: it lives exactly as long as the
+    compiled block does.
     """
     instructions = block.instructions
+    memo = getattr(block, "_stall_memo", None)
+    if memo is not None and memo[0] is instructions:
+        return memo[1]
     series = [
         ("sim.other_stall_cycles", ("source", "freeze")),
         ("sim.other_stall_cycles", ("source", "load-slots")),
@@ -408,20 +418,22 @@ def _stall_table(block) -> Tuple[List[tuple], np.ndarray]:
                 sid = load_series.get(writer)
                 if sid is None:
                     sid = load_series[writer] = len(series)
-                    series.append(("sim.load_stall_cycles", ("load", writer)))
+                    series.append(
+                        ("sim.load_stall_cycles", ("load", str(writer)))
+                    )
             else:
                 sid = operand
             table[k, position + 2] = sid
+    block._stall_memo = (instructions, (series, table))
     return series, table
 
 
-def _record_stall_attribution(
-    metrics, block, result, labels, stall_table=None
-) -> None:
+def _record_stall_attribution(metrics, block, result, labels) -> None:
     """Count the kernel's per-step stall causes into the
     ``sim.load_stall_cycles{load=...}`` and
-    ``sim.other_stall_cycles{source=...}`` histograms."""
-    series, table = stall_table or _stall_table(block)
+    ``sim.other_stall_cycles{source=...}`` histograms (``labels``:
+    the block's series labels, which each histogram extends)."""
+    series, table = _stall_table(block)
     stalls = result.stalls
     stalled = stalls > 0
     steps, runs = np.nonzero(stalled)
@@ -450,10 +462,8 @@ def _record_stall_attribution(
     bounds = np.flatnonzero(np.diff(key_sids)) + 1
     for lo, hi in zip([0, *bounds], [*bounds, keys.size]):
         name, (label, value) = series[int(key_sids[lo])]
-        metrics.observe_counts(
-            name,
+        metrics.observe_counts_series(
+            (name, _with_label(labels, label, value)),
             key_values[lo:hi].tolist(),
             counts[lo:hi].tolist(),
-            **{label: value},
-            **labels,
         )

@@ -29,7 +29,6 @@ from repro.core import (
 from repro.experiments.table4 import OPTIMISTIC_LATENCIES
 from repro.ir import MemRef, Opcode, VirtualReg, alu, load
 from repro.obs.decisions import DecisionLog
-from repro.obs.metrics import split_series_key
 from repro.simulate.rng import spawn
 from repro.workloads.perfect import load_program, program_names
 from tests.support.generator import random_block
@@ -69,7 +68,7 @@ def selection_series(rec):
         section: {
             key: value
             for key, value in getattr(rec.metrics, section).items()
-            if split_series_key(key)[0] in SELECTION_SERIES
+            if key[0] in SELECTION_SERIES
         }
         for section in ("counters", "gauges", "histograms")
     }

@@ -198,7 +198,7 @@ class TestMemoisationCounter:
         with obs.recording() as rec:
             balanced_weights(dag)
         counters = rec.metrics.counters
-        assert counters.get("sched.gind_memo_hits", 0) > 0
+        assert counters.get(("sched.gind_memo_hits", ()), 0) > 0
 
     def test_counter_silent_without_recorder(self, saxpy_block):
         dag = build_dag(saxpy_block)

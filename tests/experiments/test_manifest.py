@@ -1,7 +1,9 @@
 """Tests for the run manifest (the engine's flight recorder)."""
 
 import json
+import subprocess
 
+from repro.experiments import manifest
 from repro.experiments.manifest import (
     ManifestWriter,
     read_runs,
@@ -85,6 +87,27 @@ class TestWriter:
         assert run.cells[1]["metrics"]["histograms"][
             "sim.load_stall_cycles"
         ]["total"] == 96
+
+    def test_git_describe_runs_once_per_process(self, tmp_path, monkeypatch):
+        calls = []
+
+        def run(*args, **kwargs):
+            calls.append(args)
+            return subprocess.CompletedProcess(args, 0, stdout="abc123\n")
+
+        monkeypatch.setattr(manifest, "_process_git", None)
+        monkeypatch.setattr(manifest.subprocess, "run", run)
+        writer = ManifestWriter(tmp_path / "m.jsonl")
+        for experiment in ("table2", "table3"):
+            writer.start_run(experiment)
+            writer.end_run(wall_s=0.1)
+        starts = [
+            json.loads(line)
+            for line in (tmp_path / "m.jsonl").read_text().splitlines()
+            if json.loads(line)["event"] == "run_start"
+        ]
+        assert len(calls) == 1
+        assert [r["git"] for r in starts] == ["abc123", "abc123"]
 
     def test_appends_across_runs(self, tmp_path):
         path = tmp_path / "m.jsonl"

@@ -21,7 +21,6 @@ from repro.experiments.common import CellSpec, evaluate_cells
 from repro.machine.config import paper_system_rows
 from repro.machine.processor import UNLIMITED, superscalar
 from repro.obs import recorder as obs
-from repro.obs.metrics import split_series_key
 
 ABLATIONS_TXT = (
     pathlib.Path(__file__).resolve().parent.parent.parent
@@ -32,17 +31,17 @@ ABLATIONS_TXT = (
 
 def _counter_series(metrics, base):
     return {
-        split_series_key(key)[1].get("kernel"): value
-        for key, value in metrics.counters.items()
-        if split_series_key(key)[0] == base
+        dict(labels).get("kernel"): value
+        for (name, labels), value in metrics.counters.items()
+        if name == base
     }
 
 
 def _sum_counter(metrics, base):
     return sum(
         value
-        for key, value in metrics.counters.items()
-        if split_series_key(key)[0] == base
+        for (name, _), value in metrics.counters.items()
+        if name == base
     )
 
 
@@ -72,9 +71,9 @@ def test_superscalar_cell_routes_through_vectorized_kernel():
     # Wide-issue attribution is skipped with an explicit reason, never
     # silently (see repro.simulate.program).
     skipped = {
-        split_series_key(key)[1].get("reason")
-        for key, _ in rec.metrics.counters.items()
-        if split_series_key(key)[0] == "sim.attribution_skipped"
+        dict(labels).get("reason")
+        for name, labels in rec.metrics.counters
+        if name == "sim.attribution_skipped"
     }
     assert skipped == {"multi-issue"}
 

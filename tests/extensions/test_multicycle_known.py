@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis import build_dag
 from repro.core import BalancedScheduler, balanced_weights
+from repro.extensions import known_latency
 from repro.extensions import (
     KnownLatencyScheduler,
     MultiCycleBalancedScheduler,
@@ -120,6 +121,40 @@ class TestKnownLatency:
                 assert dag.weights[node] == 2
             else:
                 assert dag.weights[node] == reference[node]
+
+    @staticmethod
+    def _old_load_weights(oracle, dag):
+        """Balanced weights with every known load overwritten."""
+        weights = dict(balanced_weights(dag))
+        for node in dag.load_nodes():
+            if oracle(dag, node) is not None:
+                weights[node] = oracle(dag, node)
+        return weights
+
+    def test_pin_all_oracle_skips_balanced_weights(self, monkeypatch):
+        dag = build_dag(fresh_block())
+        reference = self._old_load_weights(lambda d, n: 7, dag)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return balanced_weights(*args, **kwargs)
+
+        monkeypatch.setattr(known_latency, "balanced_weights", counting)
+        weights = KnownLatencyScheduler(lambda d, n: 7).load_weights(dag)
+        assert weights == reference
+        assert list(weights) == list(reference)
+        assert calls == []
+
+    def test_partial_oracle_weights_unchanged(self):
+        dag = build_dag(fresh_block())
+        oracle = second_access_same_line(hit_latency=2, line_elements=4)
+        known = KnownLatencyScheduler(oracle).known_loads(dag)
+        assert 0 < len(known) < len(dag.load_nodes())
+        weights = KnownLatencyScheduler(oracle).load_weights(dag)
+        reference = self._old_load_weights(oracle, dag)
+        assert weights == reference
+        assert list(weights) == list(reference)
 
     def test_never_oracle_equals_balanced(self):
         block = fresh_block()

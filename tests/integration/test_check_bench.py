@@ -182,6 +182,70 @@ class TestOverheadRatios:
         ) == []
 
 
+class TestWorkloadDescriptors:
+    """Leaves that describe the workload must equal the baseline; they
+    are never scored as better or worse."""
+
+    @pytest.fixture
+    def study_repo(self, tmp_path):
+        baseline = {
+            "study": {
+                "blocks": 88,
+                "traces": 440,
+                "per_table_calls": 352,
+                "stacked_calls": 88,
+                "speedup": 2.0,
+            },
+            "large": {"scalar_runs_timed": 3, "instructions": 512},
+        }
+        _git(tmp_path, "init", "-q")
+        (tmp_path / "BENCH_x.json").write_text(json.dumps(baseline))
+        _git(tmp_path, "add", "BENCH_x.json")
+        _git(tmp_path, "commit", "-qm", "baseline")
+        return tmp_path, baseline
+
+    @pytest.mark.parametrize(
+        "section, leaf, value",
+        [("study", "blocks", 96), ("study", "blocks", 80),
+         ("study", "traces", 480), ("study", "per_table_calls", 300),
+         ("study", "per_table_calls", 400),
+         ("large", "scalar_runs_timed", 30), ("large", "instructions", 256)],
+    )
+    def test_a_changed_descriptor_fails_either_way(
+        self, study_repo, section, leaf, value
+    ):
+        repo, baseline = study_repo
+        fresh = json.loads(json.dumps(baseline))
+        fresh[section][leaf] = value
+        (problem,) = _run(repo, fresh)
+        assert f"{section}.{leaf}" in problem
+        assert "workload changed; regenerate the baseline" in problem
+
+    def test_equal_descriptors_pass_and_calls_still_gate(self, study_repo):
+        repo, baseline = study_repo
+        assert _run(repo, baseline) == []
+        fresh = json.loads(json.dumps(baseline))
+        fresh["study"]["stacked_calls"] = 352  # 4x the calls: a regression
+        (problem,) = _run(repo, fresh)
+        assert "study.stacked_calls regressed" in problem
+
+    @pytest.mark.parametrize(
+        "name",
+        ["study.blocks", "study.traces", "mdg.instructions",
+         "large.scalar_runs_timed", "study.per_table_calls",
+         "study.per_block_calls"],
+    )
+    def test_descriptor_names(self, name):
+        assert check_bench.is_descriptor(name)
+
+    @pytest.mark.parametrize(
+        "name", ["study.stacked_calls", "study.conflict_lists_calls",
+                 "batch.speedup", "blocks_seconds"]
+    )
+    def test_performance_names_are_not_descriptors(self, name):
+        assert not check_bench.is_descriptor(name)
+
+
 class TestMetricClassification:
     @pytest.mark.parametrize(
         "name",

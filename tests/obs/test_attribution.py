@@ -82,10 +82,11 @@ class TestKernelMatchesTrace:
         )
         metrics = MetricsRegistry()
         program_mod._record_stall_attribution(
-            metrics, _Block(block), result, {"block": "b"}
+            metrics, _Block(block), result, (("block", "b"),)
         )
         assert metrics.histograms == {
-            "sim.other_stall_cycles{block=b,source=livein}": {2: 1}
+            ("sim.other_stall_cycles", (("block", "b"), ("source", "livein"))):
+                {2: 1}
         }
 
     def test_tied_operands_go_to_the_first_use(self):

@@ -15,7 +15,7 @@ from repro.experiments.runner import (
     main,
 )
 from repro.obs.export import validate_chrome_trace
-from repro.obs.metrics import MetricsRegistry, split_series_key
+from repro.obs.metrics import MetricsRegistry, exported_name
 from repro.workloads.perfect import clear_cache
 
 MINIF = """
@@ -77,12 +77,12 @@ class TestRunWithObs:
         metrics = json.loads(metrics_path.read_text())
         interlocks = sum(
             v for k, v in metrics["counters"].items()
-            if split_series_key(k)[0] == "sim.interlock_cycles"
+            if exported_name(k) == "sim.interlock_cycles"
         )
         stall_total = sum(
             float(value) * count
             for key, hist in metrics["histograms"].items()
-            if split_series_key(key)[0]
+            if exported_name(key)
             in ("sim.load_stall_cycles", "sim.other_stall_cycles")
             for value, count in hist.items()
         )

@@ -25,23 +25,23 @@ from repro.machine.processor import (
     delay_tracking,
 )
 from repro.obs import recorder as obs
-from repro.obs.metrics import MetricsRegistry, split_series_key
+from repro.obs.metrics import MetricsRegistry
 from repro.workloads.perfect import clear_cache, load_program
 
 
 def _sum_counter(metrics, base):
     return sum(
         value
-        for key, value in metrics.counters.items()
-        if split_series_key(key)[0] == base
+        for (name, _), value in metrics.counters.items()
+        if name == base
     )
 
 
 def _sum_histogram_totals(metrics, *bases):
     return sum(
         MetricsRegistry.histogram_total(hist)
-        for key, hist in metrics.histograms.items()
-        if split_series_key(key)[0] in bases
+        for (name, _), hist in metrics.histograms.items()
+        if name in bases
     )
 
 

@@ -45,7 +45,6 @@ from repro.machine import (
 )
 from repro.machine.processor import ProcessorModel
 from repro.obs import recorder as obs
-from repro.obs.metrics import split_series_key
 from repro.simulate import LatencyOverrunError, simulate_block
 from repro.simulate.batch import attribution_skip_reason, simulate_block_batch
 from repro.simulate.simulator import (
@@ -341,9 +340,9 @@ def _kernel_labels(processor):
     with obs.recording() as rec:
         simulate_block_batch(_two_load_block(), latencies, processor)
     return {
-        split_series_key(key)[1].get("kernel"): value
-        for key, value in rec.metrics.counters.items()
-        if split_series_key(key)[0] == "sim.batch_kernel"
+        dict(labels).get("kernel"): value
+        for (name, labels), value in rec.metrics.counters.items()
+        if name == "sim.batch_kernel"
     }
 
 

@@ -165,7 +165,7 @@ def test_each_job_records_its_own_columns():
             simulate_programs([job])
     assert together.metrics.counters == alone.metrics.counters
     assert together.metrics.histograms == alone.metrics.histograms
-    kernel = "sim.batch_kernel{kernel=single-issue}"
+    kernel = ("sim.batch_kernel", (("kernel", "single-issue"),))
     assert together.metrics.counters[kernel] == 6
     # Two jobs, one block object: one kernel call.
     assert len([s for s in together.spans if s.name == "simulate"]) == 1

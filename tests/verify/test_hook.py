@@ -113,8 +113,8 @@ def test_counters_mirrored_into_obs_metrics():
     finally:
         obs_recorder.disable()
     counters = {
-        key: value for key, value in rec.metrics.counters.items()
-        if key.startswith("verify.")
+        name: value for (name, labels), value in rec.metrics.counters.items()
+        if name.startswith("verify.") and not labels
     }
     assert counters.get("verify.blocks_checked") == 1
     assert "verify.violations" not in counters, "clean runs record no violations"

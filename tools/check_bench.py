@@ -28,6 +28,12 @@ baselines were recorded on:
   catastrophic-only tolerance (default 0.85: an 85% drop) that still
   catches an order-of-magnitude cliff.
 
+Workload descriptors (:data:`WORKLOAD_DESCRIPTORS`: a row's block,
+trace and instruction counts, the scalar runs it timed, the reference
+leg's call count) are not performance at all: they must *equal* the
+baseline, and a mismatch fails with "workload changed; regenerate the
+baseline".
+
 Every comparison is normalised so that >= 1.0 means "fresh is no worse
 than baseline": ``fresh/base`` for higher-is-better metrics,
 ``base/fresh`` for lower-is-better ones (seconds, ms, ns, overhead
@@ -71,12 +77,24 @@ RELATIVE_MARKERS = (
     "speedup", "_ratio", "_over_disabled", "overhead_pct", "_calls",
 )
 
+#: Leaf names that describe the workload a row measured -- its size, or
+#: the call count of the reference leg it is compared with -- rather
+#: than how well it ran.  They are held to equality, not scored.
+WORKLOAD_DESCRIPTORS = (
+    "blocks", "traces", "instructions", "scalar_runs_timed",
+    "per_table_calls", "per_block_calls",
+)
+
 #: Observation-overhead ratios: relative, lower is better, and noisy.
 OVERHEAD_MARKER = "_over_disabled"
 
 #: Floor for the overhead ratios: fresh may be at most 1/(1-0.5) = 2x
 #: the baseline, which clears the observed 1.1-1.8 run-to-run spread.
 OVERHEAD_TOLERANCE = 0.5
+
+
+def is_descriptor(name: str) -> bool:
+    return name.rsplit(".", 1)[-1] in WORKLOAD_DESCRIPTORS
 
 
 def is_relative(name: str) -> bool:
@@ -147,6 +165,14 @@ def compare_file(
     for name in sorted(set(fresh_metrics) & set(base_metrics)):
         fresh_value = fresh_metrics[name]
         base_value = base_metrics[name]
+        if is_descriptor(name):
+            if fresh_value != base_value:
+                problems.append(
+                    f"{relpath}: {name} is {fresh_value:g}, baseline "
+                    f"{base_value:g}: workload changed; regenerate the "
+                    f"baseline"
+                )
+            continue
         if lower_is_better(name):
             score = base_value / fresh_value
         else:

@@ -24,7 +24,7 @@ import json
 import sys
 
 from repro.obs.export import validate_chrome_trace
-from repro.obs.metrics import counter_total, split_series_key
+from repro.obs.metrics import counter_total, exported_name
 
 REQUIRED_SPANS = (
     "frontend",
@@ -65,7 +65,7 @@ def check_metrics(path: str) -> list:
     stalls = sum(
         float(value) * count
         for key, hist in histograms.items()
-        if split_series_key(key)[0]
+        if exported_name(key)
         in ("sim.load_stall_cycles", "sim.other_stall_cycles")
         for value, count in hist.items()
     )
