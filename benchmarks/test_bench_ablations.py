@@ -1,6 +1,6 @@
 """Benchmark regenerating the design-choice ablations (DESIGN.md §5)."""
 
-from repro.experiments import run_all_ablations
+from repro.experiments.ablations import run_all_ablations
 
 
 def test_bench_ablations(benchmark, save_result):

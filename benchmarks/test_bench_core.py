@@ -7,9 +7,11 @@ list scheduling (O(n^2 alpha n) vs O(n^2))."""
 
 import numpy as np
 
-from repro.analysis import build_dag
-from repro.core import BalancedScheduler, TraditionalScheduler, balanced_weights
-from repro.workloads import load_program
+from repro.analysis.dependence import build_dag
+from repro.core.balanced import BalancedScheduler
+from repro.core.traditional import TraditionalScheduler
+from repro.core.weights import balanced_weights
+from repro.workloads.perfect import load_program
 from tests.support.generator import random_block
 
 
@@ -38,7 +40,7 @@ def test_bench_traditional_schedule(benchmark):
 
 
 def test_bench_compile_suite_program(benchmark):
-    from repro.core import compile_program
+    from repro.core.pipeline import compile_program
 
     program = load_program("MG3D")
     compiled = benchmark(compile_program, program, BalancedScheduler())

@@ -44,20 +44,18 @@ import pytest
 
 import numpy as np
 
-from repro.core import BalancedScheduler
+from repro.core.balanced import BalancedScheduler
 from repro.core.pipeline import compile_program
 from repro.experiments.common import COMPILATION_CACHE
 from repro.experiments import delaytrack
 from repro.experiments.delaytrack import _policies, _verify_traces
-from repro.machine import MAX_8, delay_tracking, superscalar
+from repro.machine.processor import MAX_8, delay_tracking, superscalar
 from repro.machine.config import N_2_5, SYSTEMS_BY_NAME
-from repro.simulate import simulate_block
 from repro.simulate.batch import simulate_block_batch
 from repro.simulate.rng import DEFAULT_SEED, spawn
-from repro.simulate.simulator import delaytrack_issue_trace
-from repro.verify import check_delaytrack_issue
-from repro.workloads import program_names
-from repro.workloads.perfect import load_program
+from repro.simulate.simulator import delaytrack_issue_trace, simulate_block
+from repro.verify.oracle import check_delaytrack_issue
+from repro.workloads.perfect import load_program, program_names
 from tests.support.generator import random_block
 
 BENCH_PATH = (

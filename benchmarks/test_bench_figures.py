@@ -1,7 +1,8 @@
 """Benchmarks regenerating Figures 2/5 (schedules) and Figure 3
 (interlock curves)."""
 
-from repro.experiments import run_figure2, run_figure3
+from repro.experiments.figure2 import run_figure2
+from repro.experiments.figure3 import run_figure3
 
 
 def test_bench_figure2(benchmark, save_result):

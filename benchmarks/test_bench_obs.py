@@ -30,11 +30,11 @@ import time
 
 import pytest
 
-from repro.analysis import build_dag
-from repro.core import BalancedScheduler
+from repro.analysis.dependence import build_dag
+from repro.core.balanced import BalancedScheduler
 from repro.experiments import runner
 from repro.experiments.common import COMPILATION_CACHE, ProgramEvaluator
-from repro.machine import UNLIMITED
+from repro.machine.processor import UNLIMITED
 from repro.machine.config import paper_system_rows
 from repro.obs import recorder as obs
 from repro.obs.recorder import span as _span

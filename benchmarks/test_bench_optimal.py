@@ -29,7 +29,7 @@ import time
 
 import pytest
 
-from repro.analysis import build_dag
+from repro.analysis.dependence import build_dag
 from repro.core.optimal import DEFAULT_NODE_BUDGET, OptimalScheduler
 from repro.workloads.perfect import load_suite
 

@@ -26,15 +26,15 @@ import statistics
 import numpy as np
 import pytest
 
-from repro.analysis import build_dag
-from repro.core import BalancedScheduler
-from repro.machine import LEN_8, MAX_8, UNLIMITED
+from repro.analysis.dependence import build_dag
+from repro.core.balanced import BalancedScheduler
+from repro.machine.processor import LEN_8, MAX_8, UNLIMITED
 from repro.experiments.common import CellSpec, evaluate_cells
 from repro.machine.config import SYSTEMS_BY_NAME, paper_system_rows
-from repro.simulate import simulate_block
+from repro.simulate.simulator import simulate_block
 from repro.simulate.batch import simulate_block_batch
 from repro.simulate.rng import spawn
-from repro.workloads import program_names
+from repro.workloads.perfect import program_names
 from tests.support.generator import random_block
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_scale.json"

@@ -31,8 +31,9 @@ import time
 
 import pytest
 
-from repro.analysis import build_dag
-from repro.core import BalancedScheduler, ListScheduler
+from repro.analysis.dependence import build_dag
+from repro.core.balanced import BalancedScheduler
+from repro.core.scheduler import ListScheduler
 from repro.core.weights import balanced_weights
 from repro.simulate.rng import spawn
 from tests.core.oracles import balanced_weights_reference, schedule_reference

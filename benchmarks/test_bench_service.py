@@ -30,7 +30,8 @@ import time
 import pytest
 
 from repro.experiments.cache import ResultCache
-from repro.service import SchedulingService, ServiceClient, ServiceThread
+from repro.service.client import ServiceClient
+from repro.service.server import SchedulingService, ServiceThread
 
 BENCH_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_service.json"

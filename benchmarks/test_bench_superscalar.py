@@ -30,11 +30,11 @@ import time
 
 import pytest
 
-from repro.core import BalancedScheduler
+from repro.core.balanced import BalancedScheduler
 from repro.core.pipeline import compile_program
-from repro.machine import LEN_8, MAX_8, superscalar
+from repro.machine.processor import LEN_8, MAX_8, superscalar
 from repro.machine.config import SYSTEMS_BY_NAME
-from repro.simulate import simulate_block
+from repro.simulate.simulator import simulate_block
 from repro.simulate.batch import simulate_block_batch
 from repro.simulate.rng import spawn
 from repro.workloads.perfect import load_program

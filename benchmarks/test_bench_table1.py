@@ -1,6 +1,6 @@
 """Benchmark regenerating Table 1 (the worked weight matrix)."""
 
-from repro.experiments import run_table1
+from repro.experiments.table1 import run_table1
 
 
 def test_bench_table1(benchmark, save_result):

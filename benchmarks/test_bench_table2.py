@@ -1,6 +1,6 @@
 """Benchmark regenerating Table 2 (the headline improvement grid)."""
 
-from repro.experiments import run_table2
+from repro.experiments.table2 import run_table2
 
 
 def test_bench_table2(benchmark, save_result):

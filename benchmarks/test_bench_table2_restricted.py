@@ -4,8 +4,8 @@ The paper (Section 5): "The results for MAX-8 and LEN 8 are similar,
 with ranges of 7% to 16% and 3% to 16%, and means of 10.0% and 8.7%."
 """
 
-from repro.experiments import run_table2
-from repro.machine import LEN_8, MAX_8
+from repro.experiments.table2 import run_table2
+from repro.machine.processor import LEN_8, MAX_8
 
 
 def test_bench_table2_max8(benchmark, save_result):

@@ -1,6 +1,6 @@
 """Benchmark regenerating Table 3 (MDG detail, three processors)."""
 
-from repro.experiments import run_table3
+from repro.experiments.table3 import run_table3
 
 
 def test_bench_table3(benchmark, save_result):

@@ -1,6 +1,6 @@
 """Benchmark regenerating Table 4 (spill instruction percentages)."""
 
-from repro.experiments import run_table4
+from repro.experiments.table4 import run_table4
 
 
 def test_bench_table4(benchmark, save_result):

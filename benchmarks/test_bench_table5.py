@@ -1,6 +1,6 @@
 """Benchmark regenerating Table 5 (the N(30,5) breakdown)."""
 
-from repro.experiments import run_table5
+from repro.experiments.table5 import run_table5
 
 
 def test_bench_table5(benchmark, save_result):

@@ -9,14 +9,15 @@ improvement with the paper's full 30-run bootstrap methodology.
 Run:  python examples/cache_workstation.py
 """
 
-from repro import BalancedScheduler, TraditionalScheduler, compile_program
-from repro.frontend import compile_minif
-from repro.machine import CACHE_SYSTEMS, SystemRow, UNLIMITED
-from repro.simulate import (
-    compare_runs,
-    simulate_program,
-    spawn,
-)
+from repro.core.balanced import BalancedScheduler
+from repro.core.pipeline import compile_program
+from repro.core.traditional import TraditionalScheduler
+from repro.frontend.lowering import compile_minif
+from repro.machine.config import CACHE_SYSTEMS, SystemRow
+from repro.machine.processor import UNLIMITED
+from repro.simulate.program import simulate_program
+from repro.simulate.rng import spawn
+from repro.simulate.stats import compare_runs
 
 SOURCE = """
 program blas_like

@@ -9,9 +9,10 @@ latency, using IR-level unrolling as the software-pipelining stand-in
 Run:  python examples/loop_throughput.py
 """
 
-from repro.core import BalancedScheduler, TraditionalScheduler
-from repro.frontend import compile_minif
-from repro.simulate import recurrence_bound, throughput
+from repro.core.balanced import BalancedScheduler
+from repro.core.traditional import TraditionalScheduler
+from repro.frontend.lowering import compile_minif
+from repro.simulate.throughput import recurrence_bound, throughput
 
 LOOPS = {
     "stream  (no recurrence)": """

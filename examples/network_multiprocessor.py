@@ -10,10 +10,15 @@ configuration.
 Run:  python examples/network_multiprocessor.py
 """
 
-from repro import BalancedScheduler, TraditionalScheduler, compile_program
-from repro.frontend import compile_minif
-from repro.machine import LEN_8, MAX_8, NetworkMemory, UNLIMITED
-from repro.simulate import compare_runs, simulate_program, spawn
+from repro.core.balanced import BalancedScheduler
+from repro.core.pipeline import compile_program
+from repro.core.traditional import TraditionalScheduler
+from repro.frontend.lowering import compile_minif
+from repro.machine.memory import NetworkMemory
+from repro.machine.processor import LEN_8, MAX_8, UNLIMITED
+from repro.simulate.program import simulate_program
+from repro.simulate.rng import spawn
+from repro.simulate.stats import compare_runs
 
 SOURCE = """
 program particle_push

@@ -9,7 +9,9 @@ Regenerates, with commentary:
 Run:  python examples/paper_walkthrough.py
 """
 
-from repro.experiments import run_figure2, run_figure3, run_table1
+from repro.experiments.figure2 import run_figure2
+from repro.experiments.figure3 import run_figure3
+from repro.experiments.table1 import run_table1
 
 
 def main() -> None:

@@ -3,12 +3,16 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import BalancedScheduler, TraditionalScheduler, build_dag
-from repro.core import balanced_weights
-from repro.frontend import compile_minif
-from repro.ir import format_block
-from repro.machine import CacheMemory, UNLIMITED
-from repro.simulate import sample_block, spawn
+from repro.analysis.dependence import build_dag
+from repro.core.balanced import BalancedScheduler
+from repro.core.traditional import TraditionalScheduler
+from repro.core.weights import balanced_weights
+from repro.frontend.lowering import compile_minif
+from repro.ir.printer import format_block
+from repro.machine.memory import CacheMemory
+from repro.machine.processor import UNLIMITED
+from repro.simulate.program import sample_block
+from repro.simulate.rng import spawn
 
 SOURCE = """
 program quickstart

@@ -8,16 +8,19 @@
 Run:  python examples/section6_extensions.py
 """
 
-from repro import BalancedScheduler, build_dag
-from repro.experiments import run_superscalar_ablation
-from repro.extensions import (
+from repro.analysis.dependence import build_dag
+from repro.core.balanced import BalancedScheduler
+from repro.experiments.ablations import run_superscalar_ablation
+from repro.extensions.known_latency import (
     KnownLatencyScheduler,
-    MultiCycleBalancedScheduler,
-    enlarge_block,
     second_access_same_line,
+)
+from repro.extensions.multicycle import (
+    MultiCycleBalancedScheduler,
     with_fp_latency,
 )
-from repro.frontend import compile_minif
+from repro.extensions.unrolling import enlarge_block
+from repro.frontend.lowering import compile_minif
 
 SOURCE = """
 program stencil
@@ -78,10 +81,10 @@ def main() -> None:
     # 4. Trace scheduling: splice the hot path of a CFG and let the
     #    balanced weights see across block boundaries.
     # ------------------------------------------------------------------
-    from repro.extensions import compare_trace_vs_blocks
-    from repro.machine import UNLIMITED
-    from repro.simulate import simulate_block
-    from repro.workloads import hot_path_cfg
+    from repro.extensions.trace import compare_trace_vs_blocks
+    from repro.machine.processor import UNLIMITED
+    from repro.simulate.simulator import simulate_block
+    from repro.workloads.cfg_demo import hot_path_cfg
 
     def cycles_at(block, latency=6):
         n = sum(1 for i in block if i.is_load)
@@ -99,7 +102,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 5. Software pipelining: modulo-schedule a reduction loop.
     # ------------------------------------------------------------------
-    from repro.extensions import modulo_schedule
+    from repro.extensions.modulo import modulo_schedule
 
     loop = compile_minif(
         """

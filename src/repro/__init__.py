@@ -1,22 +1,7 @@
 """Balanced Scheduling (Kerns & Eggers, PLDI 1993) -- full reproduction.
 
-Quick start::
-
-    from repro import BalancedScheduler
-    from repro.frontend import compile_minif
-
-    program = compile_minif('''
-    program quickstart
-      array a[64], b[64]
-      kernel body freq 1
-        b[i] = a[i] + a[i+1]
-      end
-    end
-    ''')
-    result = BalancedScheduler().schedule_block(program.functions[0].blocks[0])
-    print(result.block)
-
-See README.md for the architecture overview and EXPERIMENTS.md for the
+Import each name from the module that defines it.  See README.md for
+the architecture overview and a quick start, and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
@@ -29,76 +14,8 @@ import os
 # this package calls a BLAS routine (no dot, matmul, `@`, linalg,
 # einsum or tensordot), so the thread count cannot change any result.
 # A caller's own setting wins, and so does a numpy imported before
-# this package.
+# this package.  It sits here because every `repro.*` import runs this
+# init first, before any module can import numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .analysis import AliasModel, CodeDAG, build_dag
-from .core import (
-    AverageWeightScheduler,
-    BalancedScheduler,
-    CompilationResult,
-    SchedulingPolicy,
-    TraditionalScheduler,
-    balanced_weights,
-    compile_block,
-    compile_program,
-    contribution_matrix,
-)
-from .ir import BasicBlock, Function, Instruction, Opcode, Program
-from .machine import (
-    CacheMemory,
-    FixedMemory,
-    LEN_8,
-    MAX_8,
-    MemorySystem,
-    MixedMemory,
-    NetworkMemory,
-    ProcessorModel,
-    UNLIMITED,
-)
-from .regalloc import RegisterFile
-from .simulate import (
-    ImprovementResult,
-    compare_runs,
-    simulate_block,
-    simulate_program,
-    spawn,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "AliasModel",
-    "CodeDAG",
-    "build_dag",
-    "AverageWeightScheduler",
-    "BalancedScheduler",
-    "CompilationResult",
-    "SchedulingPolicy",
-    "TraditionalScheduler",
-    "balanced_weights",
-    "compile_block",
-    "compile_program",
-    "contribution_matrix",
-    "BasicBlock",
-    "Function",
-    "Instruction",
-    "Opcode",
-    "Program",
-    "CacheMemory",
-    "FixedMemory",
-    "LEN_8",
-    "MAX_8",
-    "MemorySystem",
-    "MixedMemory",
-    "NetworkMemory",
-    "ProcessorModel",
-    "UNLIMITED",
-    "RegisterFile",
-    "ImprovementResult",
-    "compare_runs",
-    "simulate_block",
-    "simulate_program",
-    "spawn",
-    "__version__",
-]

@@ -5,16 +5,11 @@ subgraph ``G_ind`` computed for an instruction ``i``, find the
 (weakly) connected components, and within each component the path
 carrying the largest number of load instructions (``Chances``).
 
-Two ``Chances`` computations are provided:
-
-* :func:`longest_load_path` -- the definition-faithful one: a dynamic
-  program over topological order counting loads per path.
-* :func:`longest_path_unionfind` -- the O(n*alpha(n)) scheme the
-  paper sketches (level-labelled union-find; path length =
-  max level - min level + 1).  It counts *nodes* on the longest path,
-  which equals the load count whenever components consist purely of
-  loads (true of every worked example in the paper); tests demonstrate
-  both the agreement on those cases and the divergence on mixed paths.
+:func:`longest_load_path` computes ``Chances`` as defined: a dynamic
+program over topological order counting loads per path.  The
+O(n*alpha(n)) union-find scheme the paper sketches counts *nodes*
+instead; it lives next to the tests that pin down where the two differ
+(``tests/support/unionfind.py``).
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ import numpy as np
 
 from .dag import CodeDAG
 from .reachability import bits
-from .unionfind import LevelUnionFind
 
 
 def connected_components(dag: CodeDAG, mask: int, neighbor_masks: Sequence[int]) -> List[int]:
@@ -122,36 +116,3 @@ def batched_weighted_paths(
 def component_loads(dag: CodeDAG, component: int) -> List[int]:
     """The load nodes inside a component bitmask."""
     return [v for v in bits(component) if dag.is_load(v)]
-
-
-def _levels_from_leaves(dag: CodeDAG, mask: int) -> Dict[int, int]:
-    """Level of each node in the induced subgraph, measured from the
-    farthest leaf (leaves have level 0)."""
-    levels: Dict[int, int] = {}
-    for v in reversed(list(bits(mask))):
-        level = 0
-        for s in dag.successors(v):
-            if mask >> s & 1:
-                level = max(level, levels[s] + 1)
-        levels[v] = level
-    return levels
-
-
-def longest_path_unionfind(dag: CodeDAG, mask: int) -> Dict[int, int]:
-    """Longest path length (in nodes) per component, the paper's way.
-
-    Returns a map from each node in ``mask`` to the longest path length
-    of its component, computed with the level-labelled union-find
-    described in Section 3.
-    """
-    nodes = list(bits(mask))
-    if not nodes:
-        return {}
-    position = {v: k for k, v in enumerate(nodes)}
-    levels = _levels_from_leaves(dag, mask)
-    uf = LevelUnionFind(levels[v] for v in nodes)
-    for v in nodes:
-        for s in dag.successors(v):
-            if mask >> s & 1:
-                uf.union(position[v], position[s])
-    return {v: uf.path_length(position[v]) for v in nodes}

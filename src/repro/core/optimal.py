@@ -483,7 +483,7 @@ class OptimalScheduler(SchedulingPolicy):
     Weights every load with the model latency (so priorities and
     diagnostics read like the traditional scheduler's) but replaces
     list selection with the branch-and-bound search, seeded by both
-    list schedules.  Flows through :func:`repro.core.compile_block`
+    list schedules.  Flows through :func:`repro.core.pipeline.compile_block`
     unchanged -- register allocation, the second scheduling pass and
     the verify hook all see a richer :class:`ScheduleResult`.
     """

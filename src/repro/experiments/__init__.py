@@ -5,68 +5,3 @@ method that renders the table the way the paper lays it out, plus
 shape-check helpers the test suite asserts on.  The ``balanced-sched``
 CLI (see :mod:`repro.experiments.runner`) regenerates everything.
 """
-
-from .ablations import (
-    AblationResult,
-    run_alias_ablation,
-    run_allocator_ablation,
-    run_blocking_ablation,
-    run_all_ablations,
-    run_average_weight_ablation,
-    run_direction_ablation,
-    run_pipelining_ablation,
-    run_spill_pool_ablation,
-    run_superscalar_ablation,
-    run_trace_ablation,
-)
-from .common import CellResult, ProgramEvaluator
-from .figure2 import PAPER_SCHEDULES, PAPER_WEIGHTS, Figure2Result, run_figure2
-from .figure3 import Figure3Result, run_figure3
-from .table1 import (
-    PAPER_TABLE1_CELLS,
-    PAPER_TABLE1_TOTALS,
-    Table1Result,
-    run_table1,
-)
-from .table2 import PAPER_TABLE2_MEANS, Table2Result, Table2Row, run_table2
-from .table3 import Table3Result, run_table3
-from .table4 import OPTIMISTIC_LATENCIES, Table4Result, Table4Row, run_table4
-from .table5 import Table5Result, run_table5
-
-__all__ = [
-    "AblationResult",
-    "run_alias_ablation",
-    "run_allocator_ablation",
-    "run_blocking_ablation",
-    "run_all_ablations",
-    "run_average_weight_ablation",
-    "run_direction_ablation",
-    "run_pipelining_ablation",
-    "run_spill_pool_ablation",
-    "run_superscalar_ablation",
-    "run_trace_ablation",
-    "CellResult",
-    "ProgramEvaluator",
-    "PAPER_SCHEDULES",
-    "PAPER_WEIGHTS",
-    "Figure2Result",
-    "run_figure2",
-    "Figure3Result",
-    "run_figure3",
-    "PAPER_TABLE1_CELLS",
-    "PAPER_TABLE1_TOTALS",
-    "Table1Result",
-    "run_table1",
-    "PAPER_TABLE2_MEANS",
-    "Table2Result",
-    "Table2Row",
-    "run_table2",
-    "Table3Result",
-    "run_table3",
-    "OPTIMISTIC_LATENCIES",
-    "Table4Result",
-    "Table4Row",
-    "run_table4",
-    "Table5Result",
-    "run_table5",
-]

@@ -212,7 +212,7 @@ class ProgramEvaluator:
         """The exact compilation for one fixed memory latency.
 
         Like :meth:`traditional` but through the branch-and-bound
-        backend (:class:`repro.core.OptimalScheduler`): the schedule is
+        backend (:class:`repro.core.optimal.OptimalScheduler`): the schedule is
         provably cycle-minimal under the fixed-latency model whenever
         the per-block search certifies within budget, and never worse
         than the balanced schedule otherwise.

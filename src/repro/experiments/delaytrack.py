@@ -24,7 +24,7 @@ The scalar engine's issue order is additionally verified: one seeded
 latency draw per (program, policy, block, table) replays through
 :func:`repro.simulate.simulator.delaytrack_issue_trace` and must pass
 the independent admissibility oracle
-(:func:`repro.verify.check_delaytrack_issue`); the report prints the
+(:func:`repro.verify.oracle.check_delaytrack_issue`); the report prints the
 trace and violation counts and the CI smoke gate requires zero
 violations.  The replay is organised by compiled block: the block's
 conflict successors (engine) and hardware-ordered pairs (oracle) do

@@ -588,7 +588,7 @@ def _cmd_manifest(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Imported lazily: the service package pulls in asyncio plumbing
     # no batch command needs.
-    from ..service import SchedulingService
+    from ..service.server import SchedulingService
 
     _warn_jobs(args.jobs)
     cache = None if args.no_cache else ResultCache(args.cache_dir)

@@ -65,7 +65,7 @@ def expected_latency(memory) -> LatencyOracle:
     the hardware learns each load's actual return time after issue, a
     compiler armed with the memory system's distribution can at best
     schedule for its expectation.  ``memory`` is anything with a
-    ``mean_latency`` property (a :class:`repro.machine.MemorySystem`);
+    ``mean_latency`` property (a :class:`repro.machine.memory.MemorySystem`);
     the mean is rounded to whole cycles, floored at 1.
     """
     pinned = max(1, round(float(memory.mean_latency)))

@@ -1,52 +1,7 @@
 """The minif frontend: a small FORTRAN-style kernel language.
 
 The synthetic Perfect Club stand-ins are written in minif and lowered
-to the RISC IR here.  Public surface: :func:`parse_program` (source ->
-AST), :func:`lower_ast` (AST -> IR) and :func:`compile_minif` (both).
+to the RISC IR here: :mod:`repro.frontend.parser` (source -> AST),
+:mod:`repro.frontend.lowering` (AST -> IR, and
+:func:`~repro.frontend.lowering.compile_minif` for both).
 """
-
-from .ast import (
-    ArrayRef,
-    Assign,
-    BinOp,
-    IndexExpr,
-    IndirectIndex,
-    Kernel,
-    Num,
-    ProgramAST,
-    Var,
-    referenced_arrays,
-    referenced_scalars,
-)
-from .errors import LexError, LoweringError, MinifError, ParseError
-from .lexer import Token, TokenKind, tokenize
-from .lowering import compile_minif, lower_ast
-from .parser import parse_program
-from .printer import format_expr, format_kernel, format_program_ast
-
-__all__ = [
-    "ArrayRef",
-    "Assign",
-    "BinOp",
-    "IndexExpr",
-    "IndirectIndex",
-    "Kernel",
-    "Num",
-    "ProgramAST",
-    "Var",
-    "LexError",
-    "LoweringError",
-    "MinifError",
-    "ParseError",
-    "Token",
-    "TokenKind",
-    "tokenize",
-    "compile_minif",
-    "lower_ast",
-    "parse_program",
-    "format_expr",
-    "format_kernel",
-    "format_program_ast",
-    "referenced_arrays",
-    "referenced_scalars",
-]

@@ -1,89 +1,1 @@
 """Machine models: processors (Section 4.4) and memory systems (4.5)."""
-
-from .config import (
-    ALL_SYSTEMS,
-    CACHE_SYSTEMS,
-    GROUPS,
-    PROCESSORS_BY_NAME,
-    parse_processor,
-    L80_2_5,
-    L80_2_10,
-    L80_N30_5,
-    L95_2_5,
-    L95_2_10,
-    MIXED_SYSTEMS,
-    N_2_2,
-    N_2_5,
-    N_3_2,
-    N_3_5,
-    N_5_2,
-    N_5_5,
-    N_30_5,
-    NETWORK_SYSTEMS,
-    SYSTEMS_BY_NAME,
-    SystemRow,
-    paper_system_rows,
-    system_row,
-)
-from .memory import (
-    CacheMemory,
-    FixedMemory,
-    MemorySystem,
-    MIN_LATENCY,
-    MixedMemory,
-    NetworkMemory,
-)
-from .processor import (
-    BLOCKING,
-    DT_8,
-    LEN_8,
-    MAX_8,
-    PAPER_PROCESSORS,
-    ProcessorModel,
-    UNLIMITED,
-    delay_tracking,
-    model_family,
-    superscalar,
-)
-
-__all__ = [
-    "ALL_SYSTEMS",
-    "CACHE_SYSTEMS",
-    "GROUPS",
-    "L80_2_5",
-    "L80_2_10",
-    "L80_N30_5",
-    "L95_2_5",
-    "L95_2_10",
-    "MIXED_SYSTEMS",
-    "N_2_2",
-    "N_2_5",
-    "N_3_2",
-    "N_3_5",
-    "N_5_2",
-    "N_5_5",
-    "N_30_5",
-    "NETWORK_SYSTEMS",
-    "SYSTEMS_BY_NAME",
-    "SystemRow",
-    "paper_system_rows",
-    "system_row",
-    "CacheMemory",
-    "FixedMemory",
-    "MemorySystem",
-    "MIN_LATENCY",
-    "MixedMemory",
-    "NetworkMemory",
-    "PROCESSORS_BY_NAME",
-    "parse_processor",
-    "BLOCKING",
-    "DT_8",
-    "LEN_8",
-    "MAX_8",
-    "PAPER_PROCESSORS",
-    "ProcessorModel",
-    "UNLIMITED",
-    "delay_tracking",
-    "model_family",
-    "superscalar",
-]

@@ -1,34 +1,1 @@
 """Register allocation substrate (linear scan + FIFO spill pool)."""
-
-from .chaitin import ChaitinAllocator, allocate_block_chaitin
-from .linear_scan import AllocationResult, LinearScanAllocator, allocate_block
-from .spill import (
-    SPILL_HOME_REGION,
-    SPILL_OUT_REGION,
-    SpillRewriter,
-    SpillStats,
-)
-from .target import (
-    BASE_SPILL_POOL,
-    DEFAULT_REGISTER_FILE,
-    RegisterFile,
-    TIGHT_REGISTER_FILE,
-    UNIMPROVED_REGISTER_FILE,
-)
-
-__all__ = [
-    "AllocationResult",
-    "ChaitinAllocator",
-    "allocate_block_chaitin",
-    "LinearScanAllocator",
-    "allocate_block",
-    "SPILL_HOME_REGION",
-    "SPILL_OUT_REGION",
-    "SpillRewriter",
-    "SpillStats",
-    "BASE_SPILL_POOL",
-    "DEFAULT_REGISTER_FILE",
-    "RegisterFile",
-    "TIGHT_REGISTER_FILE",
-    "UNIMPROVED_REGISTER_FILE",
-]

@@ -17,39 +17,15 @@ Layout:
 * :mod:`~repro.service.batcher` -- the admission queue (bounded depth,
   per-request deadlines) and the coalescing simulation batcher;
 * :mod:`~repro.service.server` -- the asyncio HTTP daemon
-  (:class:`SchedulingService`) plus :class:`ServiceThread` for
-  embedding it in tests and benchmarks;
+  (:class:`~repro.service.server.SchedulingService`) plus
+  :class:`~repro.service.server.ServiceThread` for embedding it in
+  tests and benchmarks;
 * :mod:`~repro.service.client` -- a small stdlib-only client.
 """
 
-from ..obs.requesttrace import (
-    RequestTraceStore,
-    TraceContext,
-    parse_traceparent,
-)
-from .batcher import AdmissionError, DeadlineExceeded, SimulationBatcher
-from .client import ServiceClient, ServiceError
-from .schema import (
-    RequestError,
-    cell_payload,
-    parse_request,
-    to_cell_spec,
-)
-from .server import SchedulingService, ServiceThread
+# benchmarks/e2e/client.py imports these four names from the package,
+# so they stay here; everything else is imported from its own module.
+from .client import ServiceClient
+from .schema import cell_payload, parse_request, to_cell_spec
 
-__all__ = [
-    "AdmissionError",
-    "DeadlineExceeded",
-    "RequestError",
-    "RequestTraceStore",
-    "SchedulingService",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceThread",
-    "SimulationBatcher",
-    "TraceContext",
-    "cell_payload",
-    "parse_request",
-    "parse_traceparent",
-    "to_cell_spec",
-]
+__all__ = ["ServiceClient", "cell_payload", "parse_request", "to_cell_spec"]

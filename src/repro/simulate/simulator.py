@@ -53,13 +53,6 @@ class BlockSimResult:
     instructions: int
     interlock_cycles: int
 
-    @property
-    def interlock_fraction(self) -> float:
-        """Fraction of cycles that were interlock (stall) cycles."""
-        if self.cycles == 0:
-            return 0.0
-        return self.interlock_cycles / self.cycles
-
 
 class LatencyOverrunError(ValueError):
     """Raised when fewer latencies than loads are supplied."""
@@ -448,7 +441,7 @@ def delaytrack_issue_trace(
 
     Returns ``(source_position, issue_cycle)`` per executed (non-NOP)
     instruction, in issue order -- the admissibility evidence consumed
-    by :func:`repro.verify.check_delaytrack_issue`.  ``successors`` is
+    by :func:`repro.verify.oracle.check_delaytrack_issue`.  ``successors`` is
     :func:`conflict_successors` of the executed instructions, for a
     caller that replays one block at several table sizes; a list of
     any other length than the executed instructions raises

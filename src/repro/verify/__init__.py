@@ -14,40 +14,4 @@ Three layers (see docs/verification.md):
   opt-in post-schedule assertion hook for the experiments engine
   (``balanced-sched run --verify``) and a whole-suite replay
   (``balanced-sched verify``).
-
-Only the oracle and the hook are imported eagerly -- the fuzzing and
-replay layers depend on :mod:`repro.core` (which itself consults the
-hook), so they are imported on demand to keep the package acyclic.
 """
-
-from . import hooks
-from .oracle import (
-    LegalityError,
-    Violation,
-    assert_legal,
-    check_allocation,
-    check_compiled,
-    check_delaytrack_issue,
-    check_machine,
-    check_permutation,
-    check_schedule,
-    constrained_pairs,
-    hardware_ordered_pairs,
-    oracle_may_alias,
-)
-
-__all__ = [
-    "LegalityError",
-    "Violation",
-    "assert_legal",
-    "check_allocation",
-    "check_compiled",
-    "check_delaytrack_issue",
-    "check_machine",
-    "check_permutation",
-    "check_schedule",
-    "constrained_pairs",
-    "hardware_ordered_pairs",
-    "hooks",
-    "oracle_may_alias",
-]

@@ -420,7 +420,7 @@ def check_machine(
     """Is the emitted block executable on ``processor`` as-is?
 
     ``processor`` is anything with an ``issue_width`` and a ``name``
-    (a :class:`repro.machine.ProcessorModel`).  ``slots`` optionally
+    (a :class:`repro.machine.processor.ProcessorModel`).  ``slots`` optionally
     maps scheduler DAG nodes to issue-time slots and ``order`` lists
     the nodes in emission order; when provided, per-slot occupancy is
     checked against the issue width.
@@ -679,7 +679,7 @@ def check_compiled(
 ) -> List[Violation]:
     """Run every applicable check over one pipeline artefact.
 
-    ``compiled`` is duck-typed as :class:`repro.core.CompiledBlock`
+    ``compiled`` is duck-typed as :class:`repro.core.pipeline.CompiledBlock`
     (attributes ``source`` / ``final`` / ``pass1`` / ``allocation`` /
     ``pass2``), so this module never imports the pipeline it checks.
     """

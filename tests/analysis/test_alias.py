@@ -1,8 +1,7 @@
 """Unit tests for the alias models (Section 4.2 semantics)."""
 
-from repro.analysis import AliasModel, may_alias
-from repro.analysis.alias import SPILL_REGION_PREFIX
-from repro.ir import MemRef, VirtualReg
+from repro.analysis.alias import SPILL_REGION_PREFIX, AliasModel, may_alias
+from repro.ir.operands import MemRef, VirtualReg
 
 BASE = VirtualReg(0)
 OTHER = VirtualReg(1)

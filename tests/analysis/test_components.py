@@ -2,17 +2,18 @@
 
 import numpy as np
 
-from repro.analysis import (
-    build_dag,
+from repro.analysis.components import (
     component_loads,
     connected_components,
     longest_load_path,
-    longest_path_unionfind,
 )
+from repro.analysis.dependence import build_dag
 from repro.analysis.dag import CodeDAG, DepKind
-from repro.ir import MemRef, Opcode, VirtualReg, alu, load
-from repro.workloads import figure7_block
+from repro.ir.instructions import Opcode, alu, load
+from repro.ir.operands import MemRef, VirtualReg
+from repro.workloads.paper_dags import figure7_block
 from tests.support.generator import random_dag
+from tests.support.unionfind import longest_path_unionfind
 
 
 def mixed_dag():

@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
-from repro.analysis import build_dag, priorities
+from repro.analysis.critical_path import priorities
+from repro.analysis.dependence import build_dag
 from repro.analysis.dag import CodeDAG, DepKind
-from repro.ir import Opcode, VirtualReg, alu
+from repro.ir.instructions import Opcode, alu
+from repro.ir.operands import VirtualReg
 from tests.support.dag_height import height_in_nodes
 
 
@@ -47,7 +49,7 @@ class TestPriorities:
     def test_max_over_successors_not_sum(self):
         dag = chain(2)
         # Add a second, shorter successor of node 0.
-        from repro.ir import alu as mk
+        from repro.ir.instructions import alu as mk
 
         instrs = list(dag.instructions) + [mk(Opcode.ADD, VirtualReg(200), ())]
         wide = CodeDAG(instrs)

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from repro.analysis import CodeDAG, DepKind
-from repro.ir import MemRef, Opcode, VirtualReg, alu, load
+from repro.analysis.dag import CodeDAG, DepKind
+from repro.ir.instructions import Opcode, alu, load
+from repro.ir.operands import MemRef, VirtualReg
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 

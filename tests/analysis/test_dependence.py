@@ -1,16 +1,11 @@
 """Unit tests for dependence-DAG construction."""
 
-from repro.analysis import AliasModel, DepKind, build_dag
-from repro.ir import (
-    BasicBlock,
-    Instruction,
-    MemRef,
-    Opcode,
-    VirtualReg,
-    alu,
-    load,
-    store,
-)
+from repro.analysis.alias import AliasModel
+from repro.analysis.dag import DepKind
+from repro.analysis.dependence import build_dag
+from repro.ir.block import BasicBlock
+from repro.ir.instructions import Instruction, Opcode, alu, load, store
+from repro.ir.operands import MemRef, VirtualReg
 from tests.support.generator import random_block
 
 

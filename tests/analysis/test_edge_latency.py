@@ -7,8 +7,9 @@ import pytest
 
 from repro.analysis.critical_path import priorities
 from repro.analysis.dag import CodeDAG, DepKind
-from repro.core import schedule_dag
-from repro.ir import MemRef, Opcode, VirtualReg, alu, load
+from repro.core.scheduler import schedule_dag
+from repro.ir.instructions import Opcode, alu, load
+from repro.ir.operands import MemRef, VirtualReg
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 

@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.core import BalancedScheduler, TraditionalScheduler, compile_block
-from repro.ir import BasicBlock, MemRef, RegClass, VirtualReg, load, store
-from repro.regalloc import RegisterFile
+from repro.core.balanced import BalancedScheduler
+from repro.core.pipeline import compile_block
+from repro.core.traditional import TraditionalScheduler
+from repro.ir.block import BasicBlock
+from repro.ir.instructions import load, store
+from repro.ir.operands import MemRef, RegClass, VirtualReg
+from repro.regalloc.target import RegisterFile
 from tests.support.equivalence import (
     EquivalenceError,
     assert_equivalent,
@@ -122,7 +126,7 @@ class TestSchedulingPreservesSemantics:
         lambda: TraditionalScheduler(30),
     ])
     def test_suite_blocks(self, policy_factory):
-        from repro.workloads import load_program
+        from repro.workloads.perfect import load_program
 
         for name in ("MDG", "TRACK", "FLO52Q"):
             for block in load_program(name).all_blocks():

@@ -1,16 +1,13 @@
 """Unit tests for live intervals and pressure."""
 
-from repro.analysis import live_intervals, max_pressure, pressure_profile
-from repro.ir import (
-    BasicBlock,
-    MemRef,
-    Opcode,
-    RegClass,
-    VirtualReg,
-    alu,
-    load,
-    store,
+from repro.analysis.liveness import (
+    live_intervals,
+    max_pressure,
+    pressure_profile,
 )
+from repro.ir.block import BasicBlock
+from repro.ir.instructions import Opcode, alu, load, store
+from repro.ir.operands import MemRef, RegClass, VirtualReg
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
+from repro.analysis.reachability import (
     bits,
     closures,
     independent_mask,
@@ -13,15 +13,13 @@ from repro.analysis import (
     successor_closure,
 )
 from repro.analysis.dag import CodeDAG, DepKind
+from repro.ir.instructions import Opcode, alu
+from repro.ir.operands import VirtualReg
 from tests.support.generator import random_dag
 
 
 def chain_dag(n=4):
-    import repro.ir as ir
-
-    instrs = [
-        ir.alu(ir.Opcode.ADD, ir.VirtualReg(100 + k), ()) for k in range(n)
-    ]
+    instrs = [alu(Opcode.ADD, VirtualReg(100 + k), ()) for k in range(n)]
     dag = CodeDAG(instrs)
     for k in range(n - 1):
         dag.add_edge(k, k + 1, DepKind.TRUE)
@@ -82,11 +80,9 @@ class TestIndependentMask:
     def test_independent_nodes_survive(self):
         dag = chain_dag(2)
         # Add two disconnected nodes.
-        import repro.ir as ir
-
         instrs = list(dag.instructions) + [
-            ir.alu(ir.Opcode.ADD, ir.VirtualReg(200), ()),
-            ir.alu(ir.Opcode.ADD, ir.VirtualReg(201), ()),
+            alu(Opcode.ADD, VirtualReg(200), ()),
+            alu(Opcode.ADD, VirtualReg(201), ()),
         ]
         bigger = CodeDAG(instrs)
         bigger.add_edge(0, 1, DepKind.TRUE)

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import DisjointSets, LevelUnionFind
+from tests.support.unionfind import DisjointSets, LevelUnionFind
 
 
 class TestDisjointSets:

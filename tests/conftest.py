@@ -5,8 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.frontend import compile_minif
-from repro.workloads import figure1_block, figure4_block, figure7_block
+from repro.frontend.lowering import compile_minif
+from repro.workloads.paper_dags import (
+    figure1_block,
+    figure4_block,
+    figure7_block,
+)
 
 
 @pytest.fixture

@@ -345,7 +345,7 @@ def _chances_dp(dag: CodeDAG, component: Set[int], is_weighted) -> int:
 def balanced_weights_reference(
     dag: CodeDAG, is_weighted=_is_load
 ) -> Dict[int, Fraction]:
-    """Naive re-derivation of :func:`repro.core.balanced_weights`;
+    """Naive re-derivation of :func:`repro.core.weights.balanced_weights`;
     ``Chances`` counts the nodes ``is_weighted`` selects."""
     weights: Dict[int, Fraction] = {
         v: Fraction(1) for v in dag.nodes() if is_weighted(dag, v)

@@ -20,9 +20,9 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.analysis import build_dag
-from repro.core import (
-    BalancedScheduler,
+from repro.analysis.dependence import build_dag
+from repro.core.balanced import BalancedScheduler
+from repro.core.optimal import (
     InfeasiblePressureError,
     OptimalScheduler,
     OptimalScheduleResult,
@@ -32,7 +32,7 @@ from repro.core import (
 )
 from repro.simulate.simulator import UNLIMITED, simulate_block
 from repro.verify.oracle import check_schedule
-from repro.workloads import figure1_block
+from repro.workloads.paper_dags import figure1_block
 from repro.workloads.perfect import load_program
 from tests.support.generator import random_block
 

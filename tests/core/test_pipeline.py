@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.core import (
-    BalancedScheduler,
-    TraditionalScheduler,
-    compile_block,
-    compile_program,
-)
-from repro.frontend import compile_minif
-from repro.ir import PhysReg, VirtualReg
-from repro.regalloc import RegisterFile
-from repro.workloads import load_program
+from repro.core.balanced import BalancedScheduler
+from repro.core.pipeline import compile_block, compile_program
+from repro.core.traditional import TraditionalScheduler
+from repro.frontend.lowering import compile_minif
+from repro.ir.operands import PhysReg, VirtualReg
+from repro.regalloc.target import RegisterFile
+from repro.workloads.perfect import load_program
 from tests.support.generator import random_block
 from tests.support.verifier import verify_block
 
@@ -108,8 +105,8 @@ class TestSchedulingQualityInvariant:
     def test_balanced_dominates_on_figure1(self, figure1):
         """On the worked example, the balanced schedule's interlocks
         are <= both traditional schedules at every latency 1..8."""
-        from repro.core import Direction
-        from repro.simulate import interlock_sweep
+        from repro.core.scheduler import Direction
+        from repro.simulate.simulator import interlock_sweep
 
         block, _ = figure1
         top_down = Direction.TOP_DOWN

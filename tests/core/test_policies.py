@@ -2,15 +2,11 @@
 
 from fractions import Fraction
 
-from repro.analysis import build_dag
-from repro.core import (
-    AverageWeightScheduler,
-    BalancedScheduler,
-    SchedulingPolicy,
-    TraditionalScheduler,
-    as_fraction,
-    balanced_weights,
-)
+from repro.analysis.dependence import build_dag
+from repro.core.balanced import AverageWeightScheduler, BalancedScheduler
+from repro.core.policy import SchedulingPolicy
+from repro.core.traditional import TraditionalScheduler, as_fraction
+from repro.core.weights import balanced_weights
 
 
 class TestAsFraction:
@@ -70,7 +66,8 @@ class TestAverageWeight:
 
     def test_no_loads_is_a_no_op(self):
         from repro.analysis.dag import CodeDAG
-        from repro.ir import Opcode, VirtualReg, alu
+        from repro.ir.instructions import Opcode, alu
+        from repro.ir.operands import VirtualReg
 
         dag = CodeDAG([alu(Opcode.ADD, VirtualReg(0), ())])
         assert AverageWeightScheduler().load_weights(dag) == {}

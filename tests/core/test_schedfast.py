@@ -15,19 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
-from repro.analysis import build_dag
+from repro.obs.recorder import recording
+from repro.analysis.dependence import build_dag
 from repro.analysis.dag import CodeDAG, DepKind
-from repro.core import (
-    BalancedScheduler,
-    Direction,
-    ListScheduler,
-    TraditionalScheduler,
-    compile_program,
-    scheduler as scheduler_module,
-)
+from repro.core import scheduler as scheduler_module
+from repro.core.balanced import BalancedScheduler
+from repro.core.pipeline import compile_program
+from repro.core.scheduler import Direction, ListScheduler
+from repro.core.traditional import TraditionalScheduler
 from repro.experiments.table4 import OPTIMISTIC_LATENCIES
-from repro.ir import MemRef, Opcode, VirtualReg, alu, load
+from repro.ir.instructions import Opcode, alu, load
+from repro.ir.operands import MemRef, VirtualReg
 from repro.obs.decisions import DecisionLog
 from repro.simulate.rng import spawn
 from repro.workloads.perfect import load_program, program_names
@@ -81,9 +79,9 @@ def assert_matches_oracle(schedule, dag, block, direction):
     assert result_surface(engine) == result_surface(
         schedule_reference(dag, block, direction)
     )
-    with obs.recording(decisions=True) as rec_engine:
+    with recording(decisions=True) as rec_engine:
         observed = schedule(dag, block)
-    with obs.recording(decisions=True) as rec_oracle:
+    with recording(decisions=True) as rec_oracle:
         schedule_reference(dag, block, direction)
     assert result_surface(observed) == result_surface(engine)
     assert rec_engine.decisions.render() == rec_oracle.decisions.render()
@@ -163,9 +161,9 @@ class TestObservedParity:
     @settings(max_examples=10, deadline=None)
     def test_decision_log_parity(self, direction, seed):
         block, dag = weighted_dag(seed, 30)
-        with obs.recording(decisions=True) as rec_fast:
+        with recording(decisions=True) as rec_fast:
             ListScheduler(direction).schedule(dag, block)
-        with obs.recording(decisions=True) as rec_ref:
+        with recording(decisions=True) as rec_ref:
             schedule_reference(dag, block, direction)
         assert rec_fast.decisions.render() == rec_ref.decisions.render()
         assert DecisionLog.diff(rec_fast.decisions, rec_ref.decisions) == []
@@ -174,9 +172,9 @@ class TestObservedParity:
     @settings(max_examples=10, deadline=None)
     def test_selection_metrics_parity(self, seed):
         block, dag = weighted_dag(seed, 30)
-        with obs.recording() as rec_fast:
+        with recording() as rec_fast:
             ListScheduler().schedule(dag, block)
-        with obs.recording() as rec_ref:
+        with recording() as rec_ref:
             schedule_reference(dag, block)
         for section in ("counters", "gauges", "histograms"):
             assert getattr(rec_fast.metrics, section) == getattr(

@@ -11,17 +11,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import build_dag
+from repro.analysis.dependence import build_dag
 from repro.analysis.dag import CodeDAG, DepKind
-from repro.core import (
-    BalancedScheduler,
-    Direction,
-    ListScheduler,
-    TraditionalScheduler,
-    schedule_dag,
-)
-from repro.ir import MemRef, Opcode, VirtualReg, alu, load
-from repro.workloads import label_order
+from repro.core.balanced import BalancedScheduler
+from repro.core.scheduler import Direction, ListScheduler, schedule_dag
+from repro.core.traditional import TraditionalScheduler
+from repro.ir.instructions import Opcode, alu, load
+from repro.ir.operands import MemRef, VirtualReg
+from repro.workloads.paper_dags import label_order
 from tests.support.generator import random_block
 
 

@@ -15,22 +15,17 @@ import pickle
 
 import pytest
 
-from repro import obs
+from repro.obs.recorder import recording
 from repro.analysis.alias import AliasModel
-from repro.core import (
-    AverageWeightScheduler,
-    BalancedScheduler,
-    OptimalScheduler,
-    TraditionalScheduler,
-    compile_block,
-    compile_program,
-)
-from repro.core.pipeline import StageMemo
+from repro.core.balanced import AverageWeightScheduler, BalancedScheduler
+from repro.core.optimal import OptimalScheduler
+from repro.core.pipeline import StageMemo, compile_block, compile_program
+from repro.core.traditional import TraditionalScheduler
 from repro.core.scheduler import Direction
 from repro.experiments import common, runner
 from repro.experiments.common import COMPILATION_CACHE, engine_session
 from repro.experiments.table2 import run_table2
-from repro.frontend import compile_minif
+from repro.frontend.lowering import compile_minif
 from repro.ir.printer import format_block
 from repro.machine.config import paper_system_rows
 from repro.obs.export import metrics_json
@@ -166,14 +161,14 @@ class TestObservedHits:
 
     @staticmethod
     def _metrics(fn):
-        with obs.recording() as rec:
+        with recording() as rec:
             fn()
         return metrics_json(rec.metrics)
 
     def test_hits_replay_the_skipped_metrics(self):
         source = load_program("ADM")
         memo = StageMemo()
-        with obs.recording():
+        with recording():
             compile_program(source, BalancedScheduler(), memo=memo)
         for policy in (BalancedScheduler(), TraditionalScheduler(2)):
             shared = self._metrics(
@@ -203,9 +198,9 @@ class TestObservedHits:
         block = load_program("ADM").all_blocks()[0]
         memo = StageMemo()
         compile_block(block, BalancedScheduler(), memo=memo)
-        with obs.recording(decisions=True) as shared:
+        with recording(decisions=True) as shared:
             compile_block(block, BalancedScheduler(), memo=memo)
-        with obs.recording(decisions=True) as alone:
+        with recording(decisions=True) as alone:
             compile_block(block, BalancedScheduler())
         assert shared.decisions.render() == alone.decisions.render()
 
@@ -261,7 +256,7 @@ end
         for policy in ("balanced", "traditional", "optimal"):
             runner.render_schedule(program, policy_name=policy)
         runner.render_explain(program)
-        with obs.recording():
+        with recording():
             runner.render_compile(program)
         assert (len(COMPILATION_CACHE), len(COMPILATION_CACHE.stages)) == before
 

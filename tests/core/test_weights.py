@@ -11,9 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import build_dag
+from repro.analysis.dependence import build_dag
 from repro.analysis.dag import CodeDAG
-from repro.core import (
+from repro.core.weights import (
     average_block_weight,
     balanced_weights,
     contribution_matrix,
@@ -22,7 +22,8 @@ from repro.extensions.multicycle import (
     uncertain_load_or_multicycle,
     with_fp_latency,
 )
-from repro.ir import MemRef, Opcode, VirtualReg, alu, load
+from repro.ir.instructions import Opcode, alu, load
+from repro.ir.operands import MemRef, VirtualReg
 from tests.support.generator import random_block, random_dag
 
 from .oracles import balanced_weights_reference
@@ -192,10 +193,10 @@ class TestMemoisationCounter:
     def test_gind_memo_hits_recorded(self, saxpy_block):
         """Unrolled blocks repeat (G_ind, slots) pairs; the batched
         implementation counts every dedup as a memo hit."""
-        from repro import obs
+        from repro.obs.recorder import recording
 
         dag = build_dag(saxpy_block)
-        with obs.recording() as rec:
+        with recording() as rec:
             balanced_weights(dag)
         counters = rec.metrics.counters
         assert counters.get(("sched.gind_memo_hits", ()), 0) > 0

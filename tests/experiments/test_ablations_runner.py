@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import (
+from repro.experiments.ablations import (
     run_alias_ablation,
     run_pipelining_ablation,
     run_allocator_ablation,

@@ -24,8 +24,8 @@ from repro.experiments.cache import (
     spec_token,
 )
 from repro.experiments.common import CellSpec, evaluate_cells
-from repro.machine import MAX_8, UNLIMITED, system_row
-from repro.machine.config import SystemRow
+from repro.machine.config import SystemRow, system_row
+from repro.machine.processor import MAX_8, UNLIMITED
 
 
 def _spec(**overrides):

@@ -21,12 +21,13 @@ from pathlib import Path
 
 import pytest
 
-from repro import obs
+from repro.obs.recorder import get, recording
 from repro.experiments import common
 from repro.experiments.cache import ResultCache
 from repro.experiments.common import CellSpec, evaluate_cells
 from repro.experiments.manifest import ManifestWriter, read_runs
-from repro.machine import UNLIMITED, system_row
+from repro.machine.config import system_row
+from repro.machine.processor import UNLIMITED
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 GOLDEN = Path(__file__).parent / "golden" / "table2_adm_cell_metrics.json"
@@ -123,7 +124,7 @@ class TestChildRegistry:
         real = common._evaluate_cells
         manifest = ManifestWriter(tmp_path / "m.jsonl")
         manifest.start_run("leak", seed=0, runs=2, resume=True)
-        with obs.recording() as rec:
+        with recording() as rec:
             parent = rec.metrics
 
             def evaluate(specs, scope):
@@ -158,11 +159,11 @@ class TestChildRegistry:
 
         def evaluate(specs, scope):
             with scope(0):
-                obs.get().metrics.inc("verify.violations", 2)
+                get().metrics.inc("verify.violations", 2)
                 raise exc
 
         monkeypatch.setattr(common, "_evaluate_cells", evaluate)
-        with obs.recording() as rec:
+        with recording() as rec:
             parent = rec.metrics
             with pytest.raises(raised):
                 evaluate_cells(_specs()[:1], jobs=1)

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.experiments.common import CellResult, ProgramEvaluator
-from repro.machine import MAX_8, UNLIMITED, system_row
-from repro.regalloc import RegisterFile
-from repro.workloads import load_program
+from repro.machine.config import system_row
+from repro.machine.processor import MAX_8, UNLIMITED
+from repro.regalloc.target import RegisterFile
+from repro.workloads.perfect import load_program
 
 
 @pytest.fixture(scope="module")

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.experiments import (
+from repro.experiments.figure2 import (
     PAPER_SCHEDULES,
     PAPER_WEIGHTS,
     run_figure2,
-    run_figure3,
 )
+from repro.experiments.figure3 import run_figure3
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import obs
+from repro.obs.recorder import recording
 from repro.experiments import common
 from repro.experiments.cache import cell_key
 from repro.experiments.common import (
@@ -25,10 +25,16 @@ from repro.experiments.common import (
     WorkItem,
     evaluate_cells,
 )
-from repro.machine import BLOCKING, LEN_8, MAX_8, UNLIMITED, superscalar
+from repro.machine.processor import (
+    BLOCKING,
+    LEN_8,
+    MAX_8,
+    UNLIMITED,
+    delay_tracking,
+    superscalar,
+)
 from repro.machine.config import SystemRow, parse_processor, system_row
 from repro.machine.memory import FixedMemory
-from repro.machine.processor import delay_tracking
 from repro.obs.export import metrics_json
 from repro.obs.metrics import summarize_delta
 from repro.simulate import batch as batch_mod
@@ -128,7 +134,7 @@ class TestMetrics:
         histograms, compile metrics replayed from stage hits) and its
         manifest summary are what the cell records alone."""
         specs = _mixed_specs()
-        with obs.recording():
+        with recording():
             fresh_compiles()
             grouped = common._run_group(_items(specs))
             fresh_compiles()
@@ -205,7 +211,7 @@ class TestMixedTables:
         ``sim.attribution_skipped`` and the ``sim.issue_width`` gauge,
         exactly as when it is evaluated alone."""
         specs = _mixed_table_specs()
-        with obs.recording():
+        with recording():
             fresh_compiles()
             grouped = common._run_group(_items(specs))
             fresh_compiles()

@@ -152,7 +152,7 @@ class TestDurability:
 
     def test_one_fsync_per_checkpoint_group(self, tmp_path, monkeypatch):
         from repro.experiments.common import CellSpec, evaluate_cells
-        from repro.machine import system_row
+        from repro.machine.config import system_row
 
         calls = self._count_fsyncs(monkeypatch)
         writer = ManifestWriter(tmp_path / "m.jsonl")

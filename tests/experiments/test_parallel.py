@@ -14,8 +14,9 @@ from repro.experiments.common import (
     ProgramEvaluator,
     evaluate_cells,
 )
-from repro.machine import MAX_8, UNLIMITED, system_row
-from repro.workloads import load_program
+from repro.machine.config import system_row
+from repro.machine.processor import MAX_8, UNLIMITED
+from repro.workloads.perfect import load_program
 
 
 def _specs():

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments import run_figure3, run_table1, run_table4
+from repro.experiments.figure3 import run_figure3
+from repro.experiments.table1 import run_table1
+from repro.experiments.table4 import run_table4
 from repro.experiments.report import export, records_of, to_csv, to_markdown
 from repro.experiments.runner import main
 

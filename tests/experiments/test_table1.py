@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.experiments import PAPER_TABLE1_TOTALS, run_table1
+from repro.experiments.table1 import PAPER_TABLE1_TOTALS, run_table1
 
 
 @pytest.fixture(scope="module")

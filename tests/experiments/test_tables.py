@@ -8,14 +8,11 @@ profile weighting and fixed seeds).
 
 import pytest
 
-from repro.experiments import (
-    OPTIMISTIC_LATENCIES,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
-)
-from repro.machine import LEN_8, MAX_8, UNLIMITED
+from repro.experiments.table2 import run_table2
+from repro.experiments.table3 import run_table3
+from repro.experiments.table4 import OPTIMISTIC_LATENCIES, run_table4
+from repro.experiments.table5 import run_table5
+from repro.machine.processor import LEN_8, MAX_8, UNLIMITED
 
 RUNS = 6
 
@@ -68,7 +65,7 @@ class TestTable2:
         """Section 5: 'The results for MAX-8 and LEN 8 are similar,
         with ... means of 10.0% and 8.7%'. Ours land within a couple of
         points, with every shape check intact."""
-        from repro.experiments import run_table2
+        from repro.experiments.table2 import run_table2
 
         for processor, paper_mean in ((MAX_8, 10.0), (LEN_8, 8.7)):
             result = run_table2(processor=processor, runs=RUNS)

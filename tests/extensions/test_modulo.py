@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import BalancedScheduler, TraditionalScheduler
+from repro.core.balanced import BalancedScheduler
+from repro.core.traditional import TraditionalScheduler
 from repro.extensions.modulo import ModuloSchedulingError, modulo_schedule
-from repro.frontend import compile_minif
-from repro.ir import BasicBlock
+from repro.frontend.lowering import compile_minif
+from repro.ir.block import BasicBlock
 
 STREAM = """
 program p
@@ -101,7 +102,7 @@ class TestAgainstUnrollingThroughput:
         """Modulo scheduling's II is the throughput target unrolling
         approaches asymptotically: II <= measured cycles/iteration of
         the balanced unrolled schedule (small tolerance for the fit)."""
-        from repro.simulate import throughput
+        from repro.simulate.throughput import throughput
 
         for source in (DOT, FILTER):
             body = body_of(source)

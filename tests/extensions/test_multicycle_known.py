@@ -4,17 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from repro.analysis import build_dag
-from repro.core import BalancedScheduler, balanced_weights
+from repro.analysis.dependence import build_dag
+from repro.core.balanced import BalancedScheduler
+from repro.core.weights import balanced_weights
 from repro.extensions import known_latency
-from repro.extensions import (
+from repro.extensions.known_latency import (
     KnownLatencyScheduler,
-    MultiCycleBalancedScheduler,
     second_access_same_line,
+)
+from repro.extensions.multicycle import (
+    MultiCycleBalancedScheduler,
     uncertain_load_or_multicycle,
     with_fp_latency,
 )
-from repro.frontend import compile_minif
+from repro.frontend.lowering import compile_minif
 
 SOURCE = """
 program p

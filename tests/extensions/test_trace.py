@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core import BalancedScheduler, TraditionalScheduler, balanced_weights
+from repro.core.balanced import BalancedScheduler
+from repro.core.traditional import TraditionalScheduler
+from repro.core.weights import balanced_weights
 from repro.extensions.trace import (
     TraceError,
     compare_trace_vs_blocks,
@@ -10,20 +12,12 @@ from repro.extensions.trace import (
     schedule_trace,
     trace_dag,
 )
-from repro.ir import (
-    BasicBlock,
-    Function,
-    Instruction,
-    MemRef,
-    Opcode,
-    RegClass,
-    alu,
-    load,
-    store,
-)
+from repro.ir.block import BasicBlock, Function
+from repro.ir.instructions import Instruction, Opcode, alu, load, store
+from repro.ir.operands import MemRef, RegClass
 from repro.ir.cfg import CFG
-from repro.machine import UNLIMITED
-from repro.simulate import simulate_block
+from repro.machine.processor import UNLIMITED
+from repro.simulate.simulator import simulate_block
 
 
 def hot_path_cfg():
@@ -141,7 +135,7 @@ class TestTraceDag:
 
     def test_trace_weights_exceed_block_weights(self):
         """The point of the extension: more visible parallelism."""
-        from repro.analysis import build_dag
+        from repro.analysis.dependence import build_dag
 
         cfg = hot_path_cfg()
         trace = form_trace(cfg)

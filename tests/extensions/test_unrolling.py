@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.analysis import build_dag
-from repro.extensions import UnrollError, enlarge_block, infer_carried
-from repro.frontend import compile_minif
+from repro.analysis.dependence import build_dag
+from repro.extensions.unrolling import (
+    UnrollError,
+    enlarge_block,
+    infer_carried,
+)
+from repro.frontend.lowering import compile_minif
 from tests.support.dag_height import height_in_nodes
 from tests.support.verifier import verify_block
 
@@ -110,7 +114,7 @@ class TestEnlargeBlock:
     def test_matches_frontend_unrolling_weight_profile(self):
         """IR-level enlargement lands in the same weight regime as the
         frontend's source-level unrolling."""
-        from repro.core import balanced_weights
+        from repro.core.weights import balanced_weights
 
         # Compare without pointer-table loads: the frontend CSEs one
         # pointer load per block, whereas IR-level enlargement

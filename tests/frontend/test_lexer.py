@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.frontend import LexError, TokenKind, tokenize
+from repro.frontend.errors import LexError
+from repro.frontend.lexer import TokenKind, tokenize
 
 
 def kinds(source):

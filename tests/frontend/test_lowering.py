@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.frontend import LoweringError, compile_minif
-from repro.frontend.lowering import POINTER_TABLE_REGION
-from repro.ir import Opcode, RegClass
+from repro.frontend.errors import LoweringError
+from repro.frontend.lowering import POINTER_TABLE_REGION, compile_minif
+from repro.ir.instructions import Opcode
+from repro.ir.operands import RegClass
 from tests.support.verifier import verify_block
 
 
@@ -59,7 +60,7 @@ class TestPointerLoads:
         assert len(pointer_loads) == 2  # one per referenced array
 
     def test_data_loads_depend_on_pointer_load(self):
-        from repro.analysis import build_dag
+        from repro.analysis.dependence import build_dag
 
         block = lower(SIMPLE)
         dag = build_dag(block)
@@ -111,7 +112,7 @@ end
 
     def test_reduction_chains_across_copies(self):
         """s = s + ... threads serially through the copies."""
-        from repro.analysis import build_dag
+        from repro.analysis.dependence import build_dag
         from tests.support.dag_height import height_in_nodes
 
         block = lower(self.UNROLLED)
@@ -178,7 +179,7 @@ end
 
     def test_three_load_series(self):
         """ptab -> col -> v forms a three-load chain in the DAG."""
-        from repro.analysis import build_dag
+        from repro.analysis.dependence import build_dag
         from repro.analysis.components import longest_load_path
 
         block = lower(self.GATHER)

@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.frontend import (
+from repro.frontend.ast import (
     ArrayRef,
     BinOp,
     IndexExpr,
     IndirectIndex,
     Num,
-    ParseError,
     Var,
-    parse_program,
 )
+from repro.frontend.errors import ParseError
+from repro.frontend.parser import parse_program
 
 MINIMAL = """
 program p

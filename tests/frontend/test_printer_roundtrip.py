@@ -8,7 +8,7 @@ node (declared array sizes are documentation and not preserved).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frontend import (
+from repro.frontend.ast import (
     ArrayRef,
     Assign,
     BinOp,
@@ -18,8 +18,8 @@ from repro.frontend import (
     Num,
     ProgramAST,
     Var,
-    parse_program,
 )
+from repro.frontend.parser import parse_program
 from repro.frontend.lowering import lower_ast
 from repro.frontend.printer import format_expr, format_program_ast
 from tests.support.verifier import verify_block
@@ -137,7 +137,7 @@ class TestRoundTrip:
 
 class TestSuiteSourcesRoundTrip:
     def test_all_suite_programs_round_trip(self):
-        from repro.workloads import PROGRAM_SOURCES
+        from repro.workloads.kernels import PROGRAM_SOURCES
 
         for name, source in PROGRAM_SOURCES.items():
             ast = parse_program(source)

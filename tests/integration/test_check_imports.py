@@ -51,13 +51,6 @@ def test_reads_all_string_annotations_and_dotted_imports(tmp_path):
     assert check_imports.unused_imports(path) == []
 
 
-def test_package_inits_are_skipped(tmp_path, capsys):
-    _module(tmp_path, "from .mod import name\n", name="__init__.py")
-    _module(tmp_path, "import os\n")
-    assert check_imports.main(["check_imports.py", str(tmp_path)]) == 1
-    assert "'os' imported but unused" in capsys.readouterr().out
-
-
 def test_every_root_is_scanned(tmp_path, capsys):
     for name in ("a", "b"):
         (tmp_path / name).mkdir()

@@ -40,21 +40,6 @@ def test_flags_an_orphan_module(tmp_path):
     assert _unreached(src) == ["pkg/orphan.py"]
 
 
-def test_a_reexport_list_alone_reaches_nothing(tmp_path):
-    src = _tree(tmp_path, {
-        "pkg/__init__.py": """\
-            from .helper import thing
-            from .used import run
-
-            __all__ = ["thing", "run"]
-            """,
-        "pkg/main.py": "import pkg\nfrom pkg import run\n",
-        "pkg/used.py": "def run():\n    pass\n",
-        "pkg/helper.py": "thing = 1\n",
-    })
-    assert _unreached(src) == ["pkg/helper.py"]
-
-
 def test_from_package_import_name_reaches_its_module(tmp_path):
     src = _tree(tmp_path, {
         "pkg/__init__.py": "",

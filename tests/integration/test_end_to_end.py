@@ -7,25 +7,17 @@ on.
 
 import pytest
 
-from repro import (
-    AliasModel,
-    BalancedScheduler,
-    TraditionalScheduler,
-    compile_program,
-    simulate_program,
-    spawn,
-)
-from repro.frontend import compile_minif
-from repro.machine import (
-    CacheMemory,
-    FixedMemory,
-    LEN_8,
-    MAX_8,
-    NetworkMemory,
-    UNLIMITED,
-)
-from repro.simulate import compare_runs
-from repro.workloads import load_program, load_suite
+from repro.analysis.alias import AliasModel
+from repro.core.balanced import BalancedScheduler
+from repro.core.pipeline import compile_program
+from repro.core.traditional import TraditionalScheduler
+from repro.simulate.program import simulate_program
+from repro.simulate.rng import spawn
+from repro.frontend.lowering import compile_minif
+from repro.machine.memory import CacheMemory, FixedMemory, NetworkMemory
+from repro.machine.processor import LEN_8, MAX_8, UNLIMITED
+from repro.simulate.stats import compare_runs
+from repro.workloads.perfect import load_program, load_suite
 from tests.support.verifier import verify_block
 
 SOURCE = """
@@ -99,7 +91,7 @@ class TestFullPipeline:
     def test_restricted_processors_never_faster(self, demo_program):
         """MAX-8 and LEN-8 only add constraints: with identical
         latency draws their block times are >= UNLIMITED's."""
-        from repro.simulate import simulate_block
+        from repro.simulate.simulator import simulate_block
 
         compiled = compile_program(demo_program, BalancedScheduler())
         rng = spawn("e2e", "restricted")

@@ -103,6 +103,19 @@ def test_bad_manifest_path_still_exits_2(tmp_path):
     assert len(done.stderr.splitlines()) == 1
 
 
+def test_missing_manifest_parents_are_created(tmp_path):
+    """The end-to-end benchmark puts each operation's manifest in a
+    directory that it never creates itself."""
+    manifest = tmp_path / "a" / "b" / "m.jsonl"
+    done = _python([
+        "-m", "repro.experiments.runner", "run", "table1", "--no-cache",
+        "--manifest", str(manifest),
+    ], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    records = [json.loads(line) for line in manifest.read_text().splitlines()]
+    assert records[-1]["event"] == "run_end"
+
+
 @pytest.mark.parametrize("argv, status", [
     (["--help"], 0),            # argparse exits from inside main()
     (["run", "no-such-table"], 2),

@@ -12,16 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import build_dag
-from repro.core import (
-    BalancedScheduler,
-    TraditionalScheduler,
-    balanced_weights,
-    compile_block,
-)
-from repro.machine import LEN_8, MAX_8, UNLIMITED
-from repro.regalloc import RegisterFile
-from repro.simulate import simulate_block
+from repro.analysis.dependence import build_dag
+from repro.core.balanced import BalancedScheduler
+from repro.core.pipeline import compile_block
+from repro.core.traditional import TraditionalScheduler
+from repro.core.weights import balanced_weights
+from repro.machine.processor import LEN_8, MAX_8, UNLIMITED
+from repro.regalloc.target import RegisterFile
+from repro.simulate.simulator import simulate_block
 from tests.support.equivalence import assert_equivalent
 from tests.support.generator import random_block
 
@@ -172,7 +170,7 @@ class TestStatisticsProperties:
     @given(st.integers(0, 5000))
     @settings(max_examples=30, deadline=None)
     def test_bootstrap_means_within_sample_range(self, seed):
-        from repro.simulate import bootstrap_means
+        from repro.simulate.stats import bootstrap_means
 
         rng = np.random.default_rng(seed)
         samples = rng.uniform(10, 100, size=int(rng.integers(2, 40)))
@@ -186,7 +184,7 @@ class TestStatisticsProperties:
         """When one series is a uniform scaling of the other, the
         improvement is exactly (1 - scale) * 100 and swapping the
         arguments flips its sign."""
-        from repro.simulate import percentage_improvement
+        from repro.simulate.stats import percentage_improvement
 
         rng = np.random.default_rng(seed)
         a = rng.uniform(50, 150, size=100)
@@ -200,7 +198,7 @@ class TestStatisticsProperties:
     @given(st.integers(0, 5000))
     @settings(max_examples=30, deadline=None)
     def test_identical_series_zero_improvement(self, seed):
-        from repro.simulate import percentage_improvement
+        from repro.simulate.stats import percentage_improvement
 
         rng = np.random.default_rng(seed)
         series = rng.uniform(50, 150, size=100)

@@ -2,19 +2,9 @@
 
 import pytest
 
-from repro.ir import (
-    BasicBlock,
-    Function,
-    MemRef,
-    Opcode,
-    Program,
-    RegClass,
-    VirtualReg,
-    alu,
-    load,
-    nop,
-    store,
-)
+from repro.ir.block import BasicBlock, Function, Program
+from repro.ir.instructions import Opcode, alu, load, nop, store
+from repro.ir.operands import MemRef, RegClass, VirtualReg
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.ir import BasicBlock, Instruction, Opcode, VirtualReg, alu, load
+from repro.ir.block import BasicBlock
+from repro.ir.instructions import Instruction, Opcode, alu, load
+from repro.ir.operands import MemRef, RegClass, VirtualReg
 from repro.ir.cfg import CFG, CFGEdge, CFGError
-from repro.ir.operands import MemRef, RegClass
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 

@@ -1,10 +1,8 @@
 """Unit tests for IR instructions and their constructors."""
 
-from repro.ir import (
+from repro.ir.instructions import (
     Instruction,
-    MemRef,
     Opcode,
-    VirtualReg,
     alu,
     li,
     load,
@@ -12,6 +10,7 @@ from repro.ir import (
     nop,
     store,
 )
+from repro.ir.operands import MemRef, VirtualReg
 
 A0 = MemRef(region="A", base=VirtualReg(0), offset=0)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ir import Immediate, MemRef, PhysReg, RegClass, VirtualReg
+from repro.ir.operands import Immediate, MemRef, PhysReg, RegClass, VirtualReg
 
 
 class TestVirtualReg:

@@ -1,7 +1,7 @@
 """Tests for function-level textual rendering."""
 
-from repro.frontend import compile_minif
-from repro.ir import format_function
+from repro.frontend.lowering import compile_minif
+from repro.ir.printer import format_function
 
 SOURCE = """
 program render

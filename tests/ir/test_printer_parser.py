@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.ir import (
-    BasicBlock,
-    PhysReg,
-    RegClass,
-    VirtualReg,
-    format_block,
-    format_instruction,
-)
+from repro.ir.block import BasicBlock
+from repro.ir.operands import PhysReg, RegClass, VirtualReg
+from repro.ir.printer import format_block, format_instruction
 from tests.support.generator import random_block
 from tests.support.ir_parser import (
     IRParseError,

@@ -2,16 +2,9 @@
 
 import pytest
 
-from repro.ir import (
-    BasicBlock,
-    Instruction,
-    MemRef,
-    Opcode,
-    VirtualReg,
-    alu,
-    load,
-    nop,
-)
+from repro.ir.block import BasicBlock
+from repro.ir.instructions import Instruction, Opcode, alu, load, nop
+from repro.ir.operands import MemRef, VirtualReg
 from tests.support.verifier import VerificationError, verify_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.machine import (
+from repro.machine.memory import (
     CacheMemory,
     FixedMemory,
     MIN_LATENCY,

@@ -2,20 +2,22 @@
 
 import pytest
 
-from repro.machine import (
+from repro.machine.config import (
     ALL_SYSTEMS,
     CACHE_SYSTEMS,
-    LEN_8,
-    MAX_8,
     MIXED_SYSTEMS,
     NETWORK_SYSTEMS,
+    SYSTEMS_BY_NAME,
+    paper_system_rows,
+    system_row,
+)
+from repro.machine.processor import (
+    LEN_8,
+    MAX_8,
     PAPER_PROCESSORS,
     ProcessorModel,
-    SYSTEMS_BY_NAME,
     UNLIMITED,
-    paper_system_rows,
     superscalar,
-    system_row,
 )
 
 

@@ -18,7 +18,8 @@ import pytest
 
 from repro.experiments.common import ProgramEvaluator
 from repro.experiments.runner import main
-from repro.ir import MemRef, Opcode, RegClass, VirtualReg, alu, load
+from repro.ir.instructions import Opcode, alu, load
+from repro.ir.operands import MemRef, RegClass, VirtualReg
 from repro.machine.config import paper_system_rows
 from repro.machine.processor import (
     BLOCKING,

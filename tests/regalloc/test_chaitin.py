@@ -1,23 +1,13 @@
 """Tests for the Chaitin/Briggs graph-coloring allocator."""
 
-from repro.analysis import live_intervals
-from repro.core import BalancedScheduler, compile_block
-from repro.ir import (
-    BasicBlock,
-    MemRef,
-    Opcode,
-    PhysReg,
-    RegClass,
-    VirtualReg,
-    alu,
-    load,
-    store,
-)
-from repro.regalloc import (
-    ChaitinAllocator,
-    RegisterFile,
-    allocate_block_chaitin,
-)
+from repro.analysis.liveness import live_intervals
+from repro.core.balanced import BalancedScheduler
+from repro.core.pipeline import compile_block
+from repro.ir.block import BasicBlock
+from repro.ir.instructions import Opcode, alu, load, store
+from repro.ir.operands import MemRef, PhysReg, RegClass, VirtualReg
+from repro.regalloc.chaitin import ChaitinAllocator, allocate_block_chaitin
+from repro.regalloc.target import RegisterFile
 from tests.support.equivalence import block_effect
 from tests.support.generator import random_block
 from tests.support.verifier import verify_block
@@ -106,8 +96,9 @@ class TestSpillCharacter:
         """The allocators' characters differ: Chaitin spills by
         cost/degree, linear scan by furthest end.  On the deep-tree
         suite program they pick measurably different spill sets."""
-        from repro.core import TraditionalScheduler, compile_program
-        from repro.workloads import load_program
+        from repro.core.pipeline import compile_program
+        from repro.core.traditional import TraditionalScheduler
+        from repro.workloads.perfect import load_program
 
         program = load_program("BDNA")
         linear = compile_program(program, TraditionalScheduler(2))

@@ -1,17 +1,10 @@
 """Tests for the linear-scan register allocator."""
 
-from repro.ir import (
-    BasicBlock,
-    MemRef,
-    Opcode,
-    PhysReg,
-    RegClass,
-    VirtualReg,
-    alu,
-    load,
-    store,
-)
-from repro.regalloc import RegisterFile, allocate_block
+from repro.ir.block import BasicBlock
+from repro.ir.instructions import Opcode, alu, load, store
+from repro.ir.operands import MemRef, PhysReg, RegClass, VirtualReg
+from repro.regalloc.linear_scan import allocate_block
+from repro.regalloc.target import RegisterFile
 from tests.support.generator import random_block
 from tests.support.verifier import verify_block
 
@@ -90,7 +83,7 @@ class TestAllocation:
 
     def test_no_conflicting_assignments(self, rng):
         """Two simultaneously-live values never share a register."""
-        from repro.analysis import live_intervals
+        from repro.analysis.liveness import live_intervals
 
         for _ in range(10):
             block = random_block(rng, n_instructions=24)

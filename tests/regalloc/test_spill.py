@@ -3,19 +3,12 @@
 import pytest
 
 from repro.analysis.alias import SPILL_REGION_PREFIX
-from repro.ir import (
-    BasicBlock,
-    MemRef,
-    Opcode,
-    PhysReg,
-    RegClass,
-    VirtualReg,
-    alu,
-    load,
-    store,
-)
-from repro.regalloc import RegisterFile, SpillRewriter, allocate_block
-from repro.regalloc.spill import _Pool
+from repro.ir.block import BasicBlock
+from repro.ir.instructions import Opcode, alu, load, store
+from repro.ir.operands import MemRef, PhysReg, RegClass, VirtualReg
+from repro.regalloc.linear_scan import allocate_block
+from repro.regalloc.spill import SpillRewriter, _Pool
+from repro.regalloc.target import RegisterFile
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 

@@ -29,15 +29,9 @@ from repro.obs.export import (
     validate_chrome_trace,
     validate_prometheus_text,
 )
-from repro.service import (
-    SchedulingService,
-    ServiceClient,
-    ServiceError,
-    ServiceThread,
-    cell_payload,
-    parse_request,
-    to_cell_spec,
-)
+from repro.service.client import ServiceClient, ServiceError
+from repro.service.schema import cell_payload, parse_request, to_cell_spec
+from repro.service.server import SchedulingService, ServiceThread
 
 SOURCE = """
 program svc

@@ -12,11 +12,17 @@ the hand-written simulator tests never reach.
 import numpy as np
 import pytest
 
-from repro.machine import LEN_8, MAX_8, ProcessorModel, UNLIMITED, superscalar
+from repro.machine.processor import (
+    BLOCKING,
+    LEN_8,
+    MAX_8,
+    ProcessorModel,
+    UNLIMITED,
+    superscalar,
+)
 from repro.machine.config import SYSTEMS_BY_NAME
 from repro.machine.memory import FixedMemory
-from repro.machine.processor import BLOCKING
-from repro.simulate import simulate_block
+from repro.simulate.simulator import simulate_block
 from repro.simulate.batch import BatchSimResult, simulate_block_batch
 from repro.simulate.program import sample_block
 from repro.simulate.rng import spawn

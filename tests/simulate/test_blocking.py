@@ -1,10 +1,12 @@
 """Tests for the conventional blocking-loads processor (Section 1's
 baseline hardware, which makes load scheduling pointless)."""
 
-from repro.core import BalancedScheduler, TraditionalScheduler
-from repro.ir import MemRef, Opcode, RegClass, VirtualReg, alu, load
-from repro.machine import BLOCKING, UNLIMITED
-from repro.simulate import simulate_block
+from repro.core.balanced import BalancedScheduler
+from repro.core.traditional import TraditionalScheduler
+from repro.ir.instructions import Opcode, alu, load
+from repro.ir.operands import MemRef, RegClass, VirtualReg
+from repro.machine.processor import BLOCKING, UNLIMITED
+from repro.simulate.simulator import simulate_block
 from tests.support.generator import random_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)

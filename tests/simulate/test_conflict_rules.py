@@ -8,7 +8,7 @@ stated three times, in code that shares nothing:
   engine's per-instruction successor lists;
 * ``_conflict_matrix`` in :mod:`repro.simulate.batch`, the batch
   kernel's array-built ``(n, n)`` matrix over its padded register rows;
-* :func:`repro.verify.hardware_ordered_pairs`, the admissibility
+* :func:`repro.verify.oracle.hardware_ordered_pairs`, the admissibility
   oracle's pairwise restatement.
 
 Each is reduced to a set of ``(i, j)`` pairs, ``i < j``, and the sets
@@ -26,14 +26,14 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import compile_program
 from repro.experiments.delaytrack import _policies
-from repro.frontend import compile_minif
+from repro.frontend.lowering import compile_minif
 from repro.ir.instructions import Instruction, Opcode, alu, load, store
 from repro.ir.operands import MemRef, RegClass, VirtualReg
 from repro.machine.config import N_2_5
 from repro.simulate.batch import _conflict_matrix, _index_steps
 from repro.simulate.rng import spawn
 from repro.simulate.simulator import conflict_successors
-from repro.verify import hardware_ordered_pairs
+from repro.verify.oracle import hardware_ordered_pairs
 from repro.workloads.perfect import load_program, program_names
 from tests.support.generator import random_block
 

@@ -31,26 +31,28 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.ir import MemRef, Opcode, RegClass, VirtualReg, alu, load, nop
-from repro.machine import (
+from repro.ir.instructions import Opcode, alu, load, nop
+from repro.ir.operands import MemRef, RegClass, VirtualReg
+from repro.machine.config import parse_processor
+from repro.machine.processor import (
     BLOCKING,
     DT_8,
     LEN_8,
     MAX_8,
+    ProcessorModel,
     UNLIMITED,
     delay_tracking,
     model_family,
-    parse_processor,
     superscalar,
 )
-from repro.machine.processor import ProcessorModel
 from repro.obs import recorder as obs
-from repro.simulate import LatencyOverrunError, simulate_block
-from repro.simulate.batch import attribution_skip_reason, simulate_block_batch
 from repro.simulate.simulator import (
+    LatencyOverrunError,
     conflict_successors,
     delaytrack_issue_trace,
+    simulate_block,
 )
+from repro.simulate.batch import attribution_skip_reason, simulate_block_batch
 from repro.simulate.trace import check_traceable
 from repro.simulate.rng import spawn
 from repro.verify.fuzz import (

@@ -16,9 +16,9 @@ import os
 
 import pytest
 
-from repro.core import BalancedScheduler
+from repro.core.balanced import BalancedScheduler
 from repro.core.pipeline import compile_program
-from repro.frontend import compile_minif
+from repro.frontend.lowering import compile_minif
 from repro.frontend.printer import format_program_ast
 from repro.machine.processor import (
     BLOCKING,
@@ -28,7 +28,8 @@ from repro.machine.processor import (
     delay_tracking,
     superscalar,
 )
-from repro.simulate import simulate_block, simulate_block_batch
+from repro.simulate.batch import simulate_block_batch
+from repro.simulate.simulator import simulate_block
 from repro.simulate.rng import spawn
 from repro.verify.fuzz import (
     FUZZ_MEMORIES,

@@ -13,10 +13,16 @@ across blocks) and must not change results.
 import numpy as np
 import pytest
 
-from repro.ir import MemRef, Opcode, RegClass, VirtualReg, alu, load, nop
-from repro.machine import LEN_8, MAX_8, UNLIMITED, superscalar
-from repro.machine.processor import BLOCKING
-from repro.simulate import LatencyOverrunError, simulate_block
+from repro.ir.instructions import Opcode, alu, load, nop
+from repro.ir.operands import MemRef, RegClass, VirtualReg
+from repro.machine.processor import (
+    BLOCKING,
+    LEN_8,
+    MAX_8,
+    UNLIMITED,
+    superscalar,
+)
+from repro.simulate.simulator import LatencyOverrunError, simulate_block
 from repro.simulate.batch import simulate_block_batch
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)

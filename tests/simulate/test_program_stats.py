@@ -3,23 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.machine import FixedMemory, NetworkMemory, UNLIMITED
-from repro.simulate import (
+from repro.machine.memory import FixedMemory, NetworkMemory
+from repro.machine.processor import UNLIMITED
+from repro.simulate.program import sample_block, simulate_program
+from repro.simulate.rng import spawn
+from repro.simulate.stats import (
     ImprovementResult,
     bootstrap_means,
     compare_runs,
     percentage_improvement,
     program_bootstrap_runtimes,
-    sample_block,
-    simulate_program,
-    spawn,
 )
-from repro.workloads import load_program
+from repro.workloads.perfect import load_program
 
 
 @pytest.fixture
 def mdg_blocks():
-    from repro.core import BalancedScheduler, compile_program
+    from repro.core.balanced import BalancedScheduler
+    from repro.core.pipeline import compile_program
 
     program = load_program("MDG")
     return compile_program(program, BalancedScheduler()).final_blocks

@@ -2,19 +2,15 @@
 
 import pytest
 
-from repro.ir import (
-    BasicBlock,
-    MemRef,
-    Opcode,
-    RegClass,
-    VirtualReg,
-    alu,
-    load,
-    nop,
-    store,
+from repro.ir.block import BasicBlock
+from repro.ir.instructions import Opcode, alu, load, nop, store
+from repro.ir.operands import MemRef, RegClass, VirtualReg
+from repro.machine.processor import LEN_8, MAX_8, UNLIMITED, superscalar
+from repro.simulate.simulator import (
+    LatencyOverrunError,
+    interlock_sweep,
+    simulate_block,
 )
-from repro.machine import LEN_8, MAX_8, UNLIMITED, superscalar
-from repro.simulate import LatencyOverrunError, interlock_sweep, simulate_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)
 

@@ -21,11 +21,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro import obs
-from repro.ir import Instruction, Opcode, RegClass, VirtualReg, alu, nop
-from repro.machine import ProcessorModel
+from repro.obs.recorder import recording
+from repro.ir.instructions import Instruction, Opcode, alu, nop
+from repro.ir.operands import RegClass, VirtualReg
+from repro.machine.processor import ProcessorModel
 from repro.machine.memory import FixedMemory
-from repro.simulate import LatencyOverrunError
+from repro.simulate.simulator import LatencyOverrunError
 from repro.simulate.batch import attribution_skip_reason, simulate_block_batch
 from repro.simulate.program import (
     SimulationJob,
@@ -158,9 +159,9 @@ def test_each_job_records_its_own_columns():
             for k in range(2)
         ]
 
-    with obs.recording() as together:
+    with recording() as together:
         simulate_programs(jobs())
-    with obs.recording() as alone:
+    with recording() as alone:
         for job in jobs():
             simulate_programs([job])
     assert together.metrics.counters == alone.metrics.counters
@@ -505,9 +506,9 @@ def test_ragged_stack_records_each_job_on_its_own_block():
             for k, n in enumerate((14, 27))
         ]
 
-    with obs.recording() as together:
+    with recording() as together:
         simulate_programs(jobs())
-    with obs.recording() as alone:
+    with recording() as alone:
         for job in jobs():
             simulate_programs([job])
     assert together.metrics.counters == alone.metrics.counters

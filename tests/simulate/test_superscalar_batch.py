@@ -17,10 +17,15 @@ the multi-issue model:
 import numpy as np
 import pytest
 
-from repro.ir import MemRef, Opcode, RegClass, VirtualReg, alu, load, nop
-from repro.machine import UNLIMITED, superscalar
-from repro.machine.processor import MAX_8, ProcessorModel
-from repro.simulate import LatencyOverrunError, simulate_block
+from repro.ir.instructions import Opcode, alu, load, nop
+from repro.ir.operands import MemRef, RegClass, VirtualReg
+from repro.machine.processor import (
+    MAX_8,
+    ProcessorModel,
+    UNLIMITED,
+    superscalar,
+)
+from repro.simulate.simulator import LatencyOverrunError, simulate_block
 from repro.simulate.batch import simulate_block_batch
 from repro.simulate.rng import spawn
 from tests.support.generator import random_block

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import BalancedScheduler, TraditionalScheduler
-from repro.frontend import compile_minif
+from repro.core.balanced import BalancedScheduler
+from repro.core.traditional import TraditionalScheduler
+from repro.frontend.lowering import compile_minif
 from repro.simulate.throughput import recurrence_bound, throughput
 
 STREAM = """

@@ -9,24 +9,25 @@ which share no code with the scalar engine.
 import numpy as np
 import pytest
 
-from repro.core import BalancedScheduler, TraditionalScheduler
+from repro.core.balanced import BalancedScheduler
+from repro.core.traditional import TraditionalScheduler
 from repro.core.pipeline import compile_program
-from repro.ir import MemRef, Opcode, RegClass, VirtualReg, alu, load, nop
-from repro.machine import (
+from repro.ir.instructions import Opcode, alu, load, nop
+from repro.ir.operands import MemRef, RegClass, VirtualReg
+from repro.machine.config import PROCESSORS_BY_NAME
+from repro.machine.memory import NetworkMemory
+from repro.machine.processor import (
     BLOCKING,
     LEN_8,
     MAX_8,
-    NetworkMemory,
-    PROCESSORS_BY_NAME,
     UNLIMITED,
     superscalar,
 )
-from repro.simulate import simulate_block, simulate_block_batch
-from repro.simulate.batch import attribution_skip_reason
+from repro.simulate.batch import attribution_skip_reason, simulate_block_batch
+from repro.simulate.simulator import delaytrack_issue_trace, simulate_block
 from repro.simulate.rng import spawn
-from repro.simulate.simulator import delaytrack_issue_trace
 from repro.simulate.trace import StallReason, trace_block, trace_with_memory
-from repro.verify import check_delaytrack_issue
+from repro.verify.oracle import check_delaytrack_issue
 from repro.verify.fuzz import (
     FUZZ_MEMORIES,
     FUZZ_PROCESSORS,

@@ -9,11 +9,13 @@ blocks alike.
 
 import json
 
-from repro.core import BalancedScheduler, TraditionalScheduler
+from repro.core.balanced import BalancedScheduler
+from repro.core.traditional import TraditionalScheduler
 from repro.extensions.trace import form_trace, schedule_trace
-from repro.machine import LEN_8, MAX_8, NetworkMemory, UNLIMITED
+from repro.machine.memory import NetworkMemory
+from repro.machine.processor import LEN_8, MAX_8, UNLIMITED
 from repro.simulate.trace import BlockTrace, StallReason, trace_block
-from repro.workloads import load_program
+from repro.workloads.perfect import load_program
 
 from tests.extensions.test_trace import hot_path_cfg
 from tests.support.generator import random_block

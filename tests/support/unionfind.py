@@ -1,19 +1,26 @@
-"""Disjoint-set (union-find) structures.
+"""The paper's union-find sketch for ``Chances``, kept for the tests.
 
-The paper's complexity argument for the balanced scheduling algorithm
-(Section 3) relies on the classic set-union algorithm: connected
-components of the independent subgraph are found with union-find, and
-each set's label additionally tracks the minimum and maximum *level*
-(distance from the farthest leaf) seen in the set, so the longest path
-length of a component is ``max_level - min_level + 1``.
+The paper's complexity argument for balanced scheduling (Section 3)
+finds the connected components of the independent subgraph with the
+classic set-union algorithm; each set's label additionally tracks the
+minimum and maximum *level* (distance from the farthest leaf) seen in
+the set, so a component's longest path is ``max_level - min_level + 1``.
 
-:class:`DisjointSets` is the plain structure; :class:`LevelUnionFind`
-adds the paper's min/max level bookkeeping.
+That counts *nodes* on the path, while the definition counts loads
+(:func:`repro.analysis.components.longest_load_path`, which the weights
+use).  The two agree whenever a component holds only loads -- true of
+every worked example in the paper -- and diverge on mixed paths; the
+tests pin down both.  :class:`DisjointSets` is the plain structure,
+:class:`LevelUnionFind` adds the min/max level bookkeeping and
+:func:`longest_path_unionfind` applies it to an induced subgraph.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List
+
+from repro.analysis.dag import CodeDAG
+from repro.analysis.reachability import bits
 
 
 class DisjointSets:
@@ -100,3 +107,36 @@ class LevelUnionFind(DisjointSets):
         """Longest path length (in nodes) of ``x``'s component."""
         root = self.find(x)
         return self.max_level[root] - self.min_level[root] + 1
+
+
+def _levels_from_leaves(dag: CodeDAG, mask: int) -> Dict[int, int]:
+    """Level of each node in the induced subgraph, measured from the
+    farthest leaf (leaves have level 0)."""
+    levels: Dict[int, int] = {}
+    for v in reversed(list(bits(mask))):
+        level = 0
+        for s in dag.successors(v):
+            if mask >> s & 1:
+                level = max(level, levels[s] + 1)
+        levels[v] = level
+    return levels
+
+
+def longest_path_unionfind(dag: CodeDAG, mask: int) -> Dict[int, int]:
+    """Longest path length (in nodes) per component, the paper's way.
+
+    Returns a map from each node in ``mask`` to the longest path length
+    of its component, computed with the level-labelled union-find
+    described in Section 3.
+    """
+    nodes = list(bits(mask))
+    if not nodes:
+        return {}
+    position = {v: k for k, v in enumerate(nodes)}
+    levels = _levels_from_leaves(dag, mask)
+    uf = LevelUnionFind(levels[v] for v in nodes)
+    for v in nodes:
+        for s in dag.successors(v):
+            if mask >> s & 1:
+                uf.union(position[v], position[s])
+    return {v: uf.path_length(position[v]) for v in nodes}

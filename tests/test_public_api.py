@@ -1,16 +1,27 @@
 """Public-API consistency checks across every package.
 
-Guards against the usual packaging rot: ``__all__`` naming things that
-do not exist, public modules that fail to import, and the top-level
-facade drifting from the subpackages.
+Every name has one home: the module that defines it.  The package
+``__init__`` files hold a docstring and re-export nothing, apart from
+the four ``repro.service`` names the end-to-end benchmark client
+imports, so ``import repro`` stays cheap and no import path can drift
+from the definition.
 """
 
+import ast
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import repro
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+E2E_CLIENT = ROOT / "benchmarks" / "e2e" / "client.py"
 
 PACKAGES = [
     "repro",
@@ -34,15 +45,6 @@ def test_package_imports(name):
     importlib.import_module(name)
 
 
-@pytest.mark.parametrize("name", PACKAGES)
-def test_all_entries_resolve(name):
-    module = importlib.import_module(name)
-    exported = getattr(module, "__all__", [])
-    assert exported, f"{name} should declare __all__"
-    for symbol in exported:
-        assert hasattr(module, symbol), f"{name}.__all__ lists missing {symbol}"
-
-
 def test_every_submodule_imports():
     """Import every module in the tree (catches syntax/import errors in
     modules no test touches directly)."""
@@ -55,14 +57,60 @@ def test_every_submodule_imports():
     assert not failures, failures
 
 
-def test_top_level_facade_covers_both_schedulers():
-    assert repro.BalancedScheduler is not None
-    assert repro.TraditionalScheduler is not None
-    assert repro.__version__
+def _from_imports(path, module=None):
+    """Names bound by ``from ... import`` statements in ``path``; only
+    those taken from ``module`` when it is given."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (module is None or node.module == module)
+        for alias in node.names
+    }
 
 
-def test_no_all_duplicates():
-    for name in PACKAGES:
-        module = importlib.import_module(name)
-        exported = list(getattr(module, "__all__", []))
-        assert len(exported) == len(set(exported)), f"duplicates in {name}.__all__"
+def test_package_inits_hold_only_a_docstring():
+    """Except ``repro`` (the OpenBLAS pin and ``__version__``, importing
+    no name) and ``repro.service`` (checked below)."""
+    with_code = set()
+    for path in (SRC / "repro").rglob("__init__.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        docstring = ast.get_docstring(tree) is not None
+        if tree.body[docstring:]:
+            with_code.add(".".join(path.relative_to(SRC).parent.parts))
+    assert with_code == {"repro", "repro.service"}
+    assert _from_imports(SRC / "repro" / "__init__.py") == set()
+
+
+def test_service_init_reexports_what_the_e2e_client_imports():
+    client_names = _from_imports(E2E_CLIENT, "repro.service")
+    assert client_names
+    service_init = SRC / "repro" / "service" / "__init__.py"
+    assert _from_imports(service_init) == client_names
+    assert set(importlib.import_module("repro.service").__all__) == (
+        client_names
+    )
+
+
+_LOADED_BY_IMPORT = """\
+import sys
+import repro
+print(" ".join(sorted(
+    name for name in sys.modules
+    if name.partition(".")[0] in ("numpy", "repro")
+)))
+"""
+
+
+def test_import_repro_loads_no_numpy():
+    """Checked in a fresh interpreter: this process has imported numpy
+    already."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_IMPORT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["repro"]

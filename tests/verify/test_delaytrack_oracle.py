@@ -13,7 +13,7 @@ import pytest
 
 from repro.ir.operands import MemRef, RegClass, VirtualReg
 from repro.ir.instructions import Instruction, Opcode, alu, load, nop, store
-from repro.machine import (
+from repro.machine.processor import (
     BLOCKING,
     LEN_8,
     MAX_8,
@@ -23,7 +23,7 @@ from repro.machine import (
 )
 from repro.simulate.rng import spawn
 from repro.simulate.simulator import delaytrack_issue_trace, simulate_block
-from repro.verify import check_delaytrack_issue, hardware_ordered_pairs
+from repro.verify.oracle import check_delaytrack_issue, hardware_ordered_pairs
 from tests.support.generator import random_block
 
 A = MemRef(region="A", base=None, offset=0, affine_coeff=0)

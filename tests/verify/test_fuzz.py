@@ -10,7 +10,8 @@ import os
 
 import pytest
 
-from repro.frontend import format_program_ast, parse_program
+from repro.frontend.parser import parse_program
+from repro.frontend.printer import format_program_ast
 from repro.simulate.rng import spawn
 from repro.verify.fuzz import (
     ARTIFACT_SCHEMA,
@@ -77,7 +78,7 @@ def test_degenerate_shapes_are_clean(name):
 
 def test_generator_produces_parseable_unrolled_kernels():
     """Any generated program lowers without error (smoke over shapes)."""
-    from repro.frontend import compile_minif
+    from repro.frontend.lowering import compile_minif
 
     for seed in range(15):
         ast = random_ast(spawn("fuzz-gen", 1, seed))

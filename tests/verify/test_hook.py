@@ -11,11 +11,13 @@ import dataclasses
 
 import pytest
 
-from repro.core import BalancedScheduler, compile_block
-from repro.frontend import compile_minif
+from repro.core.balanced import BalancedScheduler
+from repro.core.pipeline import compile_block
+from repro.frontend.lowering import compile_minif
 from repro.ir.printer import format_block
 from repro.obs import recorder as obs_recorder
-from repro.verify import LegalityError, hooks
+from repro.verify import hooks
+from repro.verify.oracle import LegalityError
 
 SOURCE = """
 program hooked

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.alias import AliasModel
-from repro.core import OptimalScheduler, compile_block, compile_program
-from repro.core.optimal import OptimalScheduleResult
+from repro.core.optimal import OptimalScheduleResult, OptimalScheduler
+from repro.core.pipeline import compile_block, compile_program
 from repro.machine.processor import UNLIMITED
 from repro.regalloc.target import TIGHT_REGISTER_FILE
 from repro.verify.oracle import (

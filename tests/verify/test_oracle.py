@@ -12,12 +12,13 @@ import dataclasses
 import pytest
 
 from repro.analysis.alias import AliasModel
-from repro.core import BalancedScheduler, compile_block
-from repro.frontend import compile_minif
+from repro.core.balanced import BalancedScheduler
+from repro.core.pipeline import compile_block
+from repro.frontend.lowering import compile_minif
 from repro.ir.instructions import Instruction, Opcode
 from repro.ir.operands import MemRef, RegClass, VirtualReg
-from repro.machine import LEN_8, MAX_8, UNLIMITED, superscalar
-from repro.verify import (
+from repro.machine.processor import LEN_8, MAX_8, UNLIMITED, superscalar
+from repro.verify.oracle import (
     LegalityError,
     Violation,
     assert_legal,

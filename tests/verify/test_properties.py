@@ -14,13 +14,19 @@ rather than "divergent".
 import numpy as np
 import pytest
 
-from repro.analysis import build_dag, may_alias, ordered_pairs
-from repro.analysis.alias import AliasModel
-from repro.core import BalancedScheduler, TraditionalScheduler, compile_block
+from repro.analysis.alias import AliasModel, may_alias
+from repro.analysis.dependence import build_dag, ordered_pairs
+from repro.core.balanced import BalancedScheduler
+from repro.core.pipeline import compile_block
+from repro.core.traditional import TraditionalScheduler
 from repro.ir.operands import MemRef, RegClass, VirtualReg
-from repro.regalloc import SPILL_HOME_REGION, SPILL_OUT_REGION
+from repro.regalloc.spill import SPILL_HOME_REGION, SPILL_OUT_REGION
 from repro.simulate.rng import spawn
-from repro.verify import check_compiled, check_schedule, constrained_pairs
+from repro.verify.oracle import (
+    check_compiled,
+    check_schedule,
+    constrained_pairs,
+)
 from repro.verify import oracle
 from repro.verify.fuzz import FUZZ_PROCESSORS
 from tests.support.equivalence import block_effect

@@ -8,12 +8,13 @@ and exact: each documents the failure it used to trigger.
 import pytest
 
 from repro.analysis.alias import AliasModel
-from repro.core import BalancedScheduler, TraditionalScheduler
+from repro.core.balanced import BalancedScheduler
+from repro.core.traditional import TraditionalScheduler
 from repro.core.pipeline import compile_program
-from repro.frontend import compile_minif
+from repro.frontend.lowering import compile_minif
 from repro.ir.operands import VirtualReg
-from repro.regalloc import SPILL_OUT_REGION
-from repro.verify import check_allocation, check_compiled
+from repro.regalloc.spill import SPILL_OUT_REGION
+from repro.verify.oracle import check_allocation, check_compiled
 from repro.verify.fuzz import check_source
 from tests.support.equivalence import assert_equivalent
 

@@ -7,7 +7,8 @@ intermediate candidate passes through the real parser -- so whatever
 the shrinker returns is a valid minif program.
 """
 
-from repro.frontend import compile_minif, parse_program
+from repro.frontend.lowering import compile_minif
+from repro.frontend.parser import parse_program
 from repro.verify.shrink import (
     MAX_PREDICATE_CALLS,
     shrink_ast,

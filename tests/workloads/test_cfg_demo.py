@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.extensions import form_trace
-from repro.workloads import hot_path_cfg
+from repro.extensions.trace import form_trace
+from repro.workloads.cfg_demo import hot_path_cfg
 from tests.support.verifier import verify_block
 
 

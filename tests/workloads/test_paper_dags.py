@@ -5,8 +5,9 @@ example graphs; the weight/schedule claims themselves are covered in
 ``tests/core`` and ``tests/experiments``.
 """
 
-from repro.analysis import build_dag, reachable
-from repro.workloads import label_order
+from repro.analysis.dependence import build_dag
+from repro.analysis.reachability import reachable
+from repro.workloads.paper_dags import label_order
 from tests.support.verifier import verify_block
 
 
@@ -93,7 +94,7 @@ class TestFigure7:
 
     def test_three_components_for_x1(self, figure7):
         """'step 4 generates the three connected components.'"""
-        from repro.analysis import connected_components
+        from repro.analysis.components import connected_components
         from repro.analysis.reachability import closures, independent_mask
 
         block, labels = figure7
@@ -107,7 +108,10 @@ class TestFigure7:
     def test_four_load_path_for_l1(self, figure7):
         """For i = L1 the component holds the 4-load series that gives
         the 1/4 contributions of Table 1's L1 column."""
-        from repro.analysis import connected_components, longest_load_path
+        from repro.analysis.components import (
+            connected_components,
+            longest_load_path,
+        )
         from repro.analysis.reachability import closures, independent_mask
 
         block, labels = figure7

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analysis import build_dag
-from repro.core import balanced_weights
-from repro.workloads import (
-    PROGRAM_ORDER,
-    load_program,
-    load_suite,
-    program_names,
-)
+from repro.analysis.dependence import build_dag
+from repro.core.weights import balanced_weights
+from repro.workloads.kernels import PROGRAM_ORDER
+from repro.workloads.perfect import load_program, load_suite, program_names
 from tests.support.generator import random_block, random_dag
 from tests.support.verifier import verify_block
 

@@ -5,11 +5,10 @@ Usage::
 
     python tools/check_imports.py [ROOT ...]
 
-Scans every ``.py`` module under each ``ROOT`` (default: ``src``) except
-package ``__init__`` files, whose imports are the package's public
-surface, and reports each name a module imports but never uses.  A
-name counts as used when it is read anywhere in the module -- string
-annotations included -- or listed in the module's ``__all__``.
+Scans every ``.py`` module under each ``ROOT`` (default: ``src``) and
+reports each name a module imports but never uses.  A name counts as
+used when it is read anywhere in the module -- string annotations
+included -- or listed in the module's ``__all__``.
 Only the standard-library :mod:`ast` is used, so the gate runs before
 any dependency is installed.
 
@@ -90,8 +89,6 @@ def main(argv) -> int:
     problems = 0
     for root in argv[1:] or ["src"]:
         for path in sorted(Path(root).rglob("*.py")):
-            if path.name == "__init__.py":
-                continue
             for line, name in unused_imports(path):
                 print(f"{path}:{line}: {name!r} imported but unused")
                 problems += 1

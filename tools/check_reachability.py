@@ -11,11 +11,9 @@ the daemon (``repro.service.server``), its client
 (``repro.service.client``) and every script in ``EXAMPLES`` (default:
 ``examples``) -- and reports each module under ``SRC`` that none of
 them reaches.  Every ``import`` and ``from ... import`` counts,
-including lazy ones inside functions.  A package ``__init__`` is not
-followed wholesale: its re-exports are resolved one name at a time,
-when an importer names them (``from repro.analysis import build_dag``
-reaches ``repro.analysis.dependence``, not every module the package
-imports).  Only the standard-library :mod:`ast` is used.
+including lazy ones inside functions, and a package ``__init__``'s own
+imports are followed like any module's.  Only the standard-library
+:mod:`ast` is used.
 
 Prints one line per unreached module; exit status 1 if there is any,
 0 if every module is reached.
@@ -86,26 +84,17 @@ class _Graph:
         return self._parsed[name]
 
     def resolve(self, module: str, names) -> set:
-        """The modules that ``from module import names`` makes run."""
+        """The modules that ``from module import names`` names: the
+        module itself and each name that is one of its submodules."""
         if module not in self.modules:
             return set()
-        found = {module}
-        if not _is_package(self.modules, module):
-            return found
-        for name in names:
-            if f"{module}.{name}" in self.modules:
-                found |= self.resolve(f"{module}.{name}", ())
-                continue
-            for source, taken in self.imports(module):
-                if name in taken:
-                    found |= self.resolve(source, (name,))
-                    break
-        return found
+        return {module} | {
+            f"{module}.{name}" for name in names
+            if f"{module}.{name}" in self.modules
+        }
 
     def edges(self, name: str, path: Path = None) -> set:
         """Every module one module's own import statements reach."""
-        if path is None and _is_package(self.modules, name):
-            return set()  # re-exports resolve per name, in resolve()
         found = set()
         for module, names in self.imports(name, path):
             found |= self.resolve(module, names)

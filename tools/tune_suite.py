@@ -2,9 +2,10 @@
 import time
 from repro.workloads.perfect import load_suite, clear_cache
 from repro.experiments.common import ProgramEvaluator
-from repro.machine import paper_system_rows, UNLIMITED
-from repro.analysis import build_dag
-from repro.core import balanced_weights
+from repro.machine.config import paper_system_rows
+from repro.machine.processor import UNLIMITED
+from repro.analysis.dependence import build_dag
+from repro.core.weights import balanced_weights
 
 clear_cache()
 suite = load_suite()
